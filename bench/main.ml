@@ -245,7 +245,7 @@ let bechamel_tests ~quick =
   in
   let stabilize_unison g () =
     let obs =
-      Expt.Runner.unison_composed ~graph:g
+      Expt.Runner.run Expt.Runner.unison ~graph:g
         ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
         ~seed:7 ()
     in
@@ -253,7 +253,8 @@ let bechamel_tests ~quick =
   in
   let stabilize_fga g () =
     let obs =
-      Expt.Runner.fga_composed ~spec:Ssreset_alliance.Spec.dominating_set
+      Expt.Runner.run
+        (Expt.Runner.alliance Ssreset_alliance.Spec.dominating_set)
         ~graph:g
         ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
         ~seed:7 ()
@@ -262,7 +263,7 @@ let bechamel_tests ~quick =
   in
   let stabilize_tail g () =
     let obs =
-      Expt.Runner.tail_unison ~graph:g
+      Expt.Runner.run Expt.Runner.tail_unison ~graph:g
         ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
         ~seed:7 ()
     in
@@ -474,7 +475,7 @@ let run_trace_bench ~quick =
      thousands of steps — enough work for a stable steps/s estimate (the
      synchronous run finishes in ~20 big steps, far below timer noise). *)
   let run ?sink ?(trace_steps = false) () =
-    Expt.Runner.unison_composed ?sink ~trace_steps ~graph
+    Expt.Runner.run ?sink ~trace_steps Expt.Runner.unison ~graph
       ~daemon:Ssreset_sim.Daemon.central_random ~seed:11 ()
   in
   let rate (o : Expt.Runner.obs) =
@@ -558,7 +559,7 @@ let run_prof_bench ~quick =
   (* Central-random, as in the trace bench: one mover per step gives
      enough steps for a stable steps/s estimate. *)
   let run ?prof () =
-    Expt.Runner.unison_composed ?prof ~graph
+    Expt.Runner.run ?prof Expt.Runner.unison ~graph
       ~daemon:Ssreset_sim.Daemon.central_random ~seed:11 ()
   in
   let rate (o : Expt.Runner.obs) =

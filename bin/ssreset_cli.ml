@@ -25,7 +25,6 @@ module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
 module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
-module Stats = Ssreset_sim.Stats
 module Flat = Ssreset_flat.Flat
 module FlatProgs = Ssreset_flat.Progs
 
@@ -223,152 +222,116 @@ let report ~json name (obs : Runner.obs) =
   end;
   if obs.Runner.outcome_ok && obs.Runner.result_ok then 0 else 1
 
-let build ~quiet family n seed =
-  let g = family.Workload.build ~seed ~n in
-  if not quiet then
-    Fmt.pr "network: %s (%s)@." (Metrics.summary g) family.Workload.family_name;
-  g
+(* Every failure of a run command is one `ssreset: …` line on stderr and
+   exit code 2. *)
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "ssreset: %s@." msg;
+      2)
+    fmt
 
-(* Run one measured system: builds the graph, opens the trace and profile
-   sinks if requested, writes the manifests, delegates to the runner (which
+let announce ~quiet family g =
+  if not quiet then
+    Fmt.pr "network: %s (%s)@." (Metrics.summary g) family.Workload.family_name
+
+(* The one system table; [spec] only parameterizes the alliance entries. *)
+let find_system ~spec name =
+  List.find_opt
+    (fun (s : Runner.system) -> String.equal s.Runner.name name)
+    (Runner.systems ~spec)
+
+let system_names ?(only = fun _ -> true) () =
+  String.concat ", "
+    (List.filter_map
+       (fun (s : Runner.system) -> if only s then Some s.Runner.name else None)
+       (Runner.systems ~spec:Spec.dominating_set))
+
+let unknown_system name =
+  fail "unknown system %S (one of: %s)" name (system_names ())
+
+let unknown_daemon name =
+  fail "unknown daemon: %s (one of: %s)" name
+    (String.concat ", " (Daemon.names ()))
+
+(* With --prof-out: open the ssreset-prof-v1 stream, write its manifest,
+   hand [k] the profiler, and write the summary once [k] returns. *)
+let with_prof ~output ?extra ~system ~family ~n ~m ~seed ~daemon k =
+  match output.prof_out with
+  | None -> k None
+  | Some path ->
+      let psink = Sink.create path in
+      Fun.protect
+        ~finally:(fun () -> Sink.close psink)
+        (fun () ->
+          Sink.write psink
+            (Prof.manifest ?extra ~system ~family:family.Workload.family_name
+               ~n ~m ~seed ~daemon ~window_steps:output.prof_window ());
+          let p = Prof.create ~window_steps:output.prof_window ~sink:psink () in
+          let result = k (Some p) in
+          Prof.write_summary p;
+          result)
+
+(* Run one measured system: resolves the daemon before building the graph,
+   checks the system can run on it, opens the trace and profile sinks if
+   requested, writes the manifests, delegates to {!Runner.run} (which
    streams rounds + summary; the profiler streams windows), writes the
    profile summary, and reports. *)
-let measured ~output ~system ~title ~family ~n ~seed ~daemon_name
-    (run :
-      sink:Sink.t option ->
-      prof:Prof.t option ->
-      graph:Graph.t ->
-      daemon:Daemon.t ->
-      Runner.obs) =
-  try
-    let graph = build ~quiet:output.json family n seed in
-    let daemon = Runner.daemon_by_name daemon_name in
-    let with_prof k =
-      match output.prof_out with
-      | None -> k ~prof:None
-      | Some path ->
-          let psink = Sink.create path in
-          Fun.protect
-            ~finally:(fun () -> Sink.close psink)
-            (fun () ->
-              Sink.write psink
-                (Prof.manifest ~system ~family:family.Workload.family_name
-                   ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
-                   ~daemon:daemon.Daemon.daemon_name
-                   ~window_steps:output.prof_window ());
-              let p =
-                Prof.create ~window_steps:output.prof_window ~sink:psink ()
-              in
-              let obs = k ~prof:(Some p) in
-              Prof.write_summary p;
-              obs)
-    in
-    let with_trace ~prof k =
-      match output.trace_out with
-      | None -> k ~sink:None ~prof
-      | Some path ->
-          let sink = Sink.create path in
-          (* The manifest carries the graph itself (trace_schema + edges),
-             so offline analyses need no side channel. *)
-          Sink.write sink
-            (Sink.manifest ~system ~family:family.Workload.family_name
-               ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
-               ~daemon:daemon.Daemon.daemon_name
-               ~extra:
-                 [ ("trace_schema", Json.String Tracefile.schema);
-                   ( "edges",
-                     Json.List
-                       (List.map
-                          (fun (u, v) ->
-                            Json.List [ Json.Int u; Json.Int v ])
-                          (Graph.edges graph)) ) ]
-               ());
-          Fun.protect
-            ~finally:(fun () -> Sink.close sink)
-            (fun () -> k ~sink:(Some sink) ~prof)
-    in
-    let obs =
-      with_prof (fun ~prof ->
-          with_trace ~prof (fun ~sink ~prof -> run ~sink ~prof ~graph ~daemon))
-    in
-    report ~json:output.json title obs
-  with
-  | Invalid_argument msg | Sys_error msg ->
-      (* unknown daemon, unwritable --trace-out path, … *)
-      Fmt.epr "ssreset: %s@." msg;
-      2
-
-(* ------------------------------- systems -------------------------------- *)
-
-(* Each system: CLI name, doc, and a runner closure.  The `run` subcommand
-   dispatches on the name; the per-system subcommands reuse the same
-   closures. *)
-let unison_run ~seed ~scheduler ~trace_steps =
- fun ~sink ~prof ~graph ~daemon ->
-  Runner.unison_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon
-    ~seed ()
-
-let systems ~spec ~seed ~scheduler ~trace_steps =
-  [ ("unison",
-     "U∘SDR from an arbitrary configuration (stop at first normal)",
-     unison_run ~seed ~scheduler ~trace_steps);
-    ("tail-unison",
-     "tail-unison baseline from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.tail_unison ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("min-unison",
-     "min-unison baseline (K = n²+1) from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.min_unison ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("agr-unison",
-     "U∘AGR (mono-initiator reset baseline; needs a weakly fair daemon)",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.unison_agr ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("alliance",
-     Printf.sprintf "FGA(%s)∘SDR from an arbitrary configuration"
-       spec.Spec.spec_name,
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.fga_composed ?sink ?prof ~scheduler ~trace_steps ~spec ~graph ~daemon ~seed ());
-    ("alliance-bare",
-     Printf.sprintf "FGA(%s) from γ_init (non self-stabilizing run)"
-       spec.Spec.spec_name,
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.fga_bare ?sink ?prof ~scheduler ~trace_steps ~spec ~graph ~daemon ~seed ());
-    ("coloring",
-     "coloring∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.coloring_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("mis",
-     "MIS∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.mis_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("matching",
-     "matching∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.matching_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ()) ]
+let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
+    ~spec ~scheduler =
+  match Daemon.by_name daemon_name with
+  | None -> unknown_daemon daemon_name
+  | Some daemon -> (
+      let graph = family.Workload.build ~seed ~n in
+      if not (system.Runner.feasible graph) then
+        fail "spec %s infeasible on this network" spec.Spec.spec_name
+      else
+        let name = system.Runner.name in
+        try
+          let with_trace ~prof k =
+            match output.trace_out with
+            | None -> k ~sink:None ~prof
+            | Some path ->
+                let sink = Sink.create path in
+                (* The manifest carries the graph itself (trace_schema +
+                   edges), so offline analyses need no side channel. *)
+                Sink.write sink
+                  (Sink.manifest ~system:name
+                     ~family:family.Workload.family_name ~n:(Graph.n graph)
+                     ~m:(Graph.m graph) ~seed ~daemon:daemon.Daemon.daemon_name
+                     ~extra:
+                       [ ("trace_schema", Json.String Tracefile.schema);
+                         ( "edges",
+                           Json.List
+                             (List.map
+                                (fun (u, v) ->
+                                  Json.List [ Json.Int u; Json.Int v ])
+                                (Graph.edges graph)) ) ]
+                     ());
+                Fun.protect
+                  ~finally:(fun () -> Sink.close sink)
+                  (fun () -> k ~sink:(Some sink) ~prof)
+          in
+          let obs =
+            with_prof ~output ~system:name ~family ~n:(Graph.n graph)
+              ~m:(Graph.m graph) ~seed ~daemon:daemon.Daemon.daemon_name
+              (fun prof ->
+                with_trace ~prof (fun ~sink ~prof ->
+                    announce ~quiet:output.json family graph;
+                    Runner.run ?sink ?prof ~scheduler
+                      ~trace_steps:output.trace_steps system ~graph ~daemon
+                      ~seed ()))
+          in
+          report ~json:output.json system.Runner.doc obs
+        with Invalid_argument msg | Sys_error msg ->
+          (* unwritable --trace-out path, … *)
+          fail "%s" msg)
 
 let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler =
-  match
-    List.find_opt
-      (fun (name, _, _) -> name = system)
-      (systems ~spec ~seed ~scheduler ~trace_steps:output.trace_steps)
-  with
-  | None ->
-      Fmt.epr "unknown system %S (one of: %s)@." system
-        (String.concat ", "
-           (List.map
-              (fun (name, _, _) -> name)
-              (systems ~spec ~seed ~scheduler ~trace_steps:false)));
-      2
-  | Some (_, title, run) ->
-      if
-        (system = "alliance" || system = "alliance-bare")
-        && not (Spec.feasible spec (family.Workload.build ~seed ~n))
-      then begin
-        Fmt.epr "spec %s infeasible on this network@." spec.Spec.spec_name;
-        2
-      end
-      else measured ~output ~system ~title ~family ~n ~seed ~daemon_name run
+  match find_system ~spec system with
+  | None -> unknown_system system
+  | Some system ->
+      measured ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler
 
 (* ------------------------------ flat engine ----------------------------- *)
 
@@ -377,26 +340,11 @@ let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler =
    constructing a Runner.obs; per-process SDR attribution and segment
    counting are classic-engine observers, so those fields stay unmeasured
    here ([segments = None]). *)
-let obs_of_flat (r : Flat.result) : Runner.obs =
-  let per_proc =
-    List.map float_of_int (Array.to_list r.Flat.moves_per_process)
-  in
-  {
-    Runner.outcome_ok = r.Flat.outcome = Engine.Stabilized;
-    result_ok = r.Flat.legitimate;
-    rounds = r.Flat.rounds;
-    moves = r.Flat.moves;
-    steps = r.Flat.steps;
-    sdr_moves = Engine.moves_of_rules r.Flat.moves_per_rule ~prefixes:[ "SDR-" ];
-    max_proc_moves = Array.fold_left max 0 r.Flat.moves_per_process;
-    max_proc_sdr_moves = 0;
-    workload_p50 = Stats.percentile per_proc ~p:50.;
-    workload_p90 = Stats.percentile per_proc ~p:90.;
-    moves_per_rule = r.Flat.moves_per_rule;
-    segments = None;
-    ar_monotone = None;
-    wall_s = r.Flat.wall_s;
-  }
+let obs_of_flat (r : Flat.result) =
+  Runner.observation ~outcome_ok:(r.Flat.outcome = Engine.Stabilized)
+    ~result_ok:r.Flat.legitimate ~rounds:r.Flat.rounds ~steps:r.Flat.steps
+    ~moves:r.Flat.moves ~moves_per_process:r.Flat.moves_per_process
+    ~moves_per_rule:r.Flat.moves_per_rule ~wall_s:r.Flat.wall_s
 
 (* --heartbeat progress line, to stderr so --json/--digest stdout stays
    machine-readable. *)
@@ -410,27 +358,32 @@ let print_beat (b : Flat.beat) =
        Printf.sprintf "  avail %.3f" b.Flat.hb_availability
      else "")
 
-let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
-    ~digest ~monitors ~heartbeat =
-  let catalogue_name =
-    match system with "unison" -> "unison-sdr" | s -> s
-  in
-  match FlatProgs.find catalogue_name with
-  | None ->
-      Fmt.epr
-        "engine flat runs %s (got %S); the other systems have no symbolic \
-         IR to compile yet@."
-        (String.concat ", "
-           (List.map (fun e -> e.FlatProgs.pname) FlatProgs.entries))
-        system;
-      2
-  | Some entry -> (
+let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
+    ~parts ~perturb ~digest ~monitors ~heartbeat =
+  match
+    ( Option.bind system.Runner.flat FlatProgs.find,
+      Flat.daemon_of_name daemon_name )
+  with
+  | None, _ ->
+      fail
+        "engine flat runs %s (got %S); the other systems have no symbolic IR \
+         to compile yet"
+        (system_names ~only:(fun s -> s.Runner.flat <> None) ())
+        system.Runner.name
+  | _, None -> unknown_daemon daemon_name
+  | Some _, Some _ when parts > 1 && daemon_name <> "synchronous" ->
+      fail "--parts > 1 is the partitioned synchronous mode; pass -d synchronous"
+  | Some entry, Some daemon -> (
       try
         (* The ring family streams straight into CSR — no per-node adjacency
            lists are ever materialized, which is what makes n = 10⁶ fit. *)
         let graph_opt =
           if String.equal family.Workload.family_name "ring" then None
-          else Some (build ~quiet:(output.json || digest) family n seed)
+          else begin
+            let g = family.Workload.build ~seed ~n in
+            announce ~quiet:(output.json || digest) family g;
+            Some g
+          end
         in
         let csrg =
           match graph_opt with
@@ -460,48 +413,21 @@ let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
              Some (diameter * nn * nn))
         in
         let hb = Option.map (fun every -> (every, print_beat)) heartbeat in
-        let dispatch ~prof =
-          if parts > 1 then begin
-            if not (String.equal daemon_name "synchronous") then
-              invalid_arg
-                "--parts > 1 is the partitioned synchronous mode; pass -d \
-                 synchronous";
+        let dispatch prof =
+          if parts > 1 then
             Flat.run_partitioned ?prof ?monitor ?rounds_bound ?moves_bound
               ?heartbeat:hb ~parts prog
-          end
           else
-            match Flat.daemon_of_name daemon_name with
-            | Some d ->
-                Flat.run ~seed ?prof ?monitor ?rounds_bound ?moves_bound
-                  ?heartbeat:hb ~daemon:d prog
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "unknown daemon %S (one of: %s)" daemon_name
-                     (String.concat ", " (Flat.daemon_names ())))
+            Flat.run ~seed ?prof ?monitor ?rounds_bound ?moves_bound
+              ?heartbeat:hb ~daemon prog
         in
         let result =
-          match output.prof_out with
-          | None -> dispatch ~prof:None
-          | Some path ->
-              let psink = Sink.create path in
-              Fun.protect
-                ~finally:(fun () -> Sink.close psink)
-                (fun () ->
-                  Sink.write psink
-                    (Prof.manifest
-                       ~extra:
-                         [ ("engine", Json.String "flat");
-                           ("parts", Json.Int (max 1 parts)) ]
-                       ~system:catalogue_name
-                       ~family:family.Workload.family_name ~n:nn
-                       ~m:(Csr.m csrg) ~seed ~daemon:daemon_name
-                       ~window_steps:output.prof_window ());
-                  let p =
-                    Prof.create ~window_steps:output.prof_window ~sink:psink ()
-                  in
-                  let result = dispatch ~prof:(Some p) in
-                  Prof.write_summary p;
-                  result)
+          with_prof ~output
+            ~extra:
+              [ ("engine", Json.String "flat");
+                ("parts", Json.Int (max 1 parts)) ]
+            ~system:entry.FlatProgs.pname ~family ~n:nn ~m:(Csr.m csrg) ~seed
+            ~daemon:daemon_name dispatch
         in
         (match monitor with
         | Some m when Ssreset_obs.Monitor.anomaly_count m > 0 ->
@@ -523,84 +449,52 @@ let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
                nn
                (if parts > 1 then Printf.sprintf ", %d domains" parts else ""))
             (obs_of_flat result)
-      with Invalid_argument msg | Sys_error msg ->
-        Fmt.epr "ssreset: %s@." msg;
-        2)
+      with Invalid_argument msg | Sys_error msg -> fail "%s" msg)
 
 (* ------------------------------ subcommands ----------------------------- *)
 
-let system_cmd name ~doc cli_system =
-  let run family n seed daemon_name spec sched output =
-    run_system ~output ~system:cli_system ~family ~n ~seed ~daemon_name ~spec
-      ~scheduler:sched
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ family $ size $ seed $ daemon_name $ spec $ scheduler
-      $ output_term)
-
-let unison_cmd =
-  system_cmd "unison"
-    ~doc:"Self-stabilizing unison (U∘SDR) from an arbitrary configuration."
-    "unison"
-
-let tail_cmd =
-  system_cmd "tail-unison"
-    ~doc:"Baseline unison with reset tails ([11])." "tail-unison"
-
-let min_cmd =
-  system_cmd "min-unison"
-    ~doc:"Couvreur-style baseline unison with K = n²+1 ([20])." "min-unison"
-
-let agr_unison_cmd =
-  system_cmd "agr-unison"
-    ~doc:
-      "Unison over the mono-initiator Arora-Gouda-style reset baseline. \
-       Livelocks under unfair daemons such as central-first — that is \
-       the point of experiment E15."
-    "agr-unison"
-
-let alliance_cmd =
-  let run family n seed daemon_name spec bare sched output =
-    let system = if bare then "alliance-bare" else "alliance" in
-    run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
-      ~scheduler:sched
+(* One subcommand per entry of the system table; `alliance --bare` stands
+   for alliance-bare. *)
+let system_cmds =
+  let cmd name ~doc system =
+    let run system family n seed daemon_name spec sched output =
+      run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
+        ~scheduler:sched
+    in
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const run $ system $ family $ size $ seed $ daemon_name $ spec
+        $ scheduler $ output_term)
   in
   let bare =
     Arg.(value & flag & info [ "bare" ] ~doc:"Run FGA alone from γ_init.")
   in
-  Cmd.v
-    (Cmd.info "alliance"
-       ~doc:"Silent self-stabilizing 1-minimal (f,g)-alliance (FGA∘SDR).")
-    Term.(
-      const run $ family $ size $ seed $ daemon_name $ spec $ bare
-      $ scheduler $ output_term)
-
-let matching_cmd =
-  system_cmd "matching" ~doc:"Silent self-stabilizing maximal matching."
-    "matching"
-
-let coloring_cmd =
-  system_cmd "coloring" ~doc:"Silent self-stabilizing (Δ+1)-coloring."
-    "coloring"
-
-let mis_cmd =
-  system_cmd "mis" ~doc:"Silent self-stabilizing maximal independent set."
-    "mis"
+  List.filter_map
+    (fun (s : Runner.system) ->
+      match s.Runner.name with
+      | "alliance-bare" -> None
+      | "alliance" ->
+          Some
+            (cmd "alliance"
+               ~doc:"Silent self-stabilizing 1-minimal (f,g)-alliance (FGA∘SDR)."
+               Term.(
+                 const (fun bare -> if bare then "alliance-bare" else "alliance")
+                 $ bare))
+      | name -> Some (cmd name ~doc:(s.Runner.doc ^ ".") (Term.const name)))
+    (Runner.systems ~spec:Spec.dominating_set)
 
 let run_cmd =
   let run system family n seed daemon_name spec sched engine parts perturb
       digest monitors heartbeat output =
-    match engine with
-    | "classic" ->
-        run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
+    match (engine, find_system ~spec system) with
+    | ("classic" | "flat"), None -> unknown_system system
+    | "classic", Some system ->
+        measured ~output ~system ~family ~n ~seed ~daemon_name ~spec
           ~scheduler:sched
-    | "flat" ->
+    | "flat", Some system ->
         run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
           ~digest ~monitors ~heartbeat
-    | e ->
-        Fmt.epr "unknown engine %S (classic or flat)@." e;
-        2
+    | e, _ -> fail "unknown engine %S (classic or flat)" e
   in
   let system =
     Arg.(
@@ -608,19 +502,20 @@ let run_cmd =
       & pos 0 string "unison"
       & info [] ~docv:"SYSTEM"
           ~doc:
-            "System to run: unison, tail-unison, min-unison, agr-unison, \
-             alliance, alliance-bare, coloring, mis, matching (default \
-             unison).")
+            (Printf.sprintf "System to run: %s (default unison)."
+               (system_names ())))
   in
   let engine =
     Arg.(
       value & opt string "classic"
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "$(b,classic) (per-process OCaml states, all systems, all \
-             telemetry) or $(b,flat) (IR-compiled unboxed data path: \
-             unison, tail-unison, min-unison; the ring family streams \
-             directly into CSR form, so n = 10⁶ is practical).")
+            (Printf.sprintf
+               "$(b,classic) (per-process OCaml states, all systems, all \
+                telemetry) or $(b,flat) (IR-compiled unboxed data path: %s; \
+                the ring family streams directly into CSR form, so n = 10⁶ \
+                is practical)."
+               (system_names ~only:(fun s -> s.Runner.flat <> None) ())))
   in
   let parts =
     Arg.(
@@ -1981,7 +1876,6 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ run_cmd; trace_cmd; prof_cmd; unison_cmd; tail_cmd; min_cmd;
-            agr_unison_cmd;
-            alliance_cmd; coloring_cmd; mis_cmd; matching_cmd; graph_cmd;
-            check_cmd; smt_cmd; experiments_cmd ]))
+          ([ run_cmd; trace_cmd; prof_cmd ]
+          @ system_cmds
+          @ [ graph_cmd; check_cmd; smt_cmd; experiments_cmd ])))

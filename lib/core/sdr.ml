@@ -68,7 +68,8 @@ module type S = sig
       t -> step:int -> moved:(int * string) list -> state array -> unit
 
     val count : t -> int
-    val alive_root_history : t -> int list
+    val alive_count : t -> int
+    val monotone : t -> bool
   end
 
   module Waves : sig
@@ -246,23 +247,32 @@ module Make (I : INPUT) = struct
   module Segments = struct
     type t = {
       graph : Graph.t;
-      mutable last : int;
+      mutable roots : int list;  (* alive roots of the last configuration, ascending *)
       mutable segments : int;
-      mutable history : int list;  (* reversed *)
+      mutable monotone : bool;
     }
 
     let create graph cfg =
-      let c = count_alive_roots graph cfg in
-      { graph; last = c; segments = 1; history = [ c ] }
+      { graph; roots = alive_roots graph cfg; segments = 1; monotone = true }
+
+    (* [a ⊆ b] on ascending lists, in one merge pass. *)
+    let rec subset a b =
+      match (a, b) with
+      | [], _ -> true
+      | _, [] -> false
+      | x :: a', y :: b' ->
+          if x = y then subset a' b' else x > y && subset a b'
 
     let observer t ~step:_ ~moved:_ cfg =
-      let c = count_alive_roots t.graph cfg in
-      if c < t.last then t.segments <- t.segments + 1;
-      t.last <- c;
-      t.history <- c :: t.history
+      let roots = alive_roots t.graph cfg in
+      if List.compare_lengths roots t.roots < 0 then
+        t.segments <- t.segments + 1;
+      t.monotone <- t.monotone && subset roots t.roots;
+      t.roots <- roots
 
     let count t = t.segments
-    let alive_root_history t = List.rev t.history
+    let alive_count t = List.length t.roots
+    let monotone t = t.monotone
   end
 
   module Waves = struct

@@ -127,6 +127,9 @@ module type S = sig
 
   module Segments : sig
     type t
+    (** The alive-root tracker of a run: evaluates {!alive_roots} once per
+        configuration and derives from that one pass the segment count, the
+        alive-root count and the subset flag of Remark 4. *)
 
     val create : Ssreset_graph.Graph.t -> state array -> t
 
@@ -135,10 +138,15 @@ module type S = sig
     (** Plug into {!Ssreset_sim.Engine.run}'s [observer]. *)
 
     val count : t -> int
-    (** Number of segments spanned so far (≥ 1). *)
+    (** Number of segments spanned so far (≥ 1): one more each time the
+        alive-root count drops. *)
 
-    val alive_root_history : t -> int list
-    (** Alive-root count of every configuration seen, in order. *)
+    val alive_count : t -> int
+    (** Alive roots of the last configuration seen. *)
+
+    val monotone : t -> bool
+    (** Every configuration's alive-root set so far was a subset of the
+        previous one's (Remark 4: alive roots are never created). *)
   end
 
   (** {2 Wave provenance}

@@ -97,12 +97,13 @@ let e1_e2_e3 profile =
       | `Unison ->
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.unison_composed ~graph ~daemon ~seed ())
+              Runner.run Runner.unison ~graph ~daemon ~seed ())
       | `Fga ->
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.fga_composed ~stop_at_normal:true
-                ~spec:Spec.dominating_set ~graph ~daemon ~seed ())
+              Runner.run
+                (Runner.alliance ~stop_at_normal:true Spec.dominating_set)
+                ~graph ~daemon ~seed ())
     in
     ((match system with `Unison -> "U∘SDR" | `Fga -> "FGA∘SDR"),
      family.Workload.family_name, n, agg)
@@ -167,7 +168,7 @@ let e4_e5 profile =
         let diam = Metrics.diameter graph in
         let agg =
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-              Runner.unison_composed ~graph ~daemon ~seed ())
+              Runner.run Runner.unison ~graph ~daemon ~seed ())
         in
         (family.Workload.family_name, n, diam, agg))
   in
@@ -222,15 +223,13 @@ let e6 profile =
             List.iter
               (fun daemon_name ->
                 for seed = 1 to profile.seeds do
-                  add ours
-                    (Runner.unison_composed ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
-                  add tail
-                    (Runner.tail_unison ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
-                  add mu
-                    (Runner.min_unison ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+                  let run system =
+                    Runner.run system ~graph
+                      ~daemon:(Runner.daemon_by_name daemon_name) ~seed ()
+                  in
+                  add ours (run Runner.unison);
+                  add tail (run Runner.tail_unison);
+                  add mu (run Runner.min_unison)
                 done)
               [ "synchronous"; "central-random"; "distributed-random";
                 "locally-central" ];
@@ -275,8 +274,8 @@ let e7 profile =
           (fun daemon_name ->
             for seed = 1 to profile.seeds do
               add agg
-                (Runner.unison_bare
-                   ~steps:(profile.bare_steps_factor * n)
+                (Runner.run Runner.unison_bare
+                   ~max_steps:(profile.bare_steps_factor * n)
                    ~graph
                    ~daemon:(Runner.daemon_by_name daemon_name)
                    ~seed ())
@@ -313,7 +312,8 @@ let e8 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                   Runner.fga_bare ~spec ~graph ~daemon ~seed ())
+                   Runner.run (Runner.alliance_bare spec) ~graph ~daemon
+                     ~seed ())
              in
              Some
                [ spec.Spec.spec_name; family.Workload.family_name;
@@ -354,7 +354,7 @@ let e9_e10 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                   Runner.fga_composed ~spec ~graph ~daemon ~seed ())
+                   Runner.run (Runner.alliance spec) ~graph ~daemon ~seed ())
              in
              Some
                (spec.Spec.spec_name, family.Workload.family_name, n, graph,
@@ -416,12 +416,12 @@ let e11 profile =
       (grid ~profile daemon_names ~f:(fun daemon_name ->
            let uni = new_agg () and fga = new_agg () in
            for seed = 1 to profile.seeds do
-             add uni
-               (Runner.unison_composed ~graph
-                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
-             add fga
-               (Runner.fga_composed ~spec:Spec.dominating_set ~graph
-                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+             let run system =
+               Runner.run system ~graph
+                 ~daemon:(Runner.daemon_by_name daemon_name) ~seed ()
+             in
+             add uni (run Runner.unison);
+             add fga (run (Runner.alliance Spec.dominating_set))
            done;
            [ [ daemon_name; "U∘SDR"; Table.cell_int uni.max_rounds;
                Table.cell_float (mean_moves uni); Table.cell_bool uni.all_ok ];
@@ -523,15 +523,15 @@ let e13 profile =
             let graph = family.Workload.build ~seed:1 ~n in
             let col =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.coloring_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.coloring ~graph ~daemon ~seed ())
             in
             let mis =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.mis_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.mis ~graph ~daemon ~seed ())
             in
             let mat =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.matching_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.matching ~graph ~daemon ~seed ())
             in
             [ [ "coloring∘SDR"; family.Workload.family_name; Table.cell_int n;
                 Table.cell_int col.max_rounds; Table.cell_bool col.all_ok ];
@@ -635,23 +635,23 @@ let e15 profile =
             List.iter
               (fun daemon_name ->
                 for seed = 1 to profile.seeds do
-                  add sdr
-                    (Runner.unison_composed ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
-                  add agr
-                    (Runner.unison_agr ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+                  let run system =
+                    Runner.run system ~graph
+                      ~daemon:(Runner.daemon_by_name daemon_name) ~seed ()
+                  in
+                  add sdr (run Runner.unison);
+                  add agr (run Runner.agr_unison)
                 done)
               fair_daemons;
             (* under the unfair central-first daemon SDR still stabilizes
                while the mono-initiator architecture can livelock (a
                bounded step budget stands in for "forever") *)
             let unfair_sdr =
-              Runner.unison_composed ~graph
+              Runner.run Runner.unison ~graph
                 ~daemon:(Runner.daemon_by_name "central-first") ~seed:1 ()
             in
             let unfair_agr =
-              Runner.unison_agr ~max_steps:200_000 ~graph
+              Runner.run Runner.agr_unison ~max_steps:200_000 ~graph
                 ~daemon:(Runner.daemon_by_name "central-first") ~seed:1 ()
             in
             [ family.Workload.family_name; Table.cell_int n;

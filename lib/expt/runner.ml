@@ -3,6 +3,7 @@ module Engine = Ssreset_sim.Engine
 module Fault = Ssreset_sim.Fault
 module Graph = Ssreset_graph.Graph
 module Sdr = Ssreset_core.Sdr
+module Spec = Ssreset_alliance.Spec
 module Json = Ssreset_obs.Json
 module Metrics = Ssreset_obs.Metrics
 module Monitor = Ssreset_obs.Monitor
@@ -28,14 +29,26 @@ type obs = {
 
 let max_int_array = Array.fold_left max 0
 
-(* Per-process workload distribution (the Devismes-Ilcinkas-Johnen-Mazoit
-   trade-off metric): percentiles of the per-process move counts. *)
-let workload_percentiles (result : _ Engine.result) =
-  let samples =
-    Array.to_list (Array.map float_of_int result.Engine.moves_per_process)
-  in
-  ( Ssreset_sim.Stats.percentile samples ~p:50.,
-    Ssreset_sim.Stats.percentile samples ~p:90. )
+(* The per-process workload distribution (the Devismes-Ilcinkas-Johnen-
+   Mazoit trade-off metric) is given as percentiles of the per-process move
+   counts. *)
+let observation ~outcome_ok ~result_ok ~rounds ~steps ~moves
+    ~moves_per_process ~moves_per_rule ~wall_s =
+  let samples = Array.to_list (Array.map float_of_int moves_per_process) in
+  { outcome_ok;
+    result_ok;
+    rounds;
+    moves;
+    steps;
+    sdr_moves = Engine.moves_of_rules moves_per_rule ~prefixes:[ "SDR-" ];
+    max_proc_moves = max_int_array moves_per_process;
+    max_proc_sdr_moves = 0;
+    workload_p50 = Ssreset_sim.Stats.percentile samples ~p:50.;
+    workload_p90 = Ssreset_sim.Stats.percentile samples ~p:90.;
+    moves_per_rule;
+    segments = None;
+    ar_monotone = None;
+    wall_s }
 
 let is_sdr_rule name =
   String.length name >= 4 && String.equal (String.sub name 0 4) "SDR-"
@@ -45,8 +58,7 @@ let outcome_string = function
   | Engine.Terminal -> "terminal"
   | Engine.Step_limit -> "step-limit"
 
-let obs_json o =
-  Json.Obj
+let obs_fields o =
     [ ("outcome_ok", Json.Bool o.outcome_ok);
       ("result_ok", Json.Bool o.result_ok);
       ("rounds", Json.Int o.rounds);
@@ -70,112 +82,91 @@ let obs_json o =
        Json.Float
          (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.)) ]
 
-(* --------------------------- telemetry plumbing ------------------------- *)
+let obs_json o = Json.Obj (obs_fields o)
 
-(* When a sink is attached, a run carries a metrics registry fed by the
-   engine's [on_step]/[on_round] hooks and emits one JSONL record per round
-   plus a final summary.  Without a sink all of this is skipped, so the
-   sweeps and benchmarks pay nothing. *)
-type 'state telemetry = {
-  on_step : (step:int -> enabled:int -> selected:int -> unit) option;
-  on_round : (round:int -> steps:int -> moves:int -> 'state array -> unit) option;
-  emit_summary : obs -> 'state Engine.result -> unit;
+(* ------------------------------- systems -------------------------------- *)
+
+type 'state reset =
+  | Bare : 'state reset
+  | Composed : (module Sdr.S with type inner = 'i) -> 'i Sdr.state reset
+
+type 'state setup = {
+  algorithm : 'state Ssreset_sim.Algorithm.t;
+  init : Random.State.t -> 'state array;
+  stop : 'state array -> bool;
+  expect : Engine.outcome;
+  check : 'state Engine.result -> bool;
+  probe : 'state Obs.t option;
+  rounds_bound : int option;
+  moves_bound : int Lazy.t option;
+  max_steps : int;
+  reset : 'state reset;
 }
 
-let no_telemetry =
-  { on_step = None; on_round = None; emit_summary = (fun _ _ -> ()) }
+type packed = Setup : 'state setup -> packed
 
-let telemetry ?sink ?(monitor_round = fun ~round:_ ~steps:_ -> ())
-    ?(summary_extra = fun () -> []) ~round_extra () =
-  match sink with
-  | None -> no_telemetry
-  | Some sink ->
-      let metrics = Metrics.create () in
-      let buckets = Metrics.pow2_buckets ~limit:4096. in
-      let h_enabled = Metrics.histogram metrics "enabled_set_size" ~buckets in
-      let h_selected = Metrics.histogram metrics "selected_set_size" ~buckets in
-      let h_round = Metrics.histogram metrics "steps_per_round" ~buckets in
-      let last_round_steps = ref 0 in
-      let on_step ~step:_ ~enabled ~selected =
-        Metrics.observe h_enabled (float_of_int enabled);
-        Metrics.observe h_selected (float_of_int selected)
-      in
-      let on_round ~round ~steps ~moves cfg =
-        Metrics.observe h_round (float_of_int (steps - !last_round_steps));
-        last_round_steps := steps;
-        (* Bound monitors see the round before its record is written, so an
-           anomaly precedes the round record that exposes it. *)
-        monitor_round ~round ~steps;
-        Sink.write sink
-          (Sink.round_record ~round ~steps ~moves ~extra:(round_extra cfg) ())
-      in
-      let emit_summary (o : obs) (result : _ Engine.result) =
-        List.iter
-          (fun (rule, count) ->
-            Metrics.add (Metrics.counter metrics ("moves." ^ rule)) count)
-          result.Engine.moves_per_rule;
-        Metrics.set (Metrics.gauge metrics "wall_s") o.wall_s;
-        Metrics.set (Metrics.gauge metrics "steps_per_s")
-          (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.);
-        (match o.segments with
-        | Some s -> Metrics.set (Metrics.gauge metrics "segments") (float_of_int s)
-        | None -> ());
-        Sink.write sink
-          (Sink.summary ~outcome:(outcome_string result.Engine.outcome)
-             ~rounds:o.rounds ~steps:o.steps ~moves:o.moves ~wall_s:o.wall_s
-             ~extra:
-               ([ ("outcome_ok", Json.Bool o.outcome_ok);
-                 ("result_ok", Json.Bool o.result_ok);
-                 ("sdr_moves", Json.Int o.sdr_moves);
-                 ("max_proc_moves", Json.Int o.max_proc_moves);
-                 ("max_proc_sdr_moves", Json.Int o.max_proc_sdr_moves);
-                 ("segments",
-                  match o.segments with
-                  | Some s -> Json.Int s
-                  | None -> Json.Null);
-                 ("ar_monotone",
-                  match o.ar_monotone with
-                  | Some b -> Json.Bool b
-                  | None -> Json.Null);
-                 ("moves_per_rule",
-                  Json.Obj
-                    (List.map
-                       (fun (rule, count) -> (rule, Json.Int count))
-                       result.Engine.moves_per_rule));
-                 ("metrics", Metrics.to_json metrics) ]
-               @ summary_extra ())
-             ())
-      in
-      { on_step = Some on_step; on_round = Some on_round; emit_summary }
+type system = {
+  name : string;
+  doc : string;
+  flat : string option;
+  feasible : Graph.t -> bool;
+  setup : Graph.t -> packed;
+}
 
-let no_round_extra _ = []
+(* ------------------------------- one run -------------------------------- *)
 
-(* Observers shared by all composed runs, as a stack of reusable probes:
-   per-process SDR move counts, segment counting, and the subset check of
-   Remark 4 (alive-root sets only shrink).  With a sink attached, online
-   bound monitors ride along (move/round bounds per system, alive-root
-   monotonicity for all) and [trace_steps] adds the step-level wave-tagged
-   records of the ssreset-trace-v1 schema. *)
-let composed_observers (type s) (module C : Sdr.S with type inner = s) ?sink
-    ?(trace_steps = false) ?rounds_bound ?moves_bound graph cfg0 =
+(* What the reset layer adds to a run: observers, the hook run at each
+   round completion (bound monitors, then the round record's extra fields),
+   the summary's extra fields, and the SDR measurements of the final
+   observation. *)
+type 'state layer = {
+  observers : 'state Obs.t list;
+  on_round : round:int -> steps:int -> (string * Json.t) list;
+  summary_extra : unit -> (string * Json.t) list;
+  finish : obs -> obs;
+}
+
+(* Bare (non-composed) runs measure neither segments nor alive-root
+   monotonicity — those fields stay [None], not fabricated values — and
+   trace steps without wave tags. *)
+let bare_layer ?sink ~trace_steps probe =
+  let tracer =
+    match sink with
+    | Some sink when trace_steps ->
+        [ (fun ~step ~moved _cfg ->
+            Sink.write sink
+              (Sink.step_record ~step
+                 ~movers:(List.map (fun (p, rule) -> (p, rule, None)) moved))) ]
+    | _ -> []
+  in
+  { observers = Option.to_list probe @ tracer;
+    on_round = (fun ~round:_ ~steps:_ -> []);
+    summary_extra = (fun () -> []);
+    finish = Fun.id }
+
+(* I∘SDR runs stack per-process SDR move counts and the one alive-root
+   tracker ({!Sdr.S.Segments}: segments, Remark 4's subset flag, and the
+   alive-root count that the monitor and the round records read).  With a
+   sink attached, online bound monitors ride along and [trace_steps] adds
+   the wave-tagged step records of the ssreset-trace-v1 schema. *)
+let composed_layer (type i) (module C : Sdr.S with type inner = i) ?sink
+    ~trace_steps (s : i Sdr.state setup) graph cfg0 : i Sdr.state layer =
   let per_proc_sdr, sdr_probe =
     Obs.per_process_moves ~n:(Graph.n graph) ~matches:is_sdr_rule ()
   in
   let segments = C.Segments.create graph cfg0 in
-  let monotone, root_probe =
-    Obs.shrinking ~measure:(C.alive_roots graph) ~init:(C.alive_roots graph cfg0)
-  in
+  let alive () = C.Segments.alive_count segments in
   let monitor = Option.map (fun sink -> Monitor.create ~sink ()) sink in
   let monitor_probes =
     match monitor with
     | None -> []
     | Some m ->
-        (match moves_bound with
-        | Some bound -> [ Monitor.move_bound m ~name:"moves-bound" ~bound ]
+        (match s.moves_bound with
+        | Some bound ->
+            [ Monitor.move_bound m ~name:"moves-bound" ~bound:(Lazy.force bound) ]
         | None -> [])
         @ [ Monitor.non_increasing m ~name:"alive-roots-monotone"
-              ~measure:(C.count_alive_roots graph)
-              ~init:(C.count_alive_roots graph cfg0) ]
+              ~measure:(fun _ -> alive ()) ~init:(alive ()) ]
   in
   let tracer =
     match (sink, trace_steps) with
@@ -194,391 +185,329 @@ let composed_observers (type s) (module C : Sdr.S with type inner = s) ?sink
             C.Waves.observer tracker ~step ~moved after) ]
     | _ -> []
   in
-  let observer =
-    Obs.combine
-      ([ sdr_probe; C.Segments.observer segments; root_probe ]
-      @ monitor_probes @ tracer)
-  in
-  let finish (result : _ Engine.result) ~outcome_ok ~result_ok =
-    let workload_p50, workload_p90 = workload_percentiles result in
-    { outcome_ok;
-      result_ok;
-      rounds = result.Engine.rounds;
-      moves = result.Engine.moves;
-      steps = result.Engine.steps;
-      sdr_moves =
-        Engine.moves_of_rules result.Engine.moves_per_rule ~prefixes:[ "SDR-" ];
-      max_proc_moves = max_int_array result.Engine.moves_per_process;
-      max_proc_sdr_moves = max_int_array per_proc_sdr;
-      workload_p50;
-      workload_p90;
-      moves_per_rule = result.Engine.moves_per_rule;
-      segments = Some (C.Segments.count segments);
-      ar_monotone = Some !monotone;
-      wall_s = result.Engine.wall_s }
-  in
-  let round_extra cfg =
-    [ ("alive_roots", Json.Int (C.count_alive_roots graph cfg));
-      ("segments", Json.Int (C.Segments.count segments)) ]
-  in
-  let monitor_round ~round ~steps =
-    match (monitor, rounds_bound) with
-    | Some m, Some bound ->
-        Monitor.round_bound m ~name:"rounds-bound" ~bound ~round ~steps
-    | _ -> ()
-  in
-  let summary_extra () =
-    match monitor with
-    | Some m -> [ ("anomalies", Json.Int (Monitor.anomaly_count m)) ]
-    | None -> []
-  in
-  (observer, finish, round_extra, monitor_round, summary_extra)
+  { observers =
+      Option.to_list s.probe
+      @ [ sdr_probe; C.Segments.observer segments ]
+      @ monitor_probes @ tracer;
+    (* Rounds complete after the step's observers ran, so the tracker
+       already holds the round's last configuration.  Bound monitors see the
+       round before its record is written: an anomaly precedes the round
+       record that exposes it. *)
+    on_round =
+      (fun ~round ~steps ->
+        (match (monitor, s.rounds_bound) with
+        | Some m, Some bound ->
+            Monitor.round_bound m ~name:"rounds-bound" ~bound ~round ~steps
+        | _ -> ());
+        [ ("alive_roots", Json.Int (alive ()));
+          ("segments", Json.Int (C.Segments.count segments)) ]);
+    summary_extra =
+      (fun () ->
+        match monitor with
+        | Some m -> [ ("anomalies", Json.Int (Monitor.anomaly_count m)) ]
+        | None -> []);
+    finish =
+      (fun o ->
+        { o with
+          max_proc_sdr_moves = max_int_array per_proc_sdr;
+          segments = Some (C.Segments.count segments);
+          ar_monotone = Some (C.Segments.monotone segments) }) }
 
-(* Step-level tracing for non-composed runs: movers carry no wave tags. *)
-let bare_tracer ?sink ~trace_steps () =
-  match sink with
-  | Some sink when trace_steps ->
-      Some
-        (fun ~step ~moved _cfg ->
-          Sink.write sink
-            (Sink.step_record ~step
-               ~movers:(List.map (fun (p, rule) -> (p, rule, None)) moved)))
-  | _ -> None
+let layer (type s) ?sink ~trace_steps (s : s setup) graph (cfg : s array) :
+    s layer =
+  match s.reset with
+  | Bare -> bare_layer ?sink ~trace_steps s.probe
+  | Composed c -> composed_layer c ?sink ~trace_steps s graph cfg
 
-(* Bare (non-composed) runs measure neither segments nor alive-root
-   monotonicity — those fields are [None], not fabricated values. *)
-let bare_obs (result : _ Engine.result) ~outcome_ok ~result_ok =
-  let workload_p50, workload_p90 = workload_percentiles result in
-  { outcome_ok;
-    result_ok;
-    rounds = result.Engine.rounds;
-    moves = result.Engine.moves;
-    steps = result.Engine.steps;
-    sdr_moves = 0;
-    max_proc_moves = max_int_array result.Engine.moves_per_process;
-    max_proc_sdr_moves = 0;
-    workload_p50;
-    workload_p90;
-    moves_per_rule = result.Engine.moves_per_rule;
-    segments = None;
-    ar_monotone = None;
-    wall_s = result.Engine.wall_s }
+(* The summary repeats these observation fields, in this order. *)
+let summary_keys =
+  [ "outcome_ok"; "result_ok"; "sdr_moves"; "max_proc_moves";
+    "max_proc_sdr_moves"; "segments"; "ar_monotone"; "moves_per_rule" ]
 
-let rngs seed = (Random.State.make [| seed; 17 |], Random.State.make [| seed; 91 |])
-
-let unison_composed ?(max_steps = 20_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module U = Ssreset_unison.Unison.Make (struct
-    let k = (2 * n) + 2
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = U.Composed.generator ~inner:U.clock_gen ~max_d:(2 * n) in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  (* The D·n² bound needs the diameter; only pay for it when a sink is
-     actually watching. *)
-  let moves_bound =
-    Option.map
-      (fun _ -> Ssreset_graph.Metrics.diameter graph * n * n)
-      sink
+(* With a sink attached, a run carries a metrics registry fed by the
+   engine's [on_step]/[on_round] hooks and emits one JSONL record per round
+   plus a final summary.  Without a sink all of this is skipped, so the
+   sweeps and benchmarks pay nothing. *)
+let telemetry sink layer =
+  let metrics = Metrics.create () in
+  let buckets = Metrics.pow2_buckets ~limit:4096. in
+  let h_enabled = Metrics.histogram metrics "enabled_set_size" ~buckets in
+  let h_selected = Metrics.histogram metrics "selected_set_size" ~buckets in
+  let h_round = Metrics.histogram metrics "steps_per_round" ~buckets in
+  let last_round_steps = ref 0 in
+  let on_step ~step:_ ~enabled ~selected =
+    Metrics.observe h_enabled (float_of_int enabled);
+    Metrics.observe h_selected (float_of_int selected)
   in
-  let observer, finish, round_extra, monitor_round, summary_extra =
-    composed_observers (module U.Composed) ?sink ~trace_steps
-      ~rounds_bound:(3 * n) ?moves_bound graph cfg
+  let on_round ~round ~steps ~moves _cfg =
+    Metrics.observe h_round (float_of_int (steps - !last_round_steps));
+    last_round_steps := steps;
+    let extra = layer.on_round ~round ~steps in
+    Sink.write sink (Sink.round_record ~round ~steps ~moves ~extra ())
   in
-  let tele = telemetry ?sink ~monitor_round ~summary_extra ~round_extra () in
+  let summary (o : obs) (result : _ Engine.result) =
+    List.iter
+      (fun (rule, count) ->
+        Metrics.add (Metrics.counter metrics ("moves." ^ rule)) count)
+      result.Engine.moves_per_rule;
+    Metrics.set (Metrics.gauge metrics "wall_s") o.wall_s;
+    Metrics.set (Metrics.gauge metrics "steps_per_s")
+      (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.);
+    Option.iter
+      (fun s -> Metrics.set (Metrics.gauge metrics "segments") (float_of_int s))
+      o.segments;
+    let fields = obs_fields o in
+    Sink.write sink
+      (Sink.summary ~outcome:(outcome_string result.Engine.outcome)
+         ~rounds:o.rounds ~steps:o.steps ~moves:o.moves ~wall_s:o.wall_s
+         ~extra:
+           (List.map (fun k -> (k, List.assoc k fields)) summary_keys
+           @ [ ("metrics", Metrics.to_json metrics) ]
+           @ layer.summary_extra ())
+         ())
+  in
+  (on_step, on_round, summary)
+
+let run_setup (type s) ?max_steps ?scheduler ?prof ?sink ~trace_steps
+    (s : s setup) ~graph ~daemon ~seed =
+  let cfg_rng = Random.State.make [| seed; 17 |] in
+  let run_rng = Random.State.make [| seed; 91 |] in
+  let cfg = s.init cfg_rng in
+  let layer = layer ?sink ~trace_steps s graph cfg in
+  let tele = Option.map (fun sink -> telemetry sink layer) sink in
   let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round
-      ~stop:(U.Composed.is_normal graph)
-      ~algorithm:U.Composed.algorithm ~graph ~daemon cfg
+    Engine.run ?scheduler ?prof ~rng:run_rng
+      ~max_steps:(Option.value max_steps ~default:s.max_steps)
+      ?observer:
+        (match layer.observers with [] -> None | l -> Some (Obs.combine l))
+      ?on_step:(Option.map (fun (f, _, _) -> f) tele)
+      ?on_round:(Option.map (fun (_, f, _) -> f) tele)
+      ~stop:s.stop ~algorithm:s.algorithm ~graph ~daemon cfg
   in
-  let stabilized = result.Engine.outcome = Engine.Stabilized in
+  let outcome_ok = result.Engine.outcome = s.expect in
   let o =
-    finish result ~outcome_ok:stabilized
-      ~result_ok:(stabilized && U.Composed.is_normal graph result.Engine.final)
+    layer.finish
+      (observation ~outcome_ok ~result_ok:(outcome_ok && s.check result)
+         ~rounds:result.Engine.rounds ~steps:result.Engine.steps
+         ~moves:result.Engine.moves
+         ~moves_per_process:result.Engine.moves_per_process
+         ~moves_per_rule:result.Engine.moves_per_rule ~wall_s:result.Engine.wall_s)
   in
-  tele.emit_summary o result;
+  Option.iter (fun (_, _, summary) -> summary o result) tele;
   o
 
-let unison_bare ?scheduler ?prof ?sink ?(trace_steps = false) ~steps ~graph ~daemon
-    ~seed () =
-  let n = Graph.n graph in
-  let module U = Ssreset_unison.Unison.Make (struct
-    let k = (2 * n) + 2
-  end) in
-  let _, run_rng = rngs seed in
-  let monitor = Ssreset_unison.Checker.create_monitor ~k:U.k graph in
-  let checker_obs ~step ~moved cfg =
-    Ssreset_unison.Checker.observe_bare monitor ~step ~moved cfg
-  in
-  let observer =
-    match bare_tracer ?sink ~trace_steps () with
-    | Some tracer -> Obs.combine [ checker_obs; tracer ]
-    | None -> checker_obs
-  in
-  let tele = telemetry ?sink ~round_extra:no_round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps:steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round ~algorithm:U.bare ~graph ~daemon
-      (U.gamma_init graph)
-  in
-  (* U never terminates from γ_init (Lemma 18), so exhausting the step
-     budget is the expected outcome here. *)
-  let outcome_ok = result.Engine.outcome = Engine.Step_limit in
-  let result_ok =
-    Ssreset_unison.Checker.safety_violations monitor = 0
-    && Ssreset_unison.Checker.min_increments monitor > 0
-  in
-  let o = bare_obs result ~outcome_ok ~result_ok in
-  tele.emit_summary o result;
-  o
+let run ?max_steps ?scheduler ?prof ?sink ?(trace_steps = false) system ~graph
+    ~daemon ~seed () =
+  match system.setup graph with
+  | Setup s ->
+      run_setup ?max_steps ?scheduler ?prof ?sink ~trace_steps s ~graph ~daemon
+        ~seed
 
-let tail_unison ?(max_steps = 50_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module T = Ssreset_unison.Tail_unison.Make (struct
-    let k = (2 * n) + 2
-    let alpha = n
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let cfg = Fault.arbitrary cfg_rng T.clock_gen graph in
-  let tele = telemetry ?sink ~round_extra:no_round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps
-      ?observer:(bare_tracer ?sink ~trace_steps ())
-      ?on_step:tele.on_step ?on_round:tele.on_round
-      ~stop:(T.is_legitimate graph)
-      ~algorithm:T.algorithm ~graph ~daemon cfg
-  in
-  let stabilized = result.Engine.outcome = Engine.Stabilized in
-  let o =
-    bare_obs result ~outcome_ok:stabilized
-      ~result_ok:(stabilized && T.is_legitimate graph result.Engine.final)
-  in
-  tele.emit_summary o result;
-  o
+(* ------------------------------ the table ------------------------------- *)
 
-let unison_agr ?(max_steps = 2_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module U = Ssreset_unison.Unison.Make (struct
-    let k = (2 * n) + 2
-  end) in
-  let module A =
-    Ssreset_agreset.Agreset.Make
-      (U.Input)
-      (struct
+let system ?flat ?(feasible = fun _ -> true) name doc setup =
+  { name; doc; flat; feasible; setup }
+
+let arbitrary graph gen rng = Fault.arbitrary rng gen graph
+let final ok (r : _ Engine.result) = ok r.Engine.final
+
+(* A silent bare system: run until terminal, no check, no bounds. *)
+let bare algorithm ~init =
+  { algorithm; init; stop = (fun _ -> false); expect = Engine.Terminal;
+    check = (fun _ -> true); probe = None; rounds_bound = None;
+    moves_bound = None; max_steps = 20_000_000; reset = Bare }
+
+(* An I∘SDR system from an arbitrary configuration: uniform status,
+   distance in [0, 2n], arbitrary input state. *)
+let composed (type i) (module C : Sdr.S with type inner = i) ~inner graph :
+    i Sdr.state setup =
+  { (bare C.algorithm
+       ~init:(arbitrary graph (C.generator ~inner ~max_d:(2 * Graph.n graph))))
+    with
+    reset = Composed (module C) }
+
+(* Run until [legit] holds, and require it. *)
+let stabilize legit s =
+  { s with stop = legit; expect = Engine.Stabilized; check = final legit }
+
+let unison =
+  system "unison" ~flat:"unison-sdr"
+    "U∘SDR from an arbitrary configuration (stop at first normal)"
+    (fun graph ->
+      let n = Graph.n graph in
+      let module U = Ssreset_unison.Unison.Make (struct
+        let k = (2 * n) + 2
+      end) in
+      let s = composed (module U.Composed) ~inner:U.clock_gen graph in
+      Setup
+        { (stabilize (U.Composed.is_normal graph) s) with
+          rounds_bound = Some (3 * n);
+          (* The D·n² bound needs the diameter; only a watching sink forces
+             it. *)
+          moves_bound =
+            Some (lazy (Ssreset_graph.Metrics.diameter graph * n * n)) })
+
+let unison_bare =
+  system "unison-bare"
+    "bare U from γ_init for a step budget (safety, every clock advances)"
+    (fun graph ->
+      let n = Graph.n graph in
+      let module U = Ssreset_unison.Unison.Make (struct
+        let k = (2 * n) + 2
+      end) in
+      let module Checker = Ssreset_unison.Checker in
+      let monitor = Checker.create_monitor ~k:U.k graph in
+      (* U never terminates from γ_init (Lemma 18), so exhausting the step
+         budget is the expected outcome here. *)
+      Setup
+        { (bare U.bare ~init:(fun _ -> U.gamma_init graph)) with
+          probe = Some (Checker.observe_bare monitor);
+          expect = Engine.Step_limit;
+          check =
+            (fun _ ->
+              Checker.safety_violations monitor = 0
+              && Checker.min_increments monitor > 0);
+          max_steps = 60 * n })
+
+let tail_unison =
+  system "tail-unison" ~flat:"tail-unison"
+    "tail-unison baseline from an arbitrary configuration"
+    (fun graph ->
+      let n = Graph.n graph in
+      let module T = Ssreset_unison.Tail_unison.Make (struct
+        let k = (2 * n) + 2
+        let alpha = n
+      end) in
+      let s = bare T.algorithm ~init:(arbitrary graph T.clock_gen) in
+      Setup { (stabilize (T.is_legitimate graph) s) with max_steps = 50_000_000 })
+
+let min_unison =
+  system "min-unison" ~flat:"min-unison"
+    "min-unison baseline (K = n²+1) from an arbitrary configuration"
+    (fun graph ->
+      let n = Graph.n graph in
+      let module M = Ssreset_unison.Min_unison.Make (struct
+        let k = (n * n) + 1
+        let alpha = max 1 (n - 2)
+      end) in
+      let s = bare M.algorithm ~init:(arbitrary graph M.clock_gen) in
+      Setup { (stabilize (M.is_legitimate graph) s) with max_steps = 50_000_000 })
+
+let agr_unison =
+  system "agr-unison"
+    "U∘AGR (mono-initiator reset baseline; needs a weakly fair daemon)"
+    (fun graph ->
+      let n = Graph.n graph in
+      let module U = Ssreset_unison.Unison.Make (struct
+        let k = (2 * n) + 2
+      end) in
+      let module A =
+        Ssreset_agreset.Agreset.Make
+          (U.Input)
+          (struct
+            let graph = graph
+            let root = 0
+          end)
+      in
+      let s =
+        bare A.algorithm ~init:(arbitrary graph (A.generator ~inner:U.clock_gen))
+      in
+      Setup { (stabilize (A.is_normal graph) s) with max_steps = 2_000_000 })
+
+let alliance ?(stop_at_normal = false) (spec : Spec.t) =
+  system "alliance" ~feasible:(Spec.feasible spec)
+    (Printf.sprintf "FGA(%s)∘SDR from an arbitrary configuration"
+       spec.Spec.spec_name)
+    (fun graph ->
+      let n = Graph.n graph in
+      let module F = Ssreset_alliance.Fga.Make (struct
         let graph = graph
-        let root = 0
-      end)
-  in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = A.generator ~inner:U.clock_gen in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  let tele = telemetry ?sink ~round_extra:no_round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps
-      ?observer:(bare_tracer ?sink ~trace_steps ())
-      ?on_step:tele.on_step ?on_round:tele.on_round
-      ~stop:(A.is_normal graph)
-      ~algorithm:A.algorithm ~graph ~daemon cfg
-  in
-  let stabilized = result.Engine.outcome = Engine.Stabilized in
-  let o =
-    bare_obs result ~outcome_ok:stabilized
-      ~result_ok:(stabilized && A.is_normal graph result.Engine.final)
-  in
-  tele.emit_summary o result;
-  o
+        let spec = spec
+        let ids = None
+      end) in
+      let s =
+        { (composed (module F.Composed) ~inner:F.gen graph) with
+          rounds_bound = Some ((8 * n) + 4);
+          max_steps = 50_000_000 }
+      in
+      Setup
+        (if stop_at_normal then stabilize (F.Composed.is_normal graph) s
+         else
+           { s with
+             check =
+               final (fun cfg ->
+                   Ssreset_alliance.Checker.is_one_minimal graph spec
+                     (F.alliance_of_composed cfg)) }))
 
-let min_unison ?(max_steps = 50_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module M = Ssreset_unison.Min_unison.Make (struct
-    let k = (n * n) + 1
-    let alpha = max 1 (n - 2)
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let cfg = Fault.arbitrary cfg_rng M.clock_gen graph in
-  let tele = telemetry ?sink ~round_extra:no_round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps
-      ?observer:(bare_tracer ?sink ~trace_steps ())
-      ?on_step:tele.on_step ?on_round:tele.on_round
-      ~stop:(M.is_legitimate graph)
-      ~algorithm:M.algorithm ~graph ~daemon cfg
-  in
-  let stabilized = result.Engine.outcome = Engine.Stabilized in
-  let o =
-    bare_obs result ~outcome_ok:stabilized
-      ~result_ok:(stabilized && M.is_legitimate graph result.Engine.final)
-  in
-  tele.emit_summary o result;
-  o
-
+(* Lemma 25: a process of degree δ moves at most 8δΔ + 18δ + 24 times. *)
 let lemma25_bound graph u =
   let deg = Graph.degree graph u in
-  let delta = Graph.max_degree graph in
-  (8 * deg * delta) + (18 * deg) + 24
+  (8 * deg * Graph.max_degree graph) + (18 * deg) + 24
 
-let fga_bare ?(max_steps = 20_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~spec ~graph ~daemon ~seed () =
-  let module F = Ssreset_alliance.Fga.Make (struct
-    let graph = graph
-    let spec = spec
-    let ids = None
-  end) in
-  let _, run_rng = rngs seed in
-  let tele = telemetry ?sink ~round_extra:no_round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps
-      ?observer:(bare_tracer ?sink ~trace_steps ())
-      ?on_step:tele.on_step ?on_round:tele.on_round ~algorithm:F.bare ~graph
-      ~daemon (F.gamma_init ())
-  in
-  let terminal = result.Engine.outcome = Engine.Terminal in
-  let moves_ok =
-    Array.for_all
-      (fun u -> result.Engine.moves_per_process.(u) <= lemma25_bound graph u)
-      (Array.init (Graph.n graph) (fun u -> u))
-  in
-  let o =
-    bare_obs result ~outcome_ok:terminal
-      ~result_ok:
-        (terminal && moves_ok
+let alliance_bare (spec : Spec.t) =
+  system "alliance-bare" ~feasible:(Spec.feasible spec)
+    (Printf.sprintf "FGA(%s) from γ_init (non self-stabilizing run)"
+       spec.Spec.spec_name)
+    (fun graph ->
+      let module F = Ssreset_alliance.Fga.Make (struct
+        let graph = graph
+        let spec = spec
+        let ids = None
+      end) in
+      let check (r : _ Engine.result) =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun u moves -> moves <= lemma25_bound graph u)
+             r.Engine.moves_per_process)
         && Ssreset_alliance.Checker.is_one_minimal graph spec
-             (F.alliance result.Engine.final))
-  in
-  tele.emit_summary o result;
-  o
+             (F.alliance r.Engine.final)
+      in
+      Setup { (bare F.bare ~init:(fun _ -> F.gamma_init ())) with check })
 
-let fga_composed ?(max_steps = 50_000_000) ?(stop_at_normal = false)
-    ?scheduler ?prof ?sink ?(trace_steps = false)
-    ~spec ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module F = Ssreset_alliance.Fga.Make (struct
-    let graph = graph
-    let spec = spec
-    let ids = None
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = F.Composed.generator ~inner:F.gen ~max_d:(2 * n) in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  let observer, finish, round_extra, monitor_round, summary_extra =
-    composed_observers (module F.Composed) ?sink ~trace_steps
-      ~rounds_bound:((8 * n) + 4) graph cfg
-  in
-  let tele = telemetry ?sink ~monitor_round ~summary_extra ~round_extra () in
-  let stop =
-    if stop_at_normal then F.Composed.is_normal graph else fun _ -> false
-  in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round ~stop ~algorithm:F.Composed.algorithm ~graph
-      ~daemon cfg
-  in
-  let o =
-    if stop_at_normal then
-      let stabilized = result.Engine.outcome = Engine.Stabilized in
-      finish result ~outcome_ok:stabilized
-        ~result_ok:(stabilized && F.Composed.is_normal graph result.Engine.final)
-    else
-      let terminal = result.Engine.outcome = Engine.Terminal in
-      finish result ~outcome_ok:terminal
-        ~result_ok:
-          (terminal
-          && Ssreset_alliance.Checker.is_one_minimal graph spec
-               (F.alliance_of_composed result.Engine.final))
-  in
-  tele.emit_summary o result;
-  o
+let coloring =
+  system "coloring" "coloring∘SDR from an arbitrary configuration"
+    (fun graph ->
+      let module C = Ssreset_coloring.Coloring.Make (struct
+        let graph = graph
+        let ids = None
+      end) in
+      Setup
+        { (composed (module C.Composed) ~inner:C.gen graph) with
+          check = final (fun cfg -> C.is_proper (C.coloring_of_composed cfg)) })
 
-let coloring_composed ?(max_steps = 20_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module C = Ssreset_coloring.Coloring.Make (struct
-    let graph = graph
-    let ids = None
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = C.Composed.generator ~inner:C.gen ~max_d:(2 * n) in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  let observer, finish, round_extra, monitor_round, summary_extra =
-    composed_observers (module C.Composed) ?sink ~trace_steps graph cfg
-  in
-  let tele = telemetry ?sink ~monitor_round ~summary_extra ~round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round ~algorithm:C.Composed.algorithm ~graph ~daemon
-      cfg
-  in
-  let terminal = result.Engine.outcome = Engine.Terminal in
-  let o =
-    finish result ~outcome_ok:terminal
-      ~result_ok:
-        (terminal && C.is_proper (C.coloring_of_composed result.Engine.final))
-  in
-  tele.emit_summary o result;
-  o
+let mis =
+  system "mis" "MIS∘SDR from an arbitrary configuration" (fun graph ->
+      let module M = Ssreset_mis.Mis.Make (struct
+        let graph = graph
+        let ids = None
+      end) in
+      Setup
+        { (composed (module M.Composed) ~inner:M.gen graph) with
+          check =
+            final (fun cfg -> M.is_mis (M.independent_set_of_composed cfg)) })
 
-let mis_composed ?(max_steps = 20_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module M = Ssreset_mis.Mis.Make (struct
-    let graph = graph
-    let ids = None
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = M.Composed.generator ~inner:M.gen ~max_d:(2 * n) in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  let observer, finish, round_extra, monitor_round, summary_extra =
-    composed_observers (module M.Composed) ?sink ~trace_steps graph cfg
-  in
-  let tele = telemetry ?sink ~monitor_round ~summary_extra ~round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round ~algorithm:M.Composed.algorithm ~graph ~daemon
-      cfg
-  in
-  let terminal = result.Engine.outcome = Engine.Terminal in
-  let o =
-    finish result ~outcome_ok:terminal
-      ~result_ok:
-        (terminal
-        && M.is_mis (M.independent_set_of_composed result.Engine.final))
-  in
-  tele.emit_summary o result;
-  o
+let matching =
+  system "matching" "matching∘SDR from an arbitrary configuration"
+    (fun graph ->
+      let module M = Ssreset_matching.Matching.Make (struct
+        let graph = graph
+        let ids = None
+      end) in
+      Setup
+        { (composed (module M.Composed) ~inner:M.gen graph) with
+          check =
+            final (fun cfg ->
+                M.is_maximal_matching (M.matching_of_composed cfg)) })
 
-let matching_composed ?(max_steps = 20_000_000) ?scheduler ?prof ?sink
-    ?(trace_steps = false) ~graph ~daemon ~seed () =
-  let n = Graph.n graph in
-  let module M = Ssreset_matching.Matching.Make (struct
-    let graph = graph
-    let ids = None
-  end) in
-  let cfg_rng, run_rng = rngs seed in
-  let gen = M.Composed.generator ~inner:M.gen ~max_d:(2 * n) in
-  let cfg = Fault.arbitrary cfg_rng gen graph in
-  let observer, finish, round_extra, monitor_round, summary_extra =
-    composed_observers (module M.Composed) ?sink ~trace_steps graph cfg
-  in
-  let tele = telemetry ?sink ~monitor_round ~summary_extra ~round_extra () in
-  let result =
-    Engine.run ?scheduler ?prof ~rng:run_rng ~max_steps ~observer ?on_step:tele.on_step
-      ?on_round:tele.on_round ~algorithm:M.Composed.algorithm ~graph ~daemon
-      cfg
-  in
-  let terminal = result.Engine.outcome = Engine.Terminal in
-  let o =
-    finish result ~outcome_ok:terminal
-      ~result_ok:
-        (terminal
-        && M.is_maximal_matching (M.matching_of_composed result.Engine.final))
-  in
-  tele.emit_summary o result;
-  o
+let systems ~spec =
+  [ unison; tail_unison; min_unison; agr_unison; alliance spec;
+    alliance_bare spec; coloring; mis; matching ]
+
+let unison_composed ?prof ?sink ~graph ~daemon ~seed () =
+  run ?prof ?sink unison ~graph ~daemon ~seed ()
+
+let fga_composed ?prof ?sink ~spec ~graph ~daemon ~seed () =
+  run ?prof ?sink (alliance spec) ~graph ~daemon ~seed ()
 
 (* The name → daemon table lives in {!Ssreset_sim.Daemon.registry}; every
    consumer (this lookup, the sweep pool, the CLI doc string) derives from

@@ -19,16 +19,6 @@ let per_process_moves ~n ?(matches = default_matches) () =
     on_moved (fun (u, name) -> if matches name then counts.(u) <- counts.(u) + 1)
   )
 
-let shrinking ~measure ~init =
-  let ok = ref true in
-  let last = ref init in
-  let observer ~step:_ ~moved:_ cfg =
-    let now = measure cfg in
-    if not (List.for_all (fun x -> List.mem x !last) now) then ok := false;
-    last := now
-  in
-  (ok, observer)
-
 let sample ~every inner =
   if every <= 1 then inner
   else

@@ -30,13 +30,6 @@ val per_process_moves :
 (** Per-process move counts over processes [0..n-1], filtered by [matches]
     (default: all). *)
 
-val shrinking :
-  measure:('state array -> int list) -> init:int list -> bool ref * 'state t
-(** Checks that the set [measure cfg] only ever loses elements along the
-    run, starting from [init] (the measure of the initial configuration).
-    The cell stays [true] iff every step's set is a subset of the previous
-    one — e.g. the alive-root monotonicity of Remark 4. *)
-
 val sample : every:int -> 'state t -> 'state t
 (** Runs the inner observer only on steps where [step mod every = 0];
     [every <= 1] is the identity. *)

@@ -389,7 +389,6 @@ let daemon_table () =
   ]
 
 let daemon_of_name name = List.assoc_opt name (daemon_table ())
-let daemon_names () = List.map fst (daemon_table ())
 
 (* Draw-for-draw mirror of Daemon.pick_random. *)
 let pick_random rng l =

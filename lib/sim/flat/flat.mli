@@ -92,8 +92,6 @@ val daemon_of_name : string -> daemon option
     ([distributed-random] p = 0.5, [adversarial] the standard prefer
     list, [starve] victim 0). *)
 
-val daemon_names : unit -> string list
-
 (** {2 Running} *)
 
 type result = {

@@ -31,20 +31,7 @@ let entries =
     };
   ]
 
-let find name =
-  match List.find_opt (fun e -> String.equal e.pname name) entries with
-  | Some e -> Some e
-  | None -> (
-      let needle = String.lowercase_ascii name in
-      let contains hay =
-        let hay = String.lowercase_ascii hay in
-        let hl = String.length hay and nl = String.length needle in
-        let rec go i = i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1)) in
-        nl > 0 && go 0
-      in
-      match List.filter (fun e -> contains e.pname) entries with
-      | [ e ] -> Some e
-      | _ -> None)
+let find name = List.find_opt (fun e -> String.equal e.pname name) entries
 
 let build e csrg = Flat.compile ~csr:csrg ~params:(e.params_of_n (Csr.n csrg)) e.spec
 

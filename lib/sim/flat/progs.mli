@@ -20,7 +20,7 @@ val entries : entry list
     [min-unison]. *)
 
 val find : string -> entry option
-(** Exact name, then case-insensitive substring (unique match). *)
+(** The entry of that exact name. *)
 
 val build : entry -> Csr.t -> Flat.prog
 

@@ -122,52 +122,168 @@ let runner_tests =
         check_true "unknown"
           (match Runner.daemon_by_name "nope" with
           | exception Invalid_argument _ -> true
-          | _ -> false));
-    test "unison_composed reports a consistent observation" (fun () ->
-        let g = Workload.ring.Workload.build ~seed:1 ~n:10 in
-        let obs =
-          Runner.unison_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "distributed-random") ~seed:3 ()
-        in
-        check_true "outcome" obs.Runner.outcome_ok;
-        check_true "result" obs.Runner.result_ok;
-        check_true "rounds bound" (obs.Runner.rounds <= 30);
-        check_true "sdr <= total" (obs.Runner.sdr_moves <= obs.Runner.moves);
-        check_true "segments bound"
-          (match obs.Runner.segments with
-          | Some s -> s <= 11
-          | None -> false);
-        check Alcotest.(option bool) "ar monotone" (Some true)
-          obs.Runner.ar_monotone;
-        check_true "wall clock measured" (obs.Runner.wall_s >= 0.));
-    test "fga_bare checks Lemma 25 and 1-minimality" (fun () ->
-        let g = Workload.complete.Workload.build ~seed:1 ~n:7 in
-        let obs =
-          Runner.fga_bare ~spec:Spec.global_powerful ~graph:g
-            ~daemon:(Runner.daemon_by_name "central-random") ~seed:4 ()
-        in
-        check_true "outcome" obs.Runner.outcome_ok;
-        check_true "result" obs.Runner.result_ok);
-    test "tail_unison stabilizes and reports legitimacy" (fun () ->
-        let g = Workload.path.Workload.build ~seed:1 ~n:9 in
-        let obs =
-          Runner.tail_unison ~graph:g
-            ~daemon:(Runner.daemon_by_name "synchronous") ~seed:5 ()
-        in
-        check_true "outcome" obs.Runner.outcome_ok;
-        check_true "result" obs.Runner.result_ok);
-    test "coloring and MIS runners report silence" (fun () ->
-        let g = Workload.sparse_random.Workload.build ~seed:2 ~n:10 in
-        let col =
-          Runner.coloring_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "locally-central") ~seed:6 ()
-        in
-        let mis =
-          Runner.mis_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "round-robin") ~seed:7 ()
-        in
-        check_true "coloring" (col.Runner.outcome_ok && col.Runner.result_ok);
-        check_true "mis" (mis.Runner.outcome_ok && mis.Runner.result_ok)) ]
+          | _ -> false)) ]
+
+(* One row of the runner table: a system on a graph under a daemon and a
+   seed, with the steps, moves, rounds and segments the run is pinned to. *)
+type row = {
+  system : Runner.system;
+  graph : string * Graph.t;
+  daemon : string;
+  seed : int;
+  counts : int * int * int * int option;
+}
+
+(* Every row runs twice, with and without a step-tracing sink: both must be
+   ok, agree on every field but the wall clock, match the pinned counts, and
+   respect the bounds the system declares. *)
+let row_name r =
+  Printf.sprintf "%s on %s, %s" r.system.Runner.name (fst r.graph) r.daemon
+
+let check_row r =
+  let label = row_name r and graph = snd r.graph in
+  let run ?sink () =
+    Runner.run ?sink ~trace_steps:true r.system ~graph
+      ~daemon:(Runner.daemon_by_name r.daemon) ~seed:r.seed ()
+  in
+  let o = run () in
+  let null = open_out Filename.null in
+  let sunk = run ~sink:(Ssreset_obs.Sink.of_channel null) () in
+  close_out null;
+  check_true (label ^ ": ok") (o.Runner.outcome_ok && o.Runner.result_ok);
+  check_true (label ^ ": a sink changes nothing")
+    ({ o with Runner.wall_s = 0. } = { sunk with Runner.wall_s = 0. });
+  check
+    Alcotest.(pair (pair int int) (pair int (option int)))
+    (label ^ ": steps, moves, rounds, segments")
+    (let steps, moves, rounds, segments = r.counts in
+     ((steps, moves), (rounds, segments)))
+    ((o.Runner.steps, o.Runner.moves), (o.Runner.rounds, o.Runner.segments));
+  (match r.system.Runner.setup graph with
+  | Runner.Setup s ->
+      Option.iter
+        (fun bound ->
+          check_true (label ^ ": round bound") (o.Runner.rounds <= bound))
+        s.Runner.rounds_bound);
+  match o.Runner.segments with
+  | Some segments ->
+      check_true (label ^ ": at most n+1 segments")
+        (segments <= Graph.n graph + 1);
+      check_true (label ^ ": SDR moves <= moves")
+        (o.Runner.sdr_moves <= o.Runner.moves);
+      check Alcotest.(option bool) (label ^ ": Remark 4") (Some true)
+        o.Runner.ar_monotone
+  | None ->
+      check Alcotest.(option bool) (label ^ ": unmeasured") None
+        o.Runner.ar_monotone;
+      check_int (label ^ ": no SDR moves") 0 o.Runner.sdr_moves
+
+let ring8 = ("ring-8", Workload.ring.Workload.build ~seed:1 ~n:8)
+let sparse10 =
+  ("sparse-random-10", Workload.sparse_random.Workload.build ~seed:2 ~n:10)
+
+(* Steps, moves, rounds and segments at seed 3 for every system of the CLI
+   table plus the experiment-only bare unison, on two graphs under two
+   daemons. *)
+let pinned =
+  [ ("unison", "ring-8", "central-random", (23, 23, 4, Some 7));
+    ("unison", "ring-8", "distributed-random", (17, 27, 4, Some 5));
+    ("unison", "sparse-random-10", "central-random", (35, 35, 4, Some 10));
+    ("unison", "sparse-random-10", "distributed-random", (17, 33, 5, Some 7));
+    ("tail-unison", "ring-8", "central-random", (71, 71, 9, None));
+    ("tail-unison", "ring-8", "distributed-random", (29, 59, 8, None));
+    ("tail-unison", "sparse-random-10", "central-random", (81, 81, 11, None));
+    ("tail-unison", "sparse-random-10", "distributed-random", (42, 108, 11, None));
+    ("min-unison", "ring-8", "central-random", (57, 57, 7, None));
+    ("min-unison", "ring-8", "distributed-random", (22, 59, 7, None));
+    ("min-unison", "sparse-random-10", "central-random", (90, 90, 9, None));
+    ("min-unison", "sparse-random-10", "distributed-random", (36, 93, 9, None));
+    ("agr-unison", "ring-8", "central-random", (65, 65, 13, None));
+    ("agr-unison", "ring-8", "distributed-random", (48, 76, 23, None));
+    ("agr-unison", "sparse-random-10", "central-random", (86, 86, 16, None));
+    ("agr-unison", "sparse-random-10", "distributed-random", (52, 117, 17, None));
+    ("alliance", "ring-8", "central-random", (57, 57, 14, Some 7));
+    ("alliance", "ring-8", "distributed-random", (39, 57, 19, Some 7));
+    ("alliance", "sparse-random-10", "central-random", (109, 109, 27, Some 8));
+    ("alliance", "sparse-random-10", "distributed-random", (59, 109, 26, Some 5));
+    ("alliance-bare", "ring-8", "central-random", (33, 33, 14, None));
+    ("alliance-bare", "ring-8", "distributed-random", (24, 33, 13, None));
+    ("alliance-bare", "sparse-random-10", "central-random", (77, 77, 17, None));
+    ("alliance-bare", "sparse-random-10", "distributed-random", (45, 79, 17, None));
+    ("coloring", "ring-8", "central-random", (32, 32, 11, Some 7));
+    ("coloring", "ring-8", "distributed-random", (22, 32, 10, Some 7));
+    ("coloring", "sparse-random-10", "central-random", (40, 40, 7, Some 10));
+    ("coloring", "sparse-random-10", "distributed-random", (22, 40, 7, Some 7));
+    ("mis", "ring-8", "central-random", (28, 28, 10, Some 6));
+    ("mis", "ring-8", "distributed-random", (23, 28, 11, Some 6));
+    ("mis", "sparse-random-10", "central-random", (36, 36, 10, Some 7));
+    ("mis", "sparse-random-10", "distributed-random", (27, 36, 12, Some 7));
+    ("matching", "ring-8", "central-random", (26, 26, 6, Some 6));
+    ("matching", "ring-8", "distributed-random", (24, 30, 12, Some 6));
+    ("matching", "sparse-random-10", "central-random", (33, 33, 7, Some 8));
+    ("matching", "sparse-random-10", "distributed-random", (26, 39, 10, Some 7));
+    ("unison-bare", "ring-8", "central-random", (480, 480, 57, None));
+    ("unison-bare", "ring-8", "distributed-random", (480, 1102, 130, None));
+    ("unison-bare", "sparse-random-10", "central-random", (600, 600, 59, None));
+    ("unison-bare", "sparse-random-10", "distributed-random", (600, 1541, 154, None)) ]
+
+let table_rows =
+  List.concat_map
+    (fun (system : Runner.system) ->
+      List.concat_map
+        (fun ((glabel, _) as graph) ->
+          List.map
+            (fun daemon ->
+              match
+                List.find_opt
+                  (fun (s, g, d, _) ->
+                    s = system.Runner.name && g = glabel && d = daemon)
+                  pinned
+              with
+              | Some (_, _, _, counts) ->
+                  { system; graph; daemon; seed = 3; counts }
+              | None ->
+                  Alcotest.failf "no pinned counts for %s on %s, %s"
+                    system.Runner.name glabel daemon)
+            [ "central-random"; "distributed-random" ])
+        [ ring8; sparse10 ])
+    (Runner.systems ~spec:Spec.dominating_set @ [ Runner.unison_bare ])
+
+let row_test name rows = test name (fun () -> List.iter check_row rows)
+
+(* The four single-run checks keep their places right after daemon_by_name,
+   ahead of the table rows. *)
+let system_tests =
+  [ row_test "unison_composed reports a consistent observation"
+      [ { system = Runner.unison;
+          graph = ("ring-10", Workload.ring.Workload.build ~seed:1 ~n:10);
+          daemon = "distributed-random";
+          seed = 3;
+          counts = (21, 43, 5, Some 8) } ];
+    row_test "fga_bare checks Lemma 25 and 1-minimality"
+      [ { system = Runner.alliance_bare Spec.global_powerful;
+          graph = ("complete-7", Workload.complete.Workload.build ~seed:1 ~n:7);
+          daemon = "central-random";
+          seed = 4;
+          counts = (40, 40, 9, None) } ];
+    row_test "tail_unison stabilizes and reports legitimacy"
+      [ { system = Runner.tail_unison;
+          graph = ("path-9", Workload.path.Workload.build ~seed:1 ~n:9);
+          daemon = "synchronous";
+          seed = 5;
+          counts = (12, 86, 12, None) } ];
+    row_test "coloring and MIS runners report silence"
+      [ { system = Runner.coloring;
+          graph = sparse10;
+          daemon = "locally-central";
+          seed = 6;
+          counts = (17, 36, 13, Some 4) };
+        { system = Runner.mis;
+          graph = sparse10;
+          daemon = "round-robin";
+          seed = 7;
+          counts = (37, 37, 10, Some 5) } ] ]
+  @ List.map (fun r -> row_test (row_name r) [ r ]) table_rows
 
 (* ------------------------------ Experiments ---------------------------- *)
 
@@ -215,5 +331,5 @@ let () =
   Alcotest.run "expt"
     [ ("table", table_tests);
       ("workload", workload_tests);
-      ("runner", runner_tests);
+      ("runner", runner_tests @ system_tests);
       ("experiments", experiment_tests) ]

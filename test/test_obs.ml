@@ -155,16 +155,6 @@ let obs_tests =
         check
           (Alcotest.array Alcotest.int)
           "counts" [| 1; 0; 2 |] counts);
-    test "shrinking detects a growing set" (fun () ->
-        let measure (cfg : int array) =
-          Array.to_list (Array.mapi (fun i x -> (i, x)) cfg)
-          |> List.filter_map (fun (i, x) -> if x > 0 then Some i else None)
-        in
-        let ok, o = Obs.shrinking ~measure ~init:(measure [| 1; 1; 0 |]) in
-        o ~step:0 ~moved:[] [| 1; 0; 0 |];
-        check_true "still monotone" !ok;
-        o ~step:1 ~moved:[] [| 1; 0; 1 |];
-        check_false "grew" !ok);
     test "sample thins the steps" (fun () ->
         let hits = ref 0 in
         let o =
@@ -248,7 +238,7 @@ let integration_tests =
         let graph = Workload.ring.Workload.build ~seed:1 ~n:10 in
         let sink = Sink.create path in
         let obs =
-          Runner.unison_composed ~sink ~graph
+          Runner.run ~sink Runner.unison ~graph
             ~daemon:(Runner.daemon_by_name "synchronous")
             ~seed:3 ()
         in
@@ -271,7 +261,7 @@ let integration_tests =
     test "telemetry does not change the measured run" (fun () ->
         let graph = Workload.ring.Workload.build ~seed:1 ~n:10 in
         let run ?sink () =
-          Runner.unison_composed ?sink ~graph
+          Runner.run ?sink Runner.unison ~graph
             ~daemon:(Runner.daemon_by_name "distributed-random")
             ~seed:9 ()
         in
@@ -289,8 +279,9 @@ let integration_tests =
     test "obs_json reports nulls for unmeasured fields" (fun () ->
         let graph = Workload.complete.Workload.build ~seed:1 ~n:6 in
         let obs =
-          Runner.fga_bare ~spec:Ssreset_alliance.Spec.dominating_set ~graph
-            ~daemon:(Runner.daemon_by_name "central-random")
+          Runner.run
+            (Runner.alliance_bare Ssreset_alliance.Spec.dominating_set)
+            ~graph ~daemon:(Runner.daemon_by_name "central-random")
             ~seed:2 ()
         in
         check Alcotest.(option bool) "bare segments unmeasured" None

@@ -278,7 +278,7 @@ let prof_rule_attribution () =
   let graph = Gen.ring 24 in
   let p = Prof.create () in
   let obs =
-    Runner.unison_composed ~prof:p ~graph
+    Runner.run ~prof:p Runner.unison ~graph
       ~daemon:(fresh_daemon "central-random") ~seed:4 ()
   in
   let m = Prof.metrics p in
@@ -311,7 +311,7 @@ let windows_validate_round_trip () =
            ~daemon:"central-random" ~window_steps:16 ());
       let p = Prof.create ~window_steps:16 ~sink () in
       let obs =
-        Runner.unison_composed ~prof:p ~graph
+        Runner.run ~prof:p Runner.unison ~graph
           ~daemon:(fresh_daemon "central-random") ~seed:2 ()
       in
       Prof.write_summary p;

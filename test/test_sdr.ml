@@ -261,12 +261,36 @@ let segment_tests =
             ~algorithm:U12.Composed.algorithm ~graph:g
             ~daemon:Daemon.central_random cfg
         in
-        let history = U12.Composed.Segments.alive_root_history seg in
-        let rec non_increasing = function
-          | a :: (b :: _ as rest) -> a >= b && non_increasing rest
-          | _ -> true
+        (* the subset flag of Remark 4 implies the count never grows *)
+        check_true "non-increasing" (U12.Composed.Segments.monotone seg));
+    test "the Remark 4 flag trips when the alive-root set grows" (fun () ->
+        let g = Gen.ring 6 in
+        let seg = U12.Composed.Segments.create g (U12.Composed.lift (Array.make 6 0)) in
+        let feed clocks =
+          U12.Composed.Segments.observer seg ~step:0 ~moved:[]
+            (U12.Composed.lift clocks)
         in
-        check_true "non-increasing" (non_increasing history));
+        check_int "no alive root" 0 (U12.Composed.Segments.alive_count seg);
+        (* clock 5 at process 2 is out of step with both neighbors *)
+        feed [| 0; 0; 5; 0; 0; 0 |];
+        check_int "three alive roots" 3 (U12.Composed.Segments.alive_count seg);
+        check_false "grew" (U12.Composed.Segments.monotone seg);
+        check_int "one segment" 1 (U12.Composed.Segments.count seg));
+    test "the Remark 4 flag trips on a same-size but different set" (fun () ->
+        let g = Gen.ring 6 in
+        let seg =
+          U12.Composed.Segments.create g (U12.Composed.lift [| 0; 0; 5; 0; 0; 0 |])
+        in
+        let feed clocks =
+          U12.Composed.Segments.observer seg ~step:0 ~moved:[]
+            (U12.Composed.lift clocks)
+        in
+        feed [| 0; 0; 5; 0; 0; 0 |];
+        check_true "unchanged set" (U12.Composed.Segments.monotone seg);
+        (* {1,2,3} becomes {3,4,5}: the count alone would not notice *)
+        feed [| 0; 0; 0; 0; 5; 0 |];
+        check_int "still three" 3 (U12.Composed.Segments.alive_count seg);
+        check_false "not a subset" (U12.Composed.Segments.monotone seg));
     test "per-segment SDR rule words match Theorem 4's language" (fun () ->
         List.iter
           (fun (_, g) ->
