@@ -264,10 +264,11 @@ struct
       req = Random.State.bool rng;
       inner = inner rng u }
 
-  let is_normal g cfg =
-    Algorithm.for_all_views g cfg ~f:(fun _ v ->
-        tree_ok v
-        && v.Algorithm.state.wst = N
-        && (not v.Algorithm.state.req)
-        && app_ok v)
+  let p_normal v =
+    tree_ok v
+    && v.Algorithm.state.wst = N
+    && (not v.Algorithm.state.req)
+    && app_ok v
+
+  let is_normal g cfg = Algorithm.for_all_views g cfg ~f:(fun _ v -> p_normal v)
 end

@@ -76,9 +76,13 @@ module Make
   (** Arbitrary state: random dist/parent/wave/request, inner from the
       input generator; [id] preserved. *)
 
+  val p_normal : state Ssreset_sim.Algorithm.view -> bool
+  (** The per-process conjunct of {!is_normal}: tree correct, wave layer
+      quiescent ([N], no request) and the input algorithm locally
+      correct. *)
+
   val is_normal : Ssreset_graph.Graph.t -> state array -> bool
-  (** Tree correct, wave layer quiescent ([N], no request) and the input
-      algorithm locally correct everywhere — the analogue of SDR's normal
+  (** {!p_normal} everywhere — the analogue of SDR's normal
       configurations. *)
 
   val tree_ok : state Ssreset_sim.Algorithm.view -> bool

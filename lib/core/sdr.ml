@@ -57,6 +57,7 @@ module type S = sig
   val is_dead_root : state Algorithm.view -> bool
   val alive_roots : Graph.t -> state array -> int list
   val count_alive_roots : Graph.t -> state array -> int
+  val p_normal : state Algorithm.view -> bool
   val is_normal : Graph.t -> state array -> bool
 
   module Segments : sig
@@ -69,6 +70,7 @@ module type S = sig
 
     val count : t -> int
     val alive_count : t -> int
+    val alive : t -> int list
     val monotone : t -> bool
   end
 
@@ -241,38 +243,31 @@ module Make (I : INPUT) = struct
 
   let count_alive_roots g cfg = List.length (alive_roots g cfg)
 
-  let is_normal g cfg =
-    Algorithm.for_all_views g cfg ~f:(fun _ v -> p_clean v && p_icorrect v)
+  let p_normal v = p_clean v && p_icorrect v
+  let is_normal g cfg = Algorithm.for_all_views g cfg ~f:(fun _ v -> p_normal v)
 
   module Segments = struct
     type t = {
-      graph : Graph.t;
-      mutable roots : int list;  (* alive roots of the last configuration, ascending *)
+      roots : state Algorithm.Tracker.t;  (* the alive roots *)
       mutable segments : int;
-      mutable monotone : bool;
     }
 
     let create graph cfg =
-      { graph; roots = alive_roots graph cfg; segments = 1; monotone = true }
+      { roots = Algorithm.Tracker.create graph is_alive_root cfg; segments = 1 }
 
-    (* [a ⊆ b] on ascending lists, in one merge pass. *)
-    let rec subset a b =
-      match (a, b) with
-      | [], _ -> true
-      | _, [] -> false
-      | x :: a', y :: b' ->
-          if x = y then subset a' b' else x > y && subset a b'
-
-    let observer t ~step:_ ~moved:_ cfg =
-      let roots = alive_roots t.graph cfg in
-      if List.compare_lengths roots t.roots < 0 then
-        t.segments <- t.segments + 1;
-      t.monotone <- t.monotone && subset roots t.roots;
-      t.roots <- roots
+    let observer t ~step:_ ~moved cfg =
+      let before = Algorithm.Tracker.count t.roots in
+      Algorithm.Tracker.update t.roots ~moved cfg;
+      if Algorithm.Tracker.count t.roots < before then
+        t.segments <- t.segments + 1
 
     let count t = t.segments
-    let alive_count t = List.length t.roots
-    let monotone t = t.monotone
+    let alive_count t = Algorithm.Tracker.count t.roots
+    let alive t = Algorithm.Tracker.members t.roots
+
+    (* The new set is a subset of the old one iff no process became an
+       alive root. *)
+    let monotone t = not (Algorithm.Tracker.rose t.roots)
   end
 
   module Waves = struct

@@ -119,23 +119,37 @@ module type S = sig
   val alive_roots : Ssreset_graph.Graph.t -> state array -> int list
   val count_alive_roots : Ssreset_graph.Graph.t -> state array -> int
 
+  val p_normal : state Ssreset_sim.Algorithm.view -> bool
+  (** [P_Clean(u) ∧ P_ICorrect(u)]: the per-process conjunct of
+      {!is_normal}. *)
+
   val is_normal : Ssreset_graph.Graph.t -> state array -> bool
-  (** Normal configuration: [P_Clean(u) ∧ P_ICorrect(u)] for every process
-      (equivalently, the projection on SDR is terminal — Lemma 15). *)
+  (** Normal configuration: {!p_normal} at every process (equivalently, the
+      projection on SDR is terminal — Lemma 15).  The full O(n·Δ) reference;
+      runs track it incrementally with {!Ssreset_sim.Algorithm.Tracker}. *)
 
   (** {2 Segments (Definition 3)} *)
 
   module Segments : sig
     type t
-    (** The alive-root tracker of a run: evaluates {!alive_roots} once per
-        configuration and derives from that one pass the segment count, the
-        alive-root count and the subset flag of Remark 4. *)
+    (** The alive-root tracker of a run, on
+        {!Ssreset_sim.Algorithm.Tracker}: alive roots are defined per
+        process over its closed neighborhood, so each step re-evaluates only
+        the movers' closed neighborhoods — O(movers·Δ), not O(n·Δ).  From
+        that one tracker it derives the segment count, the alive-root count
+        and the subset flag of Remark 4.  {!alive_roots} and
+        {!count_alive_roots} remain the full reference functions. *)
 
     val create : Ssreset_graph.Graph.t -> state array -> t
+    (** Evaluates the alive roots of the initial configuration; the array is
+        not retained. *)
 
     val observer :
       t -> step:int -> moved:(int * string) list -> state array -> unit
-    (** Plug into {!Ssreset_sim.Engine.run}'s [observer]. *)
+    (** Plug into {!Ssreset_sim.Engine.run}'s [observer].  It must see every
+        step, and [moved] must list every process whose state changed since
+        the previous call (the engine's movers do); a configuration change
+        outside [moved] goes unnoticed. *)
 
     val count : t -> int
     (** Number of segments spanned so far (≥ 1): one more each time the
@@ -144,9 +158,14 @@ module type S = sig
     val alive_count : t -> int
     (** Alive roots of the last configuration seen. *)
 
+    val alive : t -> int list
+    (** The alive roots of the last configuration seen, ascending — equal to
+        {!alive_roots} of it (O(n); for tests). *)
+
     val monotone : t -> bool
     (** Every configuration's alive-root set so far was a subset of the
-        previous one's (Remark 4: alive roots are never created). *)
+        previous one's (Remark 4: alive roots are never created) — i.e. no
+        process has become an alive root. *)
   end
 
   (** {2 Wave provenance}

@@ -1,3 +1,4 @@
+module Algorithm = Ssreset_sim.Algorithm
 module Daemon = Ssreset_sim.Daemon
 module Engine = Ssreset_sim.Engine
 module Fault = Ssreset_sim.Fault
@@ -91,9 +92,9 @@ type 'state reset =
   | Composed : (module Sdr.S with type inner = 'i) -> 'i Sdr.state reset
 
 type 'state setup = {
-  algorithm : 'state Ssreset_sim.Algorithm.t;
+  algorithm : 'state Algorithm.t;
   init : Random.State.t -> 'state array;
-  stop : 'state array -> bool;
+  legit : ('state Algorithm.view -> bool) option;
   expect : Engine.outcome;
   check : 'state Engine.result -> bool;
   probe : 'state Obs.t option;
@@ -275,14 +276,30 @@ let run_setup (type s) ?max_steps ?scheduler ?prof ?sink ~trace_steps
   let cfg = s.init cfg_rng in
   let layer = layer ?sink ~trace_steps s graph cfg in
   let tele = Option.map (fun sink -> telemetry sink layer) sink in
+  (* The stop condition is incremental: a tracker of the illegitimate
+     processes.  The last observer marks the movers' closed neighborhoods;
+     [stop] re-evaluates marks only until it finds a process that is still
+     illegitimate, so a long-lived witness makes it O(1). *)
+  let stop, stop_observer =
+    match s.legit with
+    | None -> (None, [])
+    | Some legit ->
+        let illegit =
+          Algorithm.Tracker.create graph (fun v -> not (legit v)) cfg
+        in
+        ( Some (fun cfg -> not (Algorithm.Tracker.exists illegit cfg)),
+          [ (fun ~step:_ ~moved _ -> Algorithm.Tracker.mark illegit ~moved) ] )
+  in
   let result =
     Engine.run ?scheduler ?prof ~rng:run_rng
       ~max_steps:(Option.value max_steps ~default:s.max_steps)
       ?observer:
-        (match layer.observers with [] -> None | l -> Some (Obs.combine l))
+        (match layer.observers @ stop_observer with
+        | [] -> None
+        | l -> Some (Obs.combine l))
       ?on_step:(Option.map (fun (f, _, _) -> f) tele)
       ?on_round:(Option.map (fun (_, f, _) -> f) tele)
-      ~stop:s.stop ~algorithm:s.algorithm ~graph ~daemon cfg
+      ?stop ~algorithm:s.algorithm ~graph ~daemon cfg
   in
   let outcome_ok = result.Engine.outcome = s.expect in
   let o =
@@ -313,7 +330,7 @@ let final ok (r : _ Engine.result) = ok r.Engine.final
 
 (* A silent bare system: run until terminal, no check, no bounds. *)
 let bare algorithm ~init =
-  { algorithm; init; stop = (fun _ -> false); expect = Engine.Terminal;
+  { algorithm; init; legit = None; expect = Engine.Terminal;
     check = (fun _ -> true); probe = None; rounds_bound = None;
     moves_bound = None; max_steps = 20_000_000; reset = Bare }
 
@@ -326,9 +343,13 @@ let composed (type i) (module C : Sdr.S with type inner = i) ~inner graph :
     with
     reset = Composed (module C) }
 
-(* Run until [legit] holds, and require it. *)
-let stabilize legit s =
-  { s with stop = legit; expect = Engine.Stabilized; check = final legit }
+(* Run until [legit] holds at every process, and require [legitimate] — the
+   same condition over the whole configuration — of the final one. *)
+let stabilize ~legit legitimate s =
+  { s with
+    legit = Some legit;
+    expect = Engine.Stabilized;
+    check = final legitimate }
 
 let unison =
   system "unison" ~flat:"unison-sdr"
@@ -340,7 +361,8 @@ let unison =
       end) in
       let s = composed (module U.Composed) ~inner:U.clock_gen graph in
       Setup
-        { (stabilize (U.Composed.is_normal graph) s) with
+        { (stabilize ~legit:U.Composed.p_normal (U.Composed.is_normal graph) s)
+          with
           rounds_bound = Some (3 * n);
           (* The D·n² bound needs the diameter; only a watching sink forces
              it. *)
@@ -379,7 +401,9 @@ let tail_unison =
         let alpha = n
       end) in
       let s = bare T.algorithm ~init:(arbitrary graph T.clock_gen) in
-      Setup { (stabilize (T.is_legitimate graph) s) with max_steps = 50_000_000 })
+      Setup
+        { (stabilize ~legit:T.p_legitimate (T.is_legitimate graph) s) with
+          max_steps = 50_000_000 })
 
 let min_unison =
   system "min-unison" ~flat:"min-unison"
@@ -391,7 +415,9 @@ let min_unison =
         let alpha = max 1 (n - 2)
       end) in
       let s = bare M.algorithm ~init:(arbitrary graph M.clock_gen) in
-      Setup { (stabilize (M.is_legitimate graph) s) with max_steps = 50_000_000 })
+      Setup
+        { (stabilize ~legit:M.p_legitimate (M.is_legitimate graph) s) with
+          max_steps = 50_000_000 })
 
 let agr_unison =
   system "agr-unison"
@@ -412,7 +438,9 @@ let agr_unison =
       let s =
         bare A.algorithm ~init:(arbitrary graph (A.generator ~inner:U.clock_gen))
       in
-      Setup { (stabilize (A.is_normal graph) s) with max_steps = 2_000_000 })
+      Setup
+        { (stabilize ~legit:A.p_normal (A.is_normal graph) s) with
+          max_steps = 2_000_000 })
 
 let alliance ?(stop_at_normal = false) (spec : Spec.t) =
   system "alliance" ~feasible:(Spec.feasible spec)
@@ -431,7 +459,8 @@ let alliance ?(stop_at_normal = false) (spec : Spec.t) =
           max_steps = 50_000_000 }
       in
       Setup
-        (if stop_at_normal then stabilize (F.Composed.is_normal graph) s
+        (if stop_at_normal then
+           stabilize ~legit:F.Composed.p_normal (F.Composed.is_normal graph) s
          else
            { s with
              check =

@@ -9,6 +9,15 @@
     is drawn from [[|seed; 17|]], the daemon from [[|seed; 91|]]), the
     observers, telemetry, monitors and tracing, and builds the {!obs}.
 
+    Per step, the harness costs O(movers·Δ) on top of the engine: the
+    alive-root tracker ({!Ssreset_core.Sdr.S.Segments}) and the stop
+    condition (the processes where [legit] fails) are both
+    {!Ssreset_sim.Algorithm.Tracker}s, re-evaluated only on the movers'
+    closed neighborhoods — the stop condition lazily, until it finds a
+    process that is still illegitimate — and the engine steps the
+    configuration in place.  Only the final [check] reads the whole
+    configuration.
+
     [?scheduler] and [?prof] are forwarded to {!Ssreset_sim.Engine.run}:
     the [`Full] rescan vs the default [`Incremental] dirty-set scheduler,
     and an attached {!Ssreset_obs.Prof} profiler.  Neither changes any
@@ -84,15 +93,18 @@ type 'state reset =
       (module Ssreset_core.Sdr.S with type inner = 'i)
       -> 'i Ssreset_core.Sdr.state reset
 
-(** A system instantiated on one graph.  [outcome_ok] is
-    [outcome = expect] and [result_ok] is [outcome_ok && check result];
-    [probe] is an extra observer the check reads; the bounds are watched
-    by monitors when a sink is attached ([moves_bound] is forced only
-    then); [max_steps] is the default step budget. *)
+(** A system instantiated on one graph.  [legit] is the per-process
+    legitimacy predicate the run stops on — once it holds at every process —
+    or [None] for systems that run until terminal or out of steps;
+    [outcome_ok] is [outcome = expect] and [result_ok] is
+    [outcome_ok && check result] ([check] evaluates the whole final
+    configuration once); [probe] is an extra observer the check reads; the
+    bounds are watched by monitors when a sink is attached ([moves_bound]
+    is forced only then); [max_steps] is the default step budget. *)
 type 'state setup = {
   algorithm : 'state Ssreset_sim.Algorithm.t;
   init : Random.State.t -> 'state array;
-  stop : 'state array -> bool;
+  legit : ('state Ssreset_sim.Algorithm.view -> bool) option;
   expect : Ssreset_sim.Engine.outcome;
   check : 'state Ssreset_sim.Engine.result -> bool;
   probe : 'state Ssreset_obs.Obs.t option;

@@ -3,7 +3,8 @@
     An observer has exactly the shape of {!Ssreset_sim.Engine.run}'s
     [observer] callback — [step] index, the activated (process, rule-name)
     pairs, and the {e new} configuration — so any value built here plugs
-    straight into the engine.  The point of this module is that observers
+    straight into the engine.  The configuration is the engine's live
+    array, stepped in place: an observer that keeps it must copy it.  The point of this module is that observers
     compose: a measured run is a {!combine} of small single-purpose probes
     instead of one hand-rolled closure.
 

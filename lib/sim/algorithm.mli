@@ -54,3 +54,60 @@ val for_all_views :
 val exclusive_rules : 'state t -> 'state view -> string list
 (** Names of all rules enabled on a view — used by tests to check pairwise
     mutual exclusion (at most one name for every reachable view). *)
+
+(** Dirty-set tracker of a local predicate: which processes satisfy a
+    predicate over their view, maintained in O(movers·Δ) per step.
+
+    A step changes only the movers' states and a view reads only a closed
+    neighborhood, so after a step only the movers' closed neighborhoods can
+    change truth value.  {!update} re-evaluates exactly those (each process
+    once).  The tracker is correct only if it is fed {e every} step of the
+    run, each with a [moved] list that includes every process whose state
+    changed — {!Engine.run}'s observer contract.
+
+    {!mark} and {!exists} are the lazy form, for a caller that only asks
+    whether the predicate holds {e somewhere} (a stop condition such as "no
+    process is illegitimate"): marks are recorded without evaluating
+    anything, and {!exists} re-evaluates marked processes only until it
+    finds one where the predicate still holds, so a long-lived witness
+    answers in O(1).
+
+    The alive-root tracker of {!Ssreset_core.Sdr.S.Segments}, the runner's
+    stop condition and the unison safety probe are all built on it. *)
+module Tracker : sig
+  type 'state t
+
+  val create :
+    Ssreset_graph.Graph.t -> ('state view -> bool) -> 'state array -> 'state t
+  (** [create g pred cfg] evaluates [pred] on every view of [cfg] (the one
+      O(n·Δ) pass).  The configuration is not retained. *)
+
+  val update : 'state t -> moved:(int * string) list -> 'state array -> unit
+  (** Advance to the configuration [cfg] that follows a step whose movers
+      are [moved]: {!mark} then {!flush}. *)
+
+  val mark : 'state t -> moved:(int * string) list -> unit
+  (** Record a step whose movers are [moved]; the movers' closed
+      neighborhoods are re-evaluated later, by {!exists} or {!flush}, on the
+      configuration passed to them — which must be the one reached after
+      every marked step. *)
+
+  val flush : 'state t -> 'state array -> unit
+  (** Re-evaluate every marked process on [cfg]. *)
+
+  val exists : 'state t -> 'state array -> bool
+  (** Does the predicate hold at some process of [cfg]?  Resolves only as
+      many marks as it needs; the queries below stay as of each process's
+      last evaluation until a {!flush}. *)
+
+  val count : 'state t -> int
+  (** Number of processes where the predicate holds (exact after {!update}
+      or {!flush}, like the other queries). *)
+
+  val rose : 'state t -> bool
+  (** Has some evaluation since {!create} found the predicate turned from
+      false to true at a process? *)
+
+  val members : 'state t -> int list
+  (** The processes where the predicate holds, ascending — O(n). *)
+end

@@ -71,7 +71,7 @@ type prof_ctx = {
   p : Prof.t;
   scan : Prof.timer;  (* enabled-table scan + overlap check *)
   select : Prof.timer;  (* daemon selection *)
-  apply : Prof.timer;  (* configuration copy + rule actions *)
+  apply : Prof.timer;  (* rule actions + in-place write-back *)
   refresh : Prof.timer;  (* full rescan or dirty-set refresh *)
   neutralize : Prof.timer;  (* round-accounting neutralization *)
   callbacks : Prof.timer;  (* observer / on_step / on_round / windows *)
@@ -198,10 +198,14 @@ let assert_exclusive algorithm graph cfg enabled =
     enabled
 
 (* Core of one atomic step, given the current enabled-rule [table] (which
-   must describe [cfg]).  Returns the next configuration and the activated
-   (process, rule-name) pairs, or [None] when terminal. *)
+   must describe [cfg]).  The step is applied to [cfg] in place: every
+   activated process's new state is first computed from the pre-step [cfg]
+   into [scratch], and only then written back — so all movers read the same
+   configuration (composite atomicity) and no step copies the array.
+   Returns the activated (process, rule-name) pairs, or [None] when
+   terminal. *)
 let step_with_table ~prof ~rng ~check_overlap ~on_enabled ~algorithm ~graph
-    ~daemon ~step_index ~table cfg =
+    ~daemon ~step_index ~table ~scratch cfg =
   match enabled_of_table table (Graph.n graph) with
   | [] -> None
   | enabled ->
@@ -223,42 +227,40 @@ let step_with_table ~prof ~rng ~check_overlap ~on_enabled ~algorithm ~graph
       let chosen = daemon.Daemon.select rng ctx in
       Daemon.check_selection ctx chosen;
       (match prof with Some pc -> lap pc pc.select | None -> ());
-      let next = Array.copy cfg in
+      let fire u =
+        match table.(u) with
+        | Some r ->
+            scratch.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
+            r.Algorithm.rule_name
+        | None -> assert false
+      in
+      let commit () = List.iter (fun u -> cfg.(u) <- scratch.(u)) chosen in
       let moved =
         match prof with
         | None ->
-            List.map
-              (fun u ->
-                match table.(u) with
-                | Some r ->
-                    next.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
-                    (u, r.Algorithm.rule_name)
-                | None -> assert false)
-              chosen
+            let moved = List.map (fun u -> (u, fire u)) chosen in
+            commit ();
+            moved
         | Some pc ->
             (* Per-rule attribution without extra clock reads: movers chain
-               laps, so their spans tile the apply phase exactly (the first
-               mover's span absorbs the configuration copy).  The phase
-               total is derived from the chain, not measured again. *)
+               laps, so their spans tile the apply phase exactly (the last
+               mover's span absorbs the write-back).  The phase total is
+               derived from the chain, not measured again. *)
             let apply_start = pc.mark in
-            let moved =
-              List.map
-                (fun u ->
-                  match table.(u) with
-                  | Some r ->
-                      let name = r.Algorithm.rule_name in
-                      next.(u) <-
-                        r.Algorithm.action (Algorithm.view graph cfg u);
-                      lap pc (rule_timer pc name);
-                      Metrics.incr (rule_counter pc name);
-                      (u, name)
-                  | None -> assert false)
-                chosen
+            let[@tail_mod_cons] rec go = function
+              | [] -> []
+              | u :: rest ->
+                  let name = fire u in
+                  (match rest with [] -> commit () | _ :: _ -> ());
+                  lap pc (rule_timer pc name);
+                  Metrics.incr (rule_counter pc name);
+                  (u, name) :: go rest
             in
+            let moved = go chosen in
             Prof.record_span pc.apply (pc.mark - apply_start);
             moved
       in
-      Some (next, moved)
+      Some moved
 
 (* Each rng-less call gets a fresh state derived from [seed] (default 0):
    a module-level shared state would make interleaved engine runs depend on
@@ -269,8 +271,10 @@ let step ?rng ?(seed = 0) ?(check_overlap = false) ?on_enabled ~algorithm
     match rng with Some r -> r | None -> Random.State.make [| seed |]
   in
   let table = enabled_table algorithm graph cfg in
+  let next = Array.copy cfg in
   step_with_table ~prof:None ~rng ~check_overlap ~on_enabled ~algorithm ~graph
-    ~daemon ~step_index ~table cfg
+    ~daemon ~step_index ~table ~scratch:(Array.copy cfg) next
+  |> Option.map (fun moved -> (next, moved))
 
 let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
     ?(scheduler = `Incremental) ?prof ?observer ?on_step ?on_round
@@ -287,6 +291,10 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
       prof
   in
   let n = Graph.n graph in
+  (* The run's one copy of the configuration, stepped in place; [scratch]
+     holds the movers' new states between computing and writing them. *)
+  let cfg = Array.copy cfg0 in
+  let scratch = Array.copy cfg0 in
   let moves_per_process = Array.make n 0 in
   let moves_per_rule = Hashtbl.create 8 in
   let bump_rule name =
@@ -299,7 +307,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
      Both paths maintain the same table contents, so every consumer below
      (selection, neutralization, round refill) is scheduler-agnostic and the
      two schedulers are bit-identical by construction. *)
-  let table = enabled_table algorithm graph cfg0 in
+  let table = enabled_table algorithm graph cfg in
   let stamp = Array.make n 0 in
   let gen = ref 0 in
   (* Round accounting (§2.4): [pending] holds the processes enabled at the
@@ -320,10 +328,9 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
   (match prof_ctx with Some pc -> lap pc pc.scan | None -> ());
   let total_moves = ref 0 in
   let steps = ref 0 in
-  let cfg = ref cfg0 in
   let outcome = ref Step_limit in
   (try
-     let stopped = stop !cfg in
+     let stopped = stop cfg in
      (match prof_ctx with Some pc -> lap pc pc.stop_check | None -> ());
      if stopped then begin
        outcome := Stabilized;
@@ -338,12 +345,12 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
        in
        match
          step_with_table ~prof:prof_ctx ~rng ~check_overlap ~on_enabled
-           ~algorithm ~graph ~daemon ~step_index:!steps ~table !cfg
+           ~algorithm ~graph ~daemon ~step_index:!steps ~table ~scratch cfg
        with
        | None ->
            outcome := Terminal;
            raise Exit
-       | Some (next, moved) ->
+       | Some moved ->
            incr steps;
            incr steps_in_round;
            List.iter
@@ -354,12 +361,12 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                Hashtbl.remove pending u)
              moved;
            (match (scheduler, prof_ctx) with
-           | `Full, None -> refresh_full algorithm graph next table
-           | `Full, Some pc -> refresh_full_prof pc algorithm graph next table
+           | `Full, None -> refresh_full algorithm graph cfg table
+           | `Full, Some pc -> refresh_full_prof pc algorithm graph cfg table
            | `Incremental, None ->
-               refresh_moved algorithm graph next table stamp gen moved
+               refresh_moved algorithm graph cfg table stamp gen moved
            | `Incremental, Some pc ->
-               refresh_moved_prof pc algorithm graph next table stamp gen moved);
+               refresh_moved_prof pc algorithm graph cfg table stamp gen moved);
            (match prof_ctx with Some pc -> lap pc pc.refresh | None -> ());
            (* Neutralization: pending processes that were enabled before the
               step (by definition of pending) and are disabled after it.
@@ -376,9 +383,8 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                Array.iter neutralize (Graph.neighbors graph u))
              moved;
            (match prof_ctx with Some pc -> lap pc pc.neutralize | None -> ());
-           cfg := next;
            (match observer with
-           | Some f -> f ~step:(!steps - 1) ~moved next
+           | Some f -> f ~step:(!steps - 1) ~moved cfg
            | None -> ());
            (match on_step with
            | Some f ->
@@ -394,7 +400,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
              (match on_round with
              | Some f ->
                  f ~round:!completed_rounds ~steps:!steps ~moves:!total_moves
-                   next
+                   cfg
              | None -> ());
              refill_pending ()
            end;
@@ -403,7 +409,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                Prof.tick pc.p ~moves:(List.length moved);
                lap pc pc.callbacks
            | None -> ());
-           let stopped = stop next in
+           let stopped = stop cfg in
            (match prof_ctx with Some pc -> lap pc pc.stop_check | None -> ());
            if stopped then begin
              outcome := Stabilized;
@@ -428,7 +434,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
   | None -> ());
   {
     outcome = !outcome;
-    final = !cfg;
+    final = cfg;
     steps = !steps;
     moves = !total_moves;
     moves_per_process;

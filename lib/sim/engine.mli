@@ -58,8 +58,21 @@ val run :
     holds (checked on every configuration, including the initial one), the
     configuration is terminal, or [max_steps] (default 10_000_000) is
     reached.  [observer] is called after each step with the activated
-    (process, rule-name) pairs and the {e new} configuration.  The initial
-    configuration is not copied; pass a fresh array.
+    (process, rule-name) pairs and the {e new} configuration.
+
+    [run] copies [cfg] once and applies every step to that copy in place:
+    the movers' new states are all computed from the pre-step
+    configuration, then written, so composite atomicity holds and no step
+    copies the array.  The caller's [cfg] is never modified, and
+    [result.final] is the run's own array.  Consequently the array passed
+    to [observer], [on_round] and [stop] is the live configuration, valid
+    only for the duration of the callback: a callback that keeps a
+    configuration must copy it (as {!Trace.record} does).
+
+    Observer contract: the movers list [moved] contains every process whose
+    state changed in the step (a mover whose action returns its old state
+    is listed too).  Incremental observers such as
+    {!Algorithm.Tracker} rely on it, so they must see every step.
 
     When [rng] is absent the run allocates its own [Random.State] from
     [seed] (default 0), so an rng-less run is reproducible regardless of
@@ -112,7 +125,8 @@ val step :
   'state array ->
   ('state array * (int * string) list) option
 (** One atomic step: [None] if the configuration is terminal, otherwise the
-    next configuration and the activated (process, rule) pairs.
+    next configuration (a fresh array; the argument is not modified) and
+    the activated (process, rule) pairs.
     [on_enabled] receives the (sorted, nonempty) enabled set before the
     daemon selects.  Exposed for fine-grained tests and traces.
 

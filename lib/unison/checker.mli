@@ -15,7 +15,14 @@ val create_monitor : k:int -> Ssreset_graph.Graph.t -> monitor
 
 val observe_bare :
   monitor -> step:int -> moved:(int * string) list -> int array -> unit
-(** Observer for runs of bare U (configurations are clock arrays). *)
+(** Observer for runs of bare U (configurations are arrays of clocks in
+    [0, K), where [P_Ok] is symmetric).  A step
+    is a safety violation iff some process is out of step with a neighbor
+    afterwards; the unsafe processes are kept by an
+    {!Ssreset_sim.Algorithm.Tracker} built on the first step observed, so
+    the probe costs O(movers·Δ) per step.  Hence, like every engine
+    observer, it must see every step of one run, with [moved] listing every
+    process whose state changed; use one monitor per run. *)
 
 val observe_composed :
   monitor ->

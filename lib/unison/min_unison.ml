@@ -40,5 +40,6 @@ struct
 
   let gamma_init = T.gamma_init
   let clock_gen = T.clock_gen
+  let p_legitimate = T.p_legitimate
   let is_legitimate = T.is_legitimate
 end

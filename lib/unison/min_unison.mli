@@ -46,4 +46,8 @@ end) : sig
   val is_legitimate : Ssreset_graph.Graph.t -> clock array -> bool
   (** Every clock on the ring (>= 0) and every neighbor pair within one
       increment (ring distance <= 1). *)
+
+  val p_legitimate : clock Ssreset_sim.Algorithm.view -> bool
+  (** The per-process form of {!is_legitimate}, as
+      {!Tail_unison.Make.p_legitimate}. *)
 end

@@ -70,6 +70,13 @@ struct
   let gamma_init g = Array.make (Graph.n g) 0
   let clock_gen rng _u = Random.State.int rng (k + alpha) - alpha
 
+  (* Per process: on the ring and within one increment of every neighbor.
+     [ring_ok] is symmetric, so this holding everywhere is exactly the edge
+     form below. *)
+  let p_legitimate (v : clock Algorithm.view) =
+    let c = v.Algorithm.state in
+    c >= 0 && Array.for_all (fun b -> ring_ok c b) v.Algorithm.nbrs
+
   let is_legitimate g cfg =
     Array.for_all (fun c -> c >= 0) cfg
     && List.for_all

@@ -52,6 +52,11 @@ end) : sig
       (ring distance ≤ 1).  This set is closed and from it the behavior is
       exactly the unison specification. *)
 
+  val p_legitimate : clock Ssreset_sim.Algorithm.view -> bool
+  (** The per-process form of {!is_legitimate}: the clock is on the ring and
+      within one increment of every neighbor.  It holds at every process iff
+      {!is_legitimate} holds (ring distance is symmetric). *)
+
   val compatible : clock -> clock -> bool
   (** The local compatibility relation used by the reset guard. *)
 end

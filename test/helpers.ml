@@ -77,3 +77,82 @@ let segment_language_ok names =
       && List.mem b [ "SDR-RB"; "SDR-R" ]
       && String.equal c "SDR-RF"
   | _ -> false
+
+let processes_where graph cfg p =
+  List.filter
+    (fun u -> p (Algorithm.view graph cfg u))
+    (List.init (Graph.n graph) Fun.id)
+
+(* Differential observer for the runner's incremental stop, a tracker of
+   the processes where [legit] fails.  After every step, the lazy form the
+   runner uses ([mark], then [exists]) must find an illegitimate process iff
+   the whole-configuration predicate [legitimate] fails, and an eagerly
+   updated twin must hold at exactly the processes a full recomputation
+   finds, with the matching count.  Fails the test at the first step where
+   either disagrees. *)
+let illegitimacy_observer ~label ~graph ~legit ~legitimate cfg0 =
+  let illegit v = not (legit v) in
+  let lazy_t = Algorithm.Tracker.create graph illegit cfg0 in
+  let eager = Algorithm.Tracker.create graph illegit cfg0 in
+  let agree step cfg =
+    let expected = processes_where graph cfg illegit in
+    if
+      Algorithm.Tracker.members eager <> expected
+      || Algorithm.Tracker.count eager <> List.length expected
+    then Alcotest.failf "%s, step %d: illegitimate set differs" label step;
+    if Algorithm.Tracker.exists lazy_t cfg = legitimate cfg then
+      Alcotest.failf "%s, step %d: the stop condition disagrees with the \
+                      predicate" label step
+  in
+  agree (-1) cfg0;
+  fun ~step ~moved cfg ->
+    Algorithm.Tracker.mark lazy_t ~moved;
+    Algorithm.Tracker.update eager ~moved cfg;
+    agree step cfg
+
+(* Differential observer for {!Sdr.S.Segments}: after every step its alive
+   roots, count, segment count and Remark 4 flag must equal the list-based
+   definitions recomputed from [alive_roots] — a segment starts when the
+   alive-root count drops, and the history is monotone while each set is a
+   subset of the previous one. *)
+let segments_observer (type i) (module C : Sdr.S with type inner = i) ~label
+    ~graph cfg0 =
+  let seg = C.Segments.create graph cfg0 in
+  let roots = ref (C.alive_roots graph cfg0) in
+  let segments = ref 1 and monotone = ref true in
+  let agree step cfg =
+    if
+      C.Segments.alive seg <> !roots
+      || C.Segments.alive_count seg <> C.count_alive_roots graph cfg
+    then Alcotest.failf "%s, step %d: alive roots differ" label step;
+    if C.Segments.count seg <> !segments then
+      Alcotest.failf "%s, step %d: %d segments, expected %d" label step
+        (C.Segments.count seg) !segments;
+    if C.Segments.monotone seg <> !monotone then
+      Alcotest.failf "%s, step %d: Remark 4 flag differs" label step
+  in
+  agree (-1) cfg0;
+  fun ~step ~moved cfg ->
+    C.Segments.observer seg ~step ~moved cfg;
+    let now = C.alive_roots graph cfg in
+    if List.compare_lengths now !roots < 0 then incr segments;
+    monotone := !monotone && List.for_all (fun u -> List.mem u !roots) now;
+    roots := now;
+    agree step cfg
+
+(* Run [algorithm] from [cfg] under every registered daemon and [seeds],
+   stopping at the full predicate [stop], with [observer cfg] attached:
+   the loop shared by the tracker differential tests. *)
+let differential_runs ~graph ~seeds ~max_steps ~algorithm ~stop ~init
+    ~observer =
+  List.iter
+    (fun (dname, daemon) ->
+      List.iter
+        (fun seed ->
+          let cfg = init seed in
+          ignore
+            (Engine.run ~rng:(rng (seed + 1000)) ~max_steps ~stop
+               ~observer:(observer (Printf.sprintf "%s/seed %d" dname seed) cfg)
+               ~algorithm ~graph ~daemon cfg))
+        seeds)
+    (Daemon.registry ())

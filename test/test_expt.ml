@@ -124,6 +124,144 @@ let runner_tests =
           | exception Invalid_argument _ -> true
           | _ -> false)) ]
 
+(* The runner stops on a tracker of the processes where the system's
+   per-process legitimacy predicate fails.  At every step of runs over the
+   zoo under every registered daemon, that tracker (and, for FGA∘SDR, the
+   alive-root tracker) must equal a full recomputation. *)
+
+(* A system that stops on legitimacy, instantiated on one graph: [legit] is
+   the runner's per-process predicate, [legitimate] the full one. *)
+type 'state legit_system = {
+  algorithm : 'state Algorithm.t;
+  gen : 'state Fault.generator;
+  legit : 'state Algorithm.view -> bool;
+  legitimate : 'state array -> bool;
+}
+
+let tail_unison g =
+  let n = Graph.n g in
+  let module T = Ssreset_unison.Tail_unison.Make (struct
+    let k = (2 * n) + 2
+    let alpha = n
+  end) in
+  { algorithm = T.algorithm;
+    gen = T.clock_gen;
+    legit = T.p_legitimate;
+    legitimate = T.is_legitimate g }
+
+let min_unison g =
+  let n = Graph.n g in
+  let module M = Ssreset_unison.Min_unison.Make (struct
+    let k = (n * n) + 1
+    let alpha = max 1 (n - 2)
+  end) in
+  { algorithm = M.algorithm;
+    gen = M.clock_gen;
+    legit = M.p_legitimate;
+    legitimate = M.is_legitimate g }
+
+let agr_unison g =
+  let n = Graph.n g in
+  let module U = Ssreset_unison.Unison.Make (struct
+    let k = (2 * n) + 2
+  end) in
+  let module A =
+    Ssreset_agreset.Agreset.Make
+      (U.Input)
+      (struct
+        let graph = g
+        let root = 0
+      end)
+  in
+  { algorithm = A.algorithm;
+    gen = A.generator ~inner:U.clock_gen;
+    legit = A.p_normal;
+    legitimate = A.is_normal g }
+
+let legit_tracker_agrees instantiate () =
+  List.iter
+    (fun (name, g) ->
+      let s = instantiate g in
+      differential_runs ~graph:g ~seeds:[ 1; 2; 3 ] ~max_steps:20_000
+        ~algorithm:s.algorithm ~stop:s.legitimate
+        ~init:(fun seed -> Fault.arbitrary (rng seed) s.gen g)
+        ~observer:(fun label ->
+          illegitimacy_observer ~label:(name ^ "/" ^ label) ~graph:g
+            ~legit:s.legit ~legitimate:s.legitimate))
+    (graph_zoo ())
+
+(* Random configurations are almost never legitimate, so draw clocks from a
+   window of two consecutive values and corrupt a few: both outcomes occur,
+   and the per-process form must agree with the edge form on each. *)
+let local_form_agrees instantiate ~k =
+  let outcomes = ref [] in
+  List.iter
+    (fun (name, g) ->
+      let s = instantiate g in
+      let n = Graph.n g in
+      for seed = 1 to 200 do
+        let r = rng seed in
+        let base = Random.State.int r (k n) in
+        let cfg =
+          Array.init n (fun u ->
+              if Random.State.int r (3 * n) = 0 then s.gen r u
+              else (base + Random.State.int r 2) mod k n)
+        in
+        let legitimate = s.legitimate cfg in
+        outcomes := legitimate :: !outcomes;
+        check_bool
+          (Printf.sprintf "%s, seed %d" name seed)
+          legitimate
+          (processes_where g cfg s.legit = List.init n Fun.id)
+      done)
+    (graph_zoo ());
+  check_true "legitimate configurations drawn" (List.mem true !outcomes);
+  check_true "illegitimate configurations drawn" (List.mem false !outcomes)
+
+let tracker_tests =
+  [ test "FGA∘SDR: Segments and the normality tracker equal full \
+          recomputation (zoo x every daemon)" (fun () ->
+        let spec = Spec.dominating_set in
+        List.iter
+          (fun (name, g) ->
+            if Spec.feasible spec g then begin
+              let module F = Ssreset_alliance.Fga.Make (struct
+                let graph = g
+                let spec = spec
+                let ids = None
+              end) in
+              let gen =
+                F.Composed.generator ~inner:F.gen ~max_d:(2 * Graph.n g)
+              in
+              differential_runs ~graph:g ~seeds:[ 1; 2; 3 ] ~max_steps:50_000
+                ~algorithm:F.Composed.algorithm ~stop:(F.Composed.is_normal g)
+                ~init:(fun seed -> Fault.arbitrary (rng seed) gen g)
+                ~observer:(fun label cfg ->
+                  let label = name ^ "/" ^ label in
+                  let segments =
+                    segments_observer (module F.Composed) ~label ~graph:g cfg
+                  in
+                  let normal =
+                    illegitimacy_observer ~label ~graph:g
+                      ~legit:F.Composed.p_normal
+                      ~legitimate:(F.Composed.is_normal g) cfg
+                  in
+                  fun ~step ~moved cfg ->
+                    segments ~step ~moved cfg;
+                    normal ~step ~moved cfg)
+            end)
+          (graph_zoo ()));
+    test "tail-unison: the legitimacy tracker equals is_legitimate"
+      (legit_tracker_agrees tail_unison);
+    test "min-unison: the legitimacy tracker equals is_legitimate"
+      (legit_tracker_agrees min_unison);
+    test "agr-unison: the normality tracker equals is_normal"
+      (legit_tracker_agrees agr_unison);
+    test "tail-unison: p_legitimate everywhere iff is_legitimate" (fun () ->
+        local_form_agrees tail_unison ~k:(fun n -> (2 * n) + 2));
+    test "min-unison: p_legitimate everywhere iff is_legitimate" (fun () ->
+        local_form_agrees min_unison ~k:(fun n -> (n * n) + 1)) ]
+
 (* One row of the runner table: a system on a graph under a daemon and a
    seed, with the steps, moves, rounds and segments the run is pinned to. *)
 type row = {
@@ -332,4 +470,5 @@ let () =
     [ ("table", table_tests);
       ("workload", workload_tests);
       ("runner", runner_tests @ system_tests);
+      ("trackers", tracker_tests);
       ("experiments", experiment_tests) ]

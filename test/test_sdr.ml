@@ -266,13 +266,14 @@ let segment_tests =
     test "the Remark 4 flag trips when the alive-root set grows" (fun () ->
         let g = Gen.ring 6 in
         let seg = U12.Composed.Segments.create g (U12.Composed.lift (Array.make 6 0)) in
-        let feed clocks =
-          U12.Composed.Segments.observer seg ~step:0 ~moved:[]
+        let feed changed clocks =
+          U12.Composed.Segments.observer seg ~step:0
+            ~moved:(List.map (fun u -> (u, "U-inc")) changed)
             (U12.Composed.lift clocks)
         in
         check_int "no alive root" 0 (U12.Composed.Segments.alive_count seg);
         (* clock 5 at process 2 is out of step with both neighbors *)
-        feed [| 0; 0; 5; 0; 0; 0 |];
+        feed [ 2 ] [| 0; 0; 5; 0; 0; 0 |];
         check_int "three alive roots" 3 (U12.Composed.Segments.alive_count seg);
         check_false "grew" (U12.Composed.Segments.monotone seg);
         check_int "one segment" 1 (U12.Composed.Segments.count seg));
@@ -281,14 +282,15 @@ let segment_tests =
         let seg =
           U12.Composed.Segments.create g (U12.Composed.lift [| 0; 0; 5; 0; 0; 0 |])
         in
-        let feed clocks =
-          U12.Composed.Segments.observer seg ~step:0 ~moved:[]
+        let feed changed clocks =
+          U12.Composed.Segments.observer seg ~step:0
+            ~moved:(List.map (fun u -> (u, "U-inc")) changed)
             (U12.Composed.lift clocks)
         in
-        feed [| 0; 0; 5; 0; 0; 0 |];
+        feed [] [| 0; 0; 5; 0; 0; 0 |];
         check_true "unchanged set" (U12.Composed.Segments.monotone seg);
         (* {1,2,3} becomes {3,4,5}: the count alone would not notice *)
-        feed [| 0; 0; 0; 0; 5; 0 |];
+        feed [ 2; 4 ] [| 0; 0; 0; 0; 5; 0 |];
         check_int "still three" 3 (U12.Composed.Segments.alive_count seg);
         check_false "not a subset" (U12.Composed.Segments.monotone seg));
     test "per-segment SDR rule words match Theorem 4's language" (fun () ->
@@ -341,7 +343,28 @@ let segment_tests =
                       (String.concat " " word))
                 words
             done)
-          [ List.nth (graph_zoo ()) 0; List.nth (graph_zoo ()) 5 ]) ]
+          [ List.nth (graph_zoo ()) 0; List.nth (graph_zoo ()) 5 ]);
+    test "Segments and the normality tracker equal full recomputation \
+          (zoo x every daemon)" (fun () ->
+        List.iter
+          (fun (name, g) ->
+            differential_runs ~graph:g ~seeds:[ 1; 2; 3 ] ~max_steps:100_000
+              ~algorithm:U12.Composed.algorithm ~stop:(U12.Composed.is_normal g)
+              ~init:(fun seed -> arbitrary_cfg g (seed * 13))
+              ~observer:(fun label cfg ->
+                let label = name ^ "/" ^ label in
+                let segments =
+                  segments_observer (module U12.Composed) ~label ~graph:g cfg
+                in
+                let normal =
+                  illegitimacy_observer ~label ~graph:g
+                    ~legit:U12.Composed.p_normal
+                    ~legitimate:(U12.Composed.is_normal g) cfg
+                in
+                fun ~step ~moved cfg ->
+                  segments ~step ~moved cfg;
+                  normal ~step ~moved cfg))
+          (graph_zoo ())) ]
 
 (* ------------------------- convergence bounds -------------------------- *)
 

@@ -417,6 +417,167 @@ let fault_trace_tests =
         check (Alcotest.list Alcotest.int) "movers" [ 0; 1 ]
           (Trace.moved_processes trace)) ]
 
+(* ------------------------------- Tracker ------------------------------- *)
+
+(* Random "steps" on a ring of counters: each changes a few processes, whose
+   list is the honest [moved].  The lazy tracker ([mark] every step,
+   [exists] every [ask] steps, [flush] every [flush] steps) and the eager
+   one must both match a full recomputation whenever they are asked.
+   Asking often and flushing rarely keeps resolved marks on the lazy
+   tracker's stack, which exercises its compaction. *)
+let tracker_tests =
+  [ test "eager and lazy trackers equal a full recomputation" (fun () ->
+        List.iter
+          (fun ((n, seed, ask, flush), pred) ->
+            let g = Gen.ring n in
+            let r = rng seed in
+            let full cfg =
+              List.filter
+                (fun u -> pred (Algorithm.view g cfg u))
+                (List.init n Fun.id)
+            in
+            let cfg = Array.init n (fun _ -> Random.State.int r 3) in
+            let eager = Algorithm.Tracker.create g pred cfg in
+            let lazy_t = Algorithm.Tracker.create g pred cfg in
+            let rose = ref false in
+            for step = 0 to 1000 do
+              let before = full cfg in
+              let movers =
+                List.sort_uniq compare
+                  (List.init (1 + Random.State.int r 3) (fun _ ->
+                       Random.State.int r n))
+              in
+              List.iter (fun u -> cfg.(u) <- Random.State.int r 3) movers;
+              let moved = List.map (fun u -> (u, "set")) movers in
+              let now = full cfg in
+              if List.exists (fun u -> not (List.mem u before)) now then
+                rose := true;
+              Algorithm.Tracker.update eager ~moved cfg;
+              Algorithm.Tracker.mark lazy_t ~moved;
+              let label = Printf.sprintf "n=%d seed=%d step %d" n seed step in
+              check (Alcotest.list Alcotest.int) label now
+                (Algorithm.Tracker.members eager);
+              check_int label (List.length now) (Algorithm.Tracker.count eager);
+              check_bool (label ^ ": rose") !rose
+                (Algorithm.Tracker.rose eager);
+              if step mod ask = 0 then
+                check_bool (label ^ ": exists") (now <> [])
+                  (Algorithm.Tracker.exists lazy_t cfg);
+              if step mod flush = flush - 1 then begin
+                Algorithm.Tracker.flush lazy_t cfg;
+                check (Alcotest.list Alcotest.int) (label ^ ": flushed") now
+                  (Algorithm.Tracker.members lazy_t)
+              end
+            done)
+          (List.concat_map
+             (fun run ->
+               [ (run, fun (v : int Algorithm.view) -> v.Algorithm.state > 0);
+                 ( run,
+                   fun v ->
+                     v.Algorithm.state > 0
+                     && Array.for_all
+                          (fun x -> x <= v.Algorithm.state)
+                          v.Algorithm.nbrs ) ])
+             [ (3, 1, 1, 1000); (4, 2, 1, 1000); (5, 3, 3, 50); (12, 4, 3, 50);
+               (12, 5, 1, 1000) ])) ]
+
+(* ------------------------------- Aliasing ------------------------------ *)
+
+(* [Engine.run] steps one private copy of the configuration in place; these
+   tests pin what callers may rely on: their own array is never written,
+   every recorded configuration is its own snapshot, and the in-place write
+   keeps composite atomicity with or without a profiler. *)
+
+(* Replay one recorded step: each mover fires the named rule on its view of
+   [before]; nobody else changes. *)
+let replay algorithm g before moved =
+  let next = Array.copy before in
+  List.iter
+    (fun (u, name) ->
+      let r =
+        List.find
+          (fun r -> String.equal r.Algorithm.rule_name name)
+          algorithm.Algorithm.rules
+      in
+      let v = Algorithm.view g before u in
+      check_true "the recorded rule is enabled" (r.Algorithm.guard v);
+      next.(u) <- r.Algorithm.action v)
+    moved;
+  next
+
+let aliasing_tests =
+  [ test "run leaves the caller's configuration untouched" (fun () ->
+        let g = Gen.ring 7 in
+        List.iter
+          (fun daemon ->
+            let cfg0 = [| 0; 3; 5; 1; 4; 2; 0 |] in
+            let r =
+              Engine.run ~rng:(rng 2) ~max_steps:40 ~algorithm:two_rules
+                ~graph:g ~daemon cfg0
+            in
+            check (Alcotest.array Alcotest.int) "cfg0" [| 0; 3; 5; 1; 4; 2; 0 |]
+              cfg0;
+            check_true "final is the run's own array" (r.Engine.final != cfg0))
+          (Daemon.all_standard ()));
+    test "step returns a fresh array and leaves its argument untouched"
+      (fun () ->
+        let g = Gen.path 3 in
+        let cfg = [| 1; 10; 100 |] in
+        match
+          Engine.step ~algorithm:sum_nbrs ~graph:g ~daemon:Daemon.synchronous
+            ~step_index:0 cfg
+        with
+        | None -> Alcotest.fail "sum-nbrs is never terminal"
+        | Some (next, _) ->
+            check (Alcotest.array Alcotest.int) "next" [| 10; 101; 10 |] next;
+            check (Alcotest.array Alcotest.int) "argument" [| 1; 10; 100 |]
+              cfg);
+    test "composite atomicity holds in place with a profiler attached"
+      (fun () ->
+        let g = Gen.path 3 in
+        let r =
+          Engine.run ~prof:(Ssreset_obs.Prof.create ()) ~algorithm:sum_nbrs
+            ~graph:g ~daemon:Daemon.synchronous ~max_steps:2 [| 1; 10; 100 |]
+        in
+        (* [|10; 101; 10|], then [|101; 20; 101|] *)
+        check (Alcotest.array Alcotest.int) "next" [| 101; 20; 101 |]
+          r.Engine.final);
+    test "trace configurations are distinct snapshots that replay" (fun () ->
+        List.iter
+          (fun (name, g) ->
+            List.iter
+              (fun daemon ->
+                let cfg0 =
+                  Fault.arbitrary (rng 3) (fun r _ -> Random.State.int r 6) g
+                in
+                let copy = Array.copy cfg0 in
+                let trace, r =
+                  Trace.record ~rng:(rng 4) ~max_steps:30 ~algorithm:two_rules
+                    ~graph:g ~daemon cfg0
+                in
+                check (Alcotest.array Alcotest.int) (name ^ ": cfg0") copy cfg0;
+                let configs = Trace.configs trace in
+                List.iteri
+                  (fun i a ->
+                    List.iteri
+                      (fun j b ->
+                        if i < j && a == b then
+                          Alcotest.failf "%s: configurations %d and %d alias"
+                            name i j)
+                      configs)
+                  configs;
+                List.iter
+                  (fun (before, after, moved) ->
+                    check (Alcotest.array Alcotest.int) (name ^ ": replay")
+                      after (replay two_rules g before moved))
+                  (Trace.steps_pairs trace);
+                check (Alcotest.array Alcotest.int) (name ^ ": last = final")
+                  r.Engine.final
+                  (List.nth configs (List.length configs - 1)))
+              (Daemon.all_standard ()))
+          [ ("ring8", Gen.ring 8); ("star6", Gen.star 6);
+            ("grid3x3", Gen.grid 3 3) ]) ]
+
 (* -------------------------------- Stats -------------------------------- *)
 
 let stats_tests =
@@ -467,4 +628,6 @@ let () =
       ("engine", engine_tests);
       ("daemon", daemon_tests);
       ("fault-trace", fault_trace_tests);
+      ("tracker", tracker_tests);
+      ("aliasing", aliasing_tests);
       ("stats", stats_tests) ]

@@ -159,7 +159,51 @@ let bare_tests =
                         u moves)
                   r.Engine.moves_per_process)
               (daemons ()))
-          (graph_zoo ())) ]
+          (graph_zoo ()));
+    test "the incremental safety probe counts exactly the unsafe steps"
+      (fun () ->
+        (* Bare U never repairs nor breaks an edge, so drive the probe with
+           tail-unison runs from arbitrary clocks, whose edges go from unsafe
+           to safe, seen through the projection of each clock on the ring
+           [0, K) (the probe's domain; it changes only where a clock
+           changed, so the movers stay an honest [moved] list): the
+           violation count must equal a full [safety_ok] count. *)
+        let steps = ref 0 and unsafe = ref 0 in
+        List.iter
+          (fun (name, g) ->
+            let n = Graph.n g in
+            let module T = Tail.Make (struct
+              let k = (2 * n) + 2
+              let alpha = n
+            end) in
+            List.iter
+              (fun (dname, daemon) ->
+                let monitor = Checker.create_monitor ~k:T.k g in
+                let unsafe_steps = ref 0 in
+                let observer ~step ~moved cfg =
+                  let clocks =
+                    Array.map (fun c -> ((c mod T.k) + T.k) mod T.k) cfg
+                  in
+                  Checker.observe_bare monitor ~step ~moved clocks;
+                  if not (Checker.safety_ok ~k:T.k g clocks) then
+                    incr unsafe_steps
+                in
+                let r =
+                  Engine.run ~rng:(rng 8) ~max_steps:5_000 ~observer
+                    ~stop:(T.is_legitimate g) ~algorithm:T.algorithm ~graph:g
+                    ~daemon
+                    (Fault.arbitrary (rng 7) T.clock_gen g)
+                in
+                check_int
+                  (Printf.sprintf "%s/%s: violations" name dname)
+                  !unsafe_steps
+                  (Checker.safety_violations monitor);
+                steps := !steps + r.Engine.steps;
+                unsafe := !unsafe + !unsafe_steps)
+              (Daemon.registry ()))
+          (graph_zoo ());
+        check_true "both safe and unsafe steps"
+          (0 < !unsafe && !unsafe < !steps)) ]
 
 (* ------------------------------ U ∘ SDR -------------------------------- *)
 
