@@ -7,8 +7,8 @@
    (E1..E16, see DESIGN.md and EXPERIMENTS.md) followed by the checker
    throughput sections (configs/s over the registry; check-v2 footprint
    views/s and symmetry-reduced orbits/s; check-v3 SMT obligation
-   compilation and symbolic-differential rates), the engine scheduler
-   throughput section and the Bechamel wall-clock suite (B1).  Exit status
+   compilation and symbolic-differential rates), the engine throughput
+   section and the Bechamel wall-clock suite (B1).  Exit status
    is non-zero if any table reports a violated bound.
 
    [--jobs N] fans the grid cells of each experiment across N OCaml domains
@@ -171,18 +171,15 @@ let run_experiments ~profile ~ids =
   (!failures, List.rev !records)
 
 (* ------------------------------------------------------------------ *)
-(* Engine scheduler throughput: full per-step rescan vs the dirty-set  *)
-(* incremental scheduler, on a U∘SDR ring under the central-random     *)
-(* daemon (one mover per step — the worst case for a full rescan, and  *)
-(* the common case under central daemons).  Both runs execute exactly  *)
-(* the same step sequence (same seed, same table semantics), so the    *)
-(* steps/s ratio isolates the scheduling cost.                         *)
+(* Engine throughput: classic incremental steps/s on a U∘SDR ring under *)
+(* the central-random daemon (one mover per step, so any per-step cost *)
+(* that grows with n shows up directly), from n=64 to n=4096.          *)
 (* ------------------------------------------------------------------ *)
 
 let run_engine_bench ~quick =
-  Printf.printf "== engine: scheduler throughput, U∘SDR ring, central-random \
+  Printf.printf "== engine: classic steps/s, U∘SDR ring, central-random \
                  daemon ==\n%!";
-  let sizes = [ 64; 256; 1024 ] in
+  let sizes = [ 64; 256; 1024; 4096 ] in
   let records =
     List.map
       (fun n ->
@@ -195,38 +192,21 @@ let run_engine_bench ~quick =
           Ssreset_sim.Fault.arbitrary (Random.State.make [| 3; n |]) gen graph
         in
         let max_steps = if quick then 2_000 else 20_000 in
-        let measure scheduler =
-          Ssreset_sim.Engine.run ~seed:5 ~max_steps ~scheduler
+        let r =
+          Ssreset_sim.Engine.run ~seed:5 ~max_steps
             ~algorithm:U.Composed.algorithm ~graph
-            ~daemon:Ssreset_sim.Daemon.central_random (Array.copy cfg0)
+            ~daemon:Ssreset_sim.Daemon.central_random cfg0
         in
-        let full = measure `Full in
-        let inc = measure `Incremental in
-        (* Bit-identity cross-check — the two schedulers must agree on
-           everything but wall-clock. *)
-        if
-          full.Ssreset_sim.Engine.steps <> inc.Ssreset_sim.Engine.steps
-          || full.Ssreset_sim.Engine.moves <> inc.Ssreset_sim.Engine.moves
-          || full.Ssreset_sim.Engine.rounds <> inc.Ssreset_sim.Engine.rounds
-          || full.Ssreset_sim.Engine.final <> inc.Ssreset_sim.Engine.final
-        then failwith "engine bench: schedulers diverged";
-        let rate (r : _ Ssreset_sim.Engine.result) =
+        let rate =
           if r.wall_s > 0. then float_of_int r.steps /. r.wall_s else 0.
         in
-        let full_rate = rate full and inc_rate = rate inc in
-        let speedup = if full_rate > 0. then inc_rate /. full_rate else 0. in
-        Printf.printf
-          "  n=%-5d %7d steps   full %10.0f steps/s   incremental %10.0f \
-           steps/s   speedup %5.1fx\n\
-           %!"
-          n full.Ssreset_sim.Engine.steps full_rate inc_rate speedup;
+        Printf.printf "  n=%-5d %7d steps   %10.0f steps/s\n%!" n
+          r.Ssreset_sim.Engine.steps rate;
         Json.Obj
           [ ("n", Json.Int n);
             ("daemon", Json.String "central-random");
-            ("steps", Json.Int full.Ssreset_sim.Engine.steps);
-            ("full_steps_per_s", Json.Float full_rate);
-            ("incremental_steps_per_s", Json.Float inc_rate);
-            ("speedup", Json.Float speedup) ])
+            ("steps", Json.Int r.Ssreset_sim.Engine.steps);
+            ("steps_per_s", Json.Float rate) ])
       sizes
   in
   print_newline ();
@@ -828,7 +808,7 @@ let run_flat_bench ~quick =
         in
         let max_steps = if quick then 2_000 else 20_000 in
         let inc =
-          Ssreset_sim.Engine.run ~seed:5 ~max_steps ~scheduler:`Incremental
+          Ssreset_sim.Engine.run ~seed:5 ~max_steps
             ~algorithm:I.algorithm ~graph
             ~daemon:Ssreset_sim.Daemon.central_random (Array.copy cfg0)
         in

@@ -74,7 +74,7 @@ let daemon_name =
   Arg.(
     value & opt string "distributed-random"
     & info [ "d"; "daemon" ] ~docv:"DAEMON"
-        ~doc:(Printf.sprintf "Daemon: %s." (String.concat ", " (Daemon.names ()))))
+        ~doc:(Printf.sprintf "Daemon: %s." (String.concat ", " Daemon.names)))
 
 let spec_conv =
   let parse s =
@@ -105,31 +105,6 @@ let spec =
     & info [ "spec" ] ~docv:"SPEC"
         ~doc:"Alliance instance: dominating-set, global-offensive, \
               global-defensive, global-powerful, or F,G constants.")
-
-let scheduler_conv =
-  let parse = function
-    | "full" -> Ok `Full
-    | "incremental" -> Ok `Incremental
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown scheduler %S (full or incremental)" s))
-  in
-  let print ppf (s : Ssreset_sim.Engine.scheduler) =
-    Format.pp_print_string ppf
-      (match s with `Full -> "full" | `Incremental -> "incremental")
-  in
-  Arg.conv (parse, print)
-
-let scheduler =
-  Arg.(
-    value
-    & opt scheduler_conv `Incremental
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Engine scheduler: $(b,incremental) (dirty-set, the default) or \
-           $(b,full) (per-step rescan).  Results are bit-identical either \
-           way; only wall-clock differs.")
 
 (* ------------------------- telemetry output opts ------------------------ *)
 
@@ -252,7 +227,7 @@ let unknown_system name =
 
 let unknown_daemon name =
   fail "unknown daemon: %s (one of: %s)" name
-    (String.concat ", " (Daemon.names ()))
+    (String.concat ", " Daemon.names)
 
 (* With --prof-out: open the ssreset-prof-v1 stream, write its manifest,
    hand [k] the profiler, and write the summary once [k] returns. *)
@@ -278,7 +253,7 @@ let with_prof ~output ?extra ~system ~family ~n ~m ~seed ~daemon k =
    streams rounds + summary; the profiler streams windows), writes the
    profile summary, and reports. *)
 let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
-    ~spec ~scheduler =
+    ~spec =
   match Daemon.by_name daemon_name with
   | None -> unknown_daemon daemon_name
   | Some daemon -> (
@@ -298,7 +273,7 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
                 Sink.write sink
                   (Sink.manifest ~system:name
                      ~family:family.Workload.family_name ~n:(Graph.n graph)
-                     ~m:(Graph.m graph) ~seed ~daemon:daemon.Daemon.daemon_name
+                     ~m:(Graph.m graph) ~seed ~daemon:(Daemon.name daemon)
                      ~extra:
                        [ ("trace_schema", Json.String Tracefile.schema);
                          ( "edges",
@@ -314,11 +289,11 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
           in
           let obs =
             with_prof ~output ~system:name ~family ~n:(Graph.n graph)
-              ~m:(Graph.m graph) ~seed ~daemon:daemon.Daemon.daemon_name
+              ~m:(Graph.m graph) ~seed ~daemon:(Daemon.name daemon)
               (fun prof ->
                 with_trace ~prof (fun ~sink ~prof ->
                     announce ~quiet:output.json family graph;
-                    Runner.run ?sink ?prof ~scheduler
+                    Runner.run ?sink ?prof
                       ~trace_steps:output.trace_steps system ~graph ~daemon
                       ~seed ()))
           in
@@ -327,11 +302,11 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
           (* unwritable --trace-out path, … *)
           fail "%s" msg)
 
-let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler =
+let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec =
   match find_system ~spec system with
   | None -> unknown_system system
   | Some system ->
-      measured ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler
+      measured ~output ~system ~family ~n ~seed ~daemon_name ~spec
 
 (* ------------------------------ flat engine ----------------------------- *)
 
@@ -362,7 +337,7 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
     ~parts ~perturb ~digest ~monitors ~heartbeat =
   match
     ( Option.bind system.Runner.flat FlatProgs.find,
-      Flat.daemon_of_name daemon_name )
+      Daemon.by_name daemon_name )
   with
   | None, _ ->
       fail
@@ -457,14 +432,13 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
    for alliance-bare. *)
 let system_cmds =
   let cmd name ~doc system =
-    let run system family n seed daemon_name spec sched output =
+    let run system family n seed daemon_name spec output =
       run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
-        ~scheduler:sched
     in
     Cmd.v (Cmd.info name ~doc)
       Term.(
         const run $ system $ family $ size $ seed $ daemon_name $ spec
-        $ scheduler $ output_term)
+        $ output_term)
   in
   let bare =
     Arg.(value & flag & info [ "bare" ] ~doc:"Run FGA alone from γ_init.")
@@ -484,13 +458,12 @@ let system_cmds =
     (Runner.systems ~spec:Spec.dominating_set)
 
 let run_cmd =
-  let run system family n seed daemon_name spec sched engine parts perturb
-      digest monitors heartbeat output =
+  let run system family n seed daemon_name spec engine parts perturb digest
+      monitors heartbeat output =
     match (engine, find_system ~spec system) with
     | ("classic" | "flat"), None -> unknown_system system
     | "classic", Some system ->
         measured ~output ~system ~family ~n ~seed ~daemon_name ~spec
-          ~scheduler:sched
     | "flat", Some system ->
         run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
           ~digest ~monitors ~heartbeat
@@ -577,9 +550,8 @@ let run_cmd =
           front door for scripted/telemetry use; combine with --json and \
           --trace-out.")
     Term.(
-      const run $ system $ family $ size $ seed $ daemon_name $ spec
-      $ scheduler $ engine $ parts $ perturb $ digest $ monitors $ heartbeat
-      $ output_term)
+      const run $ system $ family $ size $ seed $ daemon_name $ spec $ engine
+      $ parts $ perturb $ digest $ monitors $ heartbeat $ output_term)
 
 let graph_cmd =
   let run family n seed dot =

@@ -35,10 +35,10 @@ let () =
           ~rng:(Random.State.make [| 6 |])
           ~algorithm:C.Composed.algorithm ~graph ~daemon cfg
       in
-      Fmt.pr "%-28s %10d %10d %10d %8b@." daemon.Daemon.daemon_name
+      Fmt.pr "%-28s %10d %10d %10d %8b@." (Daemon.name daemon)
         result.Engine.rounds result.Engine.steps result.Engine.moves
         (C.is_proper (C.coloring_of_composed result.Engine.final)))
-    (Daemon.all_standard ());
+    Daemon.all_standard;
 
   (* A full trace under the central daemon, small enough to read. *)
   Fmt.pr "@.trace under central-first (first 25 steps):@.";

@@ -1,4 +1,5 @@
 module Algorithm = Ssreset_sim.Algorithm
+module Bits = Ssreset_sim.Bits
 module Daemon = Ssreset_sim.Daemon
 module Graph = Ssreset_graph.Graph
 
@@ -595,10 +596,11 @@ let run_daemons (type s) ~max_steps ~seeds
     List.find_opt (fun sr -> sr.rule = name) ir.rules
   in
   let steps = ref 0 in
-  let daemons = Daemon.registry () in
   List.iter
-    (fun (dname, (daemon : Daemon.t)) ->
+    (fun (dname, daemon) ->
       let where = "daemon " ^ dname in
+      (* One round-robin cursor per daemon, carried across its seeds. *)
+      let cursor = ref 0 in
       List.iter
         (fun seed ->
           let rng =
@@ -678,15 +680,19 @@ let run_daemons (type s) ~max_steps ~seeds
                match concrete with
                | [] -> continue := false
                | _ ->
-                   let enabled = List.map fst concrete in
-                   let ctx =
-                     { Daemon.step = !step;
-                       graph = g;
-                       enabled;
-                       rule_name = (fun u -> List.assoc u concrete) }
-                   in
-                   let selection = daemon.Daemon.select rng ctx in
-                   Daemon.check_selection ctx selection;
+                   let enabled = Bits.create n in
+                   List.iter
+                     (fun (u, _) -> ignore (Bits.add enabled u))
+                     concrete;
+                   let chosen = ref [] in
+                   Daemon.select daemon rng ~cursor ~enabled
+                     ~count:(List.length concrete)
+                     ~rule_name:(fun u -> List.assoc u concrete)
+                     ~for_all_neighbors:(fun u f ->
+                       Graph.for_all_neighbors g u ~f)
+                     (fun u -> chosen := u :: !chosen);
+                   let selection = List.rev !chosen in
+                   Daemon.check_selection enabled selection;
                    (* Composite atomicity: all movers act on the pre-state. *)
                    let updates =
                      List.map
@@ -730,10 +736,10 @@ let run_daemons (type s) ~max_steps ~seeds
              record ~where ~rules:[] (fun () ->
                  Fmt.str "IR evaluation failed: %s" msg)))
         seeds)
-    daemons;
+    Daemon.registry;
   { views = 0;
     steps = !steps;
-    daemons = List.length daemons;
+    daemons = List.length Daemon.registry;
     mismatches = dump () }
 
 let differential_daemons ?(max_steps = 50) ?(seeds = [ 0; 1 ])

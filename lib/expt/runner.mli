@@ -18,10 +18,9 @@
     configuration in place.  Only the final [check] reads the whole
     configuration.
 
-    [?scheduler] and [?prof] are forwarded to {!Ssreset_sim.Engine.run}:
-    the [`Full] rescan vs the default [`Incremental] dirty-set scheduler,
-    and an attached {!Ssreset_obs.Prof} profiler.  Neither changes any
-    result.
+    [?cursor] and [?prof] are forwarded to {!Ssreset_sim.Engine.run}: a
+    round-robin cursor carried across runs, and an attached
+    {!Ssreset_obs.Prof} profiler, which never changes any result.
 
     With [?sink], the run streams one {!Ssreset_obs.Sink.round_record} per
     completed round and a final {!Ssreset_obs.Sink.summary} (per-rule move
@@ -130,7 +129,7 @@ type system = {
 
 val run :
   ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
+  ?cursor:int ref ->
   ?prof:Ssreset_obs.Prof.t ->
   ?sink:Ssreset_obs.Sink.t ->
   ?trace_steps:bool ->
@@ -203,11 +202,11 @@ val fga_composed :
 (** [run (alliance spec)]. *)
 
 val daemon_by_name : string -> Ssreset_sim.Daemon.t
-(** Fresh daemon from {!Ssreset_sim.Daemon.registry} — the single
+(** Lookup in {!Ssreset_sim.Daemon.registry} — the single
     name → daemon table shared with the CLI.
     @raise Invalid_argument on unknown names, listing the valid ones. *)
 
-val experiment_daemons : unit -> Ssreset_sim.Daemon.t list
+val experiment_daemons : Ssreset_sim.Daemon.t list
 (** The pool used by the sweeps: synchronous, central-random,
     distributed-random (0.3 and 0.8), locally-central, round-robin and an
     adversarial-rule daemon preferring input moves over resets.  Named

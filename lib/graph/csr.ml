@@ -14,11 +14,6 @@ let max_degree t =
   done;
   !d
 
-let iter_nbrs t u f =
-  for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
-    f t.nbrs.(i)
-  done
-
 (* Binary search for [v] in row [u]; rows are sorted. *)
 let has_edge t u v =
   let lo = ref t.offsets.(u) and hi = ref t.offsets.(u + 1) in

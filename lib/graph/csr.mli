@@ -23,9 +23,6 @@ val m : t -> int
 val degree : t -> int -> int
 val max_degree : t -> int
 
-val iter_nbrs : t -> int -> (int -> unit) -> unit
-(** Iterate [u]'s neighbors in increasing order, no allocation. *)
-
 val make : n:int -> offsets:int array -> nbrs:int array -> t
 (** Validates shape: monotone offsets, sorted rows, symmetry, no
     self-loops or duplicates.  O(n + m log Δ).

@@ -26,9 +26,6 @@ val create : ?sub_bits:int -> unit -> t
 val record : t -> int -> unit
 (** Record one value.  Negative values clamp to 0. *)
 
-val record_n : t -> int -> n:int -> unit
-(** Record the same value [n] times (bucket-wise, O(1)). *)
-
 val count : t -> int
 (** Number of recorded values. *)
 

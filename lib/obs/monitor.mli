@@ -51,6 +51,3 @@ val anomalies : t -> anomaly list
 (** Latched anomalies, in trip order. *)
 
 val anomaly_count : t -> int
-
-val anomaly_json : anomaly -> Json.t
-(** The [ssreset-trace-v1] anomaly record. *)

@@ -23,6 +23,3 @@ let sample ~every inner =
   if every <= 1 then inner
   else
     fun ~step ~moved cfg -> if step mod every = 0 then inner ~step ~moved cfg
-
-let histogram_of_selection h ~step:_ ~moved _ =
-  Metrics.observe h (float_of_int (List.length moved))

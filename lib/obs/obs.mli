@@ -20,9 +20,6 @@ val combine : 'state t list -> 'state t
     {!nop}; nesting is flattened by function composition, so ordering is the
     depth-first list order. *)
 
-val on_moved : ((int * string) -> unit) -> 'state t
-(** Calls [f] once per activated (process, rule) pair, in activation order. *)
-
 val move_counter : ?matches:(string -> bool) -> unit -> int ref * 'state t
 (** Counts moves whose rule name satisfies [matches] (default: all). *)
 
@@ -34,6 +31,3 @@ val per_process_moves :
 val sample : every:int -> 'state t -> 'state t
 (** Runs the inner observer only on steps where [step mod every = 0];
     [every <= 1] is the identity. *)
-
-val histogram_of_selection : Metrics.histogram -> 'state t
-(** Feeds the size of each step's activated set into a histogram. *)

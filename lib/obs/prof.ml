@@ -95,7 +95,6 @@ let stop tm =
 
 let timer_total_ns tm = tm.total_ns
 let timer_count tm = Histogram.count tm.hist
-let timer_hist tm = tm.hist
 
 (* Bulk-merge externally accumulated spans (a worker domain's private
    histogram) into a timer — the partitioned engine's per-domain phase laps

@@ -63,7 +63,6 @@ val record_span : timer -> int -> unit
 
 val timer_total_ns : timer -> int
 val timer_count : timer -> int
-val timer_hist : timer -> Histogram.t
 
 val merge_spans : timer -> total_ns:int -> Histogram.t -> unit
 (** Merge a batch of externally accumulated spans — a worker domain's

@@ -1,4 +1,5 @@
-(** Two-level bitset over [0 .. n-1] — the flat engine's enabled set.
+(** Two-level bitset over [0 .. n-1] — the enabled set of both engines,
+    which {!Daemon.select} reads.
 
     Level 0 packs 32 members per word; level 1 summarizes 32 level-0 words
     per bit, so iterating a sparse set over a million nodes scans ~1000

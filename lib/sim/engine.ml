@@ -5,8 +5,6 @@ module Prof = Ssreset_obs.Prof
 
 type outcome = Stabilized | Terminal | Step_limit
 
-type scheduler = [ `Full | `Incremental ]
-
 type 'state result = {
   outcome : outcome;
   final : 'state array;
@@ -18,31 +16,66 @@ type 'state result = {
   wall_s : float;
 }
 
-(* Enabled rule of every process, or None — the engine's hot path.  [run]
-   maintains this table persistently (see [refresh_full] / [refresh_moved]);
-   the standalone [enabled_table] builds it from scratch for the public
-   one-shot [step]. *)
-let enabled_table algo g cfg =
-  Array.init (Graph.n g) (fun u ->
-      Algorithm.enabled_rule algo (Algorithm.view g cfg u))
+(* The engine's enabled set, kept three ways at once: [table] holds every
+   process's enabled rule (what a mover fires), [enabled]/[count] the same
+   set as a bitset plus its size (what {!Daemon.select} reads), so no step
+   materializes a list of the enabled processes.  [cursor] is the run's
+   round-robin position; [chosen] buffers the selection. *)
+type 'state sched = {
+  table : 'state Algorithm.rule option array;
+  enabled : Bits.t;
+  mutable count : int;
+  cursor : int ref;
+  chosen : int array;
+  mutable n_chosen : int;
+  rule_name : int -> string;
+  for_all_neighbors : int -> (int -> bool) -> bool;
+}
 
-let refresh_full algo g cfg table =
-  for u = 0 to Graph.n g - 1 do
-    table.(u) <- Algorithm.enabled_rule algo (Algorithm.view g cfg u)
-  done
+let set_entry s u r =
+  s.table.(u) <- r;
+  match r with
+  | Some _ -> if Bits.add s.enabled u then s.count <- s.count + 1
+  | None -> if Bits.remove s.enabled u then s.count <- s.count - 1
+
+(* Full scan of the initial configuration — the only O(n) guard work of a
+   run (and all of a one-shot [step]). *)
+let make_sched ?(cursor = ref 0) algo g cfg =
+  let n = Graph.n g in
+  let table = Array.make n None in
+  let s =
+    {
+      table;
+      enabled = Bits.create n;
+      count = 0;
+      cursor;
+      chosen = Array.make n 0;
+      n_chosen = 0;
+      rule_name =
+        (fun u ->
+          match table.(u) with
+          | Some r -> r.Algorithm.rule_name
+          | None -> invalid_arg "rule_name: disabled process");
+      for_all_neighbors = (fun u f -> Graph.for_all_neighbors g u ~f);
+    }
+  in
+  for u = 0 to n - 1 do
+    set_entry s u (Algorithm.enabled_rule algo (Algorithm.view g cfg u))
+  done;
+  s
 
 (* Dirty-set refresh: a process's enabled rule depends only on its view (its
    own state plus its neighbors' states), and a step changes only the movers'
    states — so only the closed neighborhoods of the movers can change
    enabled status.  [stamp]/[gen] deduplicate processes shared by several
    movers' neighborhoods without any per-step allocation. *)
-let refresh_moved algo g cfg table stamp gen moved =
+let refresh_moved algo g cfg s stamp gen moved =
   incr gen;
   let gen = !gen in
   let touch u =
     if stamp.(u) <> gen then begin
       stamp.(u) <- gen;
-      table.(u) <- Algorithm.enabled_rule algo (Algorithm.view g cfg u)
+      set_entry s u (Algorithm.enabled_rule algo (Algorithm.view g cfg u))
     end
   in
   List.iter
@@ -50,15 +83,6 @@ let refresh_moved algo g cfg table stamp gen moved =
       touch u;
       Array.iter touch (Graph.neighbors g u))
     moved
-
-(* Sorted enabled list out of the table — an O(n) pointer scan, negligible
-   next to guard evaluation. *)
-let enabled_of_table table n =
-  let acc = ref [] in
-  for u = n - 1 downto 0 do
-    if table.(u) <> None then acc := u :: !acc
-  done;
-  !acc
 
 (* ----------------------------- profiling ------------------------------- *)
 
@@ -69,10 +93,10 @@ let enabled_of_table table n =
    clock reads for k movers, and exactly zero extra work with it off. *)
 type prof_ctx = {
   p : Prof.t;
-  scan : Prof.timer;  (* enabled-table scan + overlap check *)
+  scan : Prof.timer;  (* initial table build + overlap check *)
   select : Prof.timer;  (* daemon selection *)
   apply : Prof.timer;  (* rule actions + in-place write-back *)
-  refresh : Prof.timer;  (* full rescan or dirty-set refresh *)
+  refresh : Prof.timer;  (* dirty-set refresh *)
   neutralize : Prof.timer;  (* round-accounting neutralization *)
   callbacks : Prof.timer;  (* observer / on_step / on_round / windows *)
   stop_check : Prof.timer;  (* the [stop] predicate *)
@@ -148,21 +172,10 @@ let same_entry before after =
   | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
   | _ -> false
 
-(* Instrumented twins of [refresh_full] / [refresh_moved]: same table
-   writes in the same order (results stay bit-identical), plus the
-   scheduler counters the profile reports. *)
-let refresh_full_prof pc algo g cfg table =
-  let n = Graph.n g in
-  for u = 0 to n - 1 do
-    let before = table.(u) in
-    let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-    table.(u) <- after;
-    if not (same_entry before after) then Metrics.incr pc.c_flips
-  done;
-  Metrics.add pc.c_evals n;
-  Histogram.record pc.h_refresh n
-
-let refresh_moved_prof pc algo g cfg table stamp gen moved =
+(* Instrumented twin of [refresh_moved]: same table writes in the same
+   order (results stay bit-identical), plus the scheduler counters the
+   profile reports. *)
+let refresh_moved_prof pc algo g cfg s stamp gen moved =
   incr gen;
   let gen = !gen in
   let evals = ref 0 in
@@ -171,9 +184,9 @@ let refresh_moved_prof pc algo g cfg table stamp gen moved =
     if stamp.(u) <> gen then begin
       stamp.(u) <- gen;
       incr evals;
-      let before = table.(u) in
+      let before = s.table.(u) in
       let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-      table.(u) <- after;
+      set_entry s u after;
       if not (same_entry before after) then Metrics.incr pc.c_flips
     end
     else Metrics.incr pc.c_dedup
@@ -187,97 +200,105 @@ let refresh_moved_prof pc algo g cfg table stamp gen moved =
   Histogram.record pc.h_refresh !evals
 
 let assert_exclusive algorithm graph cfg enabled =
-  List.iter
-    (fun u ->
+  Bits.iter enabled (fun u ->
       match Algorithm.exclusive_rules algorithm (Algorithm.view graph cfg u) with
       | [] | [ _ ] -> ()
       | names ->
           invalid_arg
             (Printf.sprintf "engine: overlapping rules at process %d: %s" u
                (String.concat ", " names)))
-    enabled
 
-(* Core of one atomic step, given the current enabled-rule [table] (which
-   must describe [cfg]).  The step is applied to [cfg] in place: every
+(* Core of one atomic step, given the scheduler state [s] (which must
+   describe [cfg]).  The step is applied to [cfg] in place: every
    activated process's new state is first computed from the pre-step [cfg]
    into [scratch], and only then written back — so all movers read the same
    configuration (composite atomicity) and no step copies the array.
-   Returns the activated (process, rule-name) pairs, or [None] when
-   terminal. *)
-let step_with_table ~prof ~rng ~check_overlap ~on_enabled ~algorithm ~graph
-    ~daemon ~step_index ~table ~scratch cfg =
-  match enabled_of_table table (Graph.n graph) with
-  | [] -> None
-  | enabled ->
-      if check_overlap then assert_exclusive algorithm graph cfg enabled;
-      (match on_enabled with Some f -> f enabled | None -> ());
-      (match prof with Some pc -> lap pc pc.scan | None -> ());
-      let ctx =
-        {
-          Daemon.step = step_index;
-          graph;
-          enabled;
-          rule_name =
-            (fun u ->
-              match table.(u) with
-              | Some r -> r.Algorithm.rule_name
-              | None -> invalid_arg "rule_name: disabled process");
-        }
-      in
-      let chosen = daemon.Daemon.select rng ctx in
-      Daemon.check_selection ctx chosen;
-      (match prof with Some pc -> lap pc pc.select | None -> ());
-      let fire u =
-        match table.(u) with
-        | Some r ->
-            scratch.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
-            r.Algorithm.rule_name
-        | None -> assert false
-      in
-      let commit () = List.iter (fun u -> cfg.(u) <- scratch.(u)) chosen in
-      let moved =
-        match prof with
-        | None ->
-            let moved = List.map (fun u -> (u, fire u)) chosen in
-            commit ();
-            moved
-        | Some pc ->
-            (* Per-rule attribution without extra clock reads: movers chain
-               laps, so their spans tile the apply phase exactly (the last
-               mover's span absorbs the write-back).  The phase total is
-               derived from the chain, not measured again. *)
-            let apply_start = pc.mark in
-            let[@tail_mod_cons] rec go = function
-              | [] -> []
-              | u :: rest ->
-                  let name = fire u in
-                  (match rest with [] -> commit () | _ :: _ -> ());
-                  lap pc (rule_timer pc name);
-                  Metrics.incr (rule_counter pc name);
-                  (u, name) :: go rest
-            in
-            let moved = go chosen in
-            Prof.record_span pc.apply (pc.mark - apply_start);
-            moved
-      in
-      Some moved
+   The selection is checked as it is pushed — nonempty, every process
+   enabled — in O(movers).  Returns the activated (process, rule-name)
+   pairs in ascending process order, or [None] when terminal. *)
+let step_with_sched ~prof ~rng ~check_overlap ~algorithm ~graph ~daemon
+    ~step_index ~s ~scratch cfg =
+  if s.count = 0 then None
+  else begin
+    if check_overlap then assert_exclusive algorithm graph cfg s.enabled;
+    (match prof with Some pc -> lap pc pc.scan | None -> ());
+    s.n_chosen <- 0;
+    Daemon.select daemon rng ~cursor:s.cursor ~enabled:s.enabled
+      ~count:s.count ~rule_name:s.rule_name
+      ~for_all_neighbors:s.for_all_neighbors (fun u ->
+        if not (Bits.mem s.enabled u) then
+          invalid_arg
+            (Printf.sprintf "daemon selected disabled process %d at step %d" u
+               step_index);
+        s.chosen.(s.n_chosen) <- u;
+        s.n_chosen <- s.n_chosen + 1);
+    if s.n_chosen = 0 then invalid_arg "daemon selected an empty set";
+    (match prof with Some pc -> lap pc pc.select | None -> ());
+    let fire u =
+      match s.table.(u) with
+      | Some r ->
+          scratch.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
+          r.Algorithm.rule_name
+      | None -> assert false
+    in
+    let commit () =
+      for k = 0 to s.n_chosen - 1 do
+        let u = s.chosen.(k) in
+        cfg.(u) <- scratch.(u)
+      done
+    in
+    let moved =
+      match prof with
+      | None ->
+          let[@tail_mod_cons] rec go k =
+            if k = s.n_chosen then []
+            else
+              let u = s.chosen.(k) in
+              let name = fire u in
+              (u, name) :: go (k + 1)
+          in
+          let moved = go 0 in
+          commit ();
+          moved
+      | Some pc ->
+          (* Per-rule attribution without extra clock reads: movers chain
+             laps, so their spans tile the apply phase exactly (the last
+             mover's span absorbs the write-back).  The phase total is
+             derived from the chain, not measured again. *)
+          let apply_start = pc.mark in
+          let[@tail_mod_cons] rec go k =
+            if k = s.n_chosen then []
+            else
+              let u = s.chosen.(k) in
+              let name = fire u in
+              if k = s.n_chosen - 1 then commit ();
+              lap pc (rule_timer pc name);
+              Metrics.incr (rule_counter pc name);
+              (u, name) :: go (k + 1)
+          in
+          let moved = go 0 in
+          Prof.record_span pc.apply (pc.mark - apply_start);
+          moved
+    in
+    Some moved
+  end
 
 (* Each rng-less call gets a fresh state derived from [seed] (default 0):
    a module-level shared state would make interleaved engine runs depend on
    call order, which is exactly what reproducible traces cannot afford. *)
-let step ?rng ?(seed = 0) ?(check_overlap = false) ?on_enabled ~algorithm
-    ~graph ~daemon ~step_index cfg =
+let step ?rng ?(seed = 0) ?(check_overlap = false) ~algorithm ~graph ~daemon
+    ~step_index cfg =
   let rng =
     match rng with Some r -> r | None -> Random.State.make [| seed |]
   in
-  let table = enabled_table algorithm graph cfg in
   let next = Array.copy cfg in
-  step_with_table ~prof:None ~rng ~check_overlap ~on_enabled ~algorithm ~graph
-    ~daemon ~step_index ~table ~scratch:(Array.copy cfg) next
+  step_with_sched ~prof:None ~rng ~check_overlap ~algorithm ~graph ~daemon
+    ~step_index ~s:(make_sched algorithm graph cfg) ~scratch:(Array.copy cfg)
+    next
   |> Option.map (fun moved -> (next, moved))
 
-let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
-    ?(scheduler = `Incremental) ?prof ?observer ?on_step ?on_round
+let run ?rng ?(seed = 0) ?cursor ?(max_steps = 10_000_000)
+    ?(check_overlap = false) ?prof ?observer ?on_step ?on_round
     ?(stop = fun _ -> false) ~algorithm ~graph ~daemon cfg0 =
   let rng =
     match rng with Some r -> r | None -> Random.State.make [| seed |]
@@ -301,27 +322,34 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
     Hashtbl.replace moves_per_rule name
       (1 + Option.value ~default:0 (Hashtbl.find_opt moves_per_rule name))
   in
-  (* The enabled-rule table always describes the *current* configuration:
-     full scan at start, then either a full rescan per step (`Full) or a
-     dirty-set refresh of the movers' closed neighborhoods (`Incremental).
-     Both paths maintain the same table contents, so every consumer below
-     (selection, neutralization, round refill) is scheduler-agnostic and the
-     two schedulers are bit-identical by construction. *)
-  let table = enabled_table algorithm graph cfg in
+  (* The scheduler state always describes the *current* configuration:
+     full scan at start, then a dirty-set refresh of the movers' closed
+     neighborhoods after every step. *)
+  let s = make_sched ?cursor algorithm graph cfg in
   let stamp = Array.make n 0 in
   let gen = ref 0 in
-  (* Round accounting (§2.4): [pending] holds the processes enabled at the
-     start of the current round that have neither executed a rule nor been
-     neutralized yet.  When it empties, a round is complete. *)
-  let pending = Hashtbl.create n in
+  (* Round accounting (§2.4): the pending set holds the processes enabled
+     at the start of the current round that have neither executed a rule
+     nor been neutralized yet — a process is pending iff its [pend_stamp]
+     equals [pend_gen], and [pend_count] counts them.  When it empties, a
+     round is complete; the refill walks the enabled bitset, never all n. *)
+  let pend_stamp = Array.make n 0 in
+  let pend_gen = ref 0 in
+  let pend_count = ref 0 in
+  let refill_pending () =
+    incr pend_gen;
+    let g = !pend_gen in
+    pend_count := s.count;
+    Bits.iter s.enabled (fun u -> pend_stamp.(u) <- g)
+  in
+  let unpend u =
+    if pend_stamp.(u) = !pend_gen then begin
+      pend_stamp.(u) <- 0;
+      decr pend_count
+    end
+  in
   let completed_rounds = ref 0 in
   let steps_in_round = ref 0 in
-  let refill_pending () =
-    Hashtbl.reset pending;
-    for u = 0 to n - 1 do
-      if table.(u) <> None then Hashtbl.replace pending u ()
-    done
-  in
   refill_pending ();
   (* The initial full table build (and everything since [run] began) is
      guard-scan work: close the first lap into the scan phase. *)
@@ -337,15 +365,10 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
        raise Exit
      end;
      while !steps < max_steps do
-       let enabled_count = ref 0 in
-       let on_enabled =
-         match on_step with
-         | None -> None
-         | Some _ -> Some (fun l -> enabled_count := List.length l)
-       in
+       let enabled_count = s.count in
        match
-         step_with_table ~prof:prof_ctx ~rng ~check_overlap ~on_enabled
-           ~algorithm ~graph ~daemon ~step_index:!steps ~table ~scratch cfg
+         step_with_sched ~prof:prof_ctx ~rng ~check_overlap ~algorithm ~graph
+           ~daemon ~step_index:!steps ~s ~scratch cfg
        with
        | None ->
            outcome := Terminal;
@@ -358,25 +381,19 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                incr total_moves;
                moves_per_process.(u) <- moves_per_process.(u) + 1;
                bump_rule name;
-               Hashtbl.remove pending u)
+               unpend u)
              moved;
-           (match (scheduler, prof_ctx) with
-           | `Full, None -> refresh_full algorithm graph cfg table
-           | `Full, Some pc -> refresh_full_prof pc algorithm graph cfg table
-           | `Incremental, None ->
-               refresh_moved algorithm graph cfg table stamp gen moved
-           | `Incremental, Some pc ->
-               refresh_moved_prof pc algorithm graph cfg table stamp gen moved);
-           (match prof_ctx with Some pc -> lap pc pc.refresh | None -> ());
+           (match prof_ctx with
+           | None -> refresh_moved algorithm graph cfg s stamp gen moved
+           | Some pc ->
+               refresh_moved_prof pc algorithm graph cfg s stamp gen moved;
+               lap pc pc.refresh);
            (* Neutralization: pending processes that were enabled before the
               step (by definition of pending) and are disabled after it.
               Only the movers' closed neighborhoods can change enabled
-              status — the same invariant the incremental scheduler rests
-              on — so only they need checking: O(movers·Δ), not O(n), and
-              valid under either scheduler. *)
-           let neutralize u =
-             if table.(u) = None then Hashtbl.remove pending u
-           in
+              status — the same invariant the dirty-set refresh rests on —
+              so only they need checking: O(movers·Δ), not O(n). *)
+           let neutralize u = if s.table.(u) = None then unpend u in
            List.iter
              (fun (u, _) ->
                neutralize u;
@@ -388,13 +405,13 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
            | None -> ());
            (match on_step with
            | Some f ->
-               f ~step:(!steps - 1) ~enabled:!enabled_count
+               f ~step:(!steps - 1) ~enabled:enabled_count
                  ~selected:(List.length moved)
            | None -> ());
            (* Round completion is reported after the observer so that any
               probes accumulated by the observer are up to date when the
               [on_round] snapshot fires. *)
-           if Hashtbl.length pending = 0 then begin
+           if !pend_count = 0 then begin
              incr completed_rounds;
              steps_in_round := 0;
              (match on_round with

@@ -12,18 +12,6 @@ type outcome =
   | Terminal  (** no process is enabled (and [stop] was false) *)
   | Step_limit  (** [max_steps] was exhausted first *)
 
-type scheduler = [ `Full | `Incremental ]
-(** How [run] keeps its enabled-rule table up to date between steps.
-
-    [`Full] rescans every process after each step — the reference O(n·Δ)
-    path, kept for cross-checking.  [`Incremental] (the default) re-evaluates
-    only the closed neighborhoods of the processes that moved: a step changes
-    only the movers' states, and a guard reads only the process's own view,
-    so no other process can change enabled status.  Both schedulers maintain
-    the exact same table and consume the RNG identically, so results are
-    bit-identical — which the test suite asserts over the whole algorithm
-    zoo, every daemon and many seeds. *)
-
 type 'state result = {
   outcome : outcome;
   final : 'state array;
@@ -41,9 +29,9 @@ type 'state result = {
 val run :
   ?rng:Random.State.t ->
   ?seed:int ->
+  ?cursor:int ref ->
   ?max_steps:int ->
   ?check_overlap:bool ->
-  ?scheduler:scheduler ->
   ?prof:Ssreset_obs.Prof.t ->
   ?observer:(step:int -> moved:(int * string) list -> 'state array -> unit) ->
   ?on_step:(step:int -> enabled:int -> selected:int -> unit) ->
@@ -77,10 +65,20 @@ val run :
     When [rng] is absent the run allocates its own [Random.State] from
     [seed] (default 0), so an rng-less run is reproducible regardless of
     what other engine runs executed before it — there is no shared
-    module-level state.
+    module-level state.  Likewise the {!Daemon.Round_robin} cursor starts
+    at 0 in every run unless [cursor] is passed: the run then starts from
+    it and leaves its final position there, so a sweep can continue one
+    cursor across runs.
 
-    [scheduler] selects how enabled rules are recomputed between steps (see
-    {!type:scheduler}); it affects wall-clock only, never results.
+    Scheduling: [run] scans every guard once, then after each step
+    re-evaluates only the closed neighborhoods of the movers — a step
+    changes only the movers' states and a guard reads only its process's
+    view, so no other process can change enabled status.  The enabled set
+    is kept as a {!Bits.t} plus its size, which {!Daemon.select} reads
+    directly; the selection is checked (nonempty, every process enabled)
+    on every step in O(movers), and round accounting refills from the
+    bitset, so no per-step cost grows with n at fixed degree.  Test
+    suites check the whole pipeline against a full-rescan reference.
 
     [prof] attaches a {!Ssreset_obs.Prof} profiler — pay-as-you-go like the
     telemetry hooks: with it absent the step loop does zero extra work, and
@@ -117,7 +115,6 @@ val step :
   ?rng:Random.State.t ->
   ?seed:int ->
   ?check_overlap:bool ->
-  ?on_enabled:(int list -> unit) ->
   algorithm:'state Algorithm.t ->
   graph:Ssreset_graph.Graph.t ->
   daemon:Daemon.t ->
@@ -126,9 +123,8 @@ val step :
   ('state array * (int * string) list) option
 (** One atomic step: [None] if the configuration is terminal, otherwise the
     next configuration (a fresh array; the argument is not modified) and
-    the activated (process, rule) pairs.
-    [on_enabled] receives the (sorted, nonempty) enabled set before the
-    daemon selects.  Exposed for fine-grained tests and traces.
+    the activated (process, rule) pairs.  The round-robin cursor starts
+    at 0 on every call.  Exposed for fine-grained tests and traces.
 
     When [rng] is absent each call gets a {e fresh} state derived from
     [seed] (default 0) — so repeated rng-less calls are independent of call

@@ -3,6 +3,7 @@ module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
 module Daemon = Ssreset_sim.Daemon
 module Pool = Ssreset_sim.Pool
+module Bits = Ssreset_sim.Bits
 module Prof = Ssreset_obs.Prof
 module Metrics = Ssreset_obs.Metrics
 module Histogram = Ssreset_obs.Histogram
@@ -88,7 +89,6 @@ let spec p = p.spec
 let params p = p.params
 let fields p = Array.mapi (fun i name -> (name, p.kinds.(i))) p.field_names
 let rule_names p = p.rule_names
-let has_legitimacy p = p.spec.Sym.sp_legitimate <> None
 
 let field_index p name =
   let rec go i =
@@ -364,7 +364,7 @@ let compute_post p ev r ~dst ~off =
 
 (* ------------------------------- daemons ------------------------------- *)
 
-type daemon =
+type daemon = Daemon.t =
   | Synchronous
   | Central_random
   | Central_first
@@ -374,89 +374,6 @@ type daemon =
   | Locally_central
   | Adversarial of string list
   | Starve of int
-
-let daemon_table () =
-  [
-    ("synchronous", Synchronous);
-    ("central-random", Central_random);
-    ("central-first", Central_first);
-    ("central-last", Central_last);
-    ("round-robin", Round_robin);
-    ("distributed-random", Distributed_random 0.5);
-    ("locally-central", Locally_central);
-    ("adversarial", Adversarial Daemon.standard_prefer);
-    ("starve", Starve 0);
-  ]
-
-let daemon_of_name name = List.assoc_opt name (daemon_table ())
-
-(* Draw-for-draw mirror of Daemon.pick_random. *)
-let pick_random rng l =
-  match l with
-  | [] -> invalid_arg "Flat: daemon over an empty enabled list"
-  | l -> List.nth l (Random.State.int rng (List.length l))
-
-(* Selection mirrors lib/sim/daemon.ml function by function: same RNG
-   draws in the same order, so classic and flat runs from one seed pick
-   the same movers. *)
-let make_select p rule_of daemon =
-  let name_of u = p.rule_names.(rule_of.(u)) in
-  fun rng elist ->
-    match daemon with
-    | Synchronous | Central_random | Central_first | Central_last
-    | Round_robin ->
-        (* Handled without a materialized list in [run]. *)
-        ignore rng;
-        elist
-    | Distributed_random prob -> (
-        let chosen =
-          List.filter (fun _ -> Random.State.float rng 1.0 < prob) elist
-        in
-        match chosen with [] -> [ pick_random rng elist ] | l -> l)
-    | Locally_central ->
-        let arr = Array.of_list elist in
-        for i = Array.length arr - 1 downto 1 do
-          let j = Random.State.int rng (i + 1) in
-          let t = arr.(i) in
-          arr.(i) <- arr.(j);
-          arr.(j) <- t
-        done;
-        let kept = Hashtbl.create 16 in
-        let offsets = p.csr.Csr.offsets in
-        let nbrs = p.csr.Csr.nbrs in
-        let ok u =
-          let free = ref true in
-          let i = ref offsets.(u) in
-          while !free && !i < offsets.(u + 1) do
-            if Hashtbl.mem kept nbrs.(!i) then free := false;
-            incr i
-          done;
-          !free
-        in
-        Array.iter (fun u -> if ok u then Hashtbl.add kept u ()) arr;
-        List.filter (Hashtbl.mem kept) elist
-    | Adversarial prefer ->
-        let rank name =
-          let rec index i = function
-            | [] -> max_int
-            | q :: _ when String.equal q name -> i
-            | _ :: rest -> index (i + 1) rest
-          in
-          index 0 prefer
-        in
-        let best =
-          List.fold_left
-            (fun acc u -> min acc (rank (name_of u)))
-            max_int elist
-        in
-        let candidates =
-          List.filter (fun u -> rank (name_of u) = best) elist
-        in
-        [ pick_random rng candidates ]
-    | Starve victim -> (
-        match List.filter (fun u -> u <> victim) elist with
-        | [] -> elist
-        | others -> [ pick_random rng others ])
 
 (* ------------------------------- results ------------------------------- *)
 
@@ -668,8 +585,18 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   refill_pending ();
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
-  let select = make_select p rule_of daemon in
   let cursor = ref 0 in
+  let rule_name u = p.rule_names.(rule_of.(u)) in
+  let for_all_neighbors u f =
+    let offsets = p.csr.Csr.offsets and nbrs = p.csr.Csr.nbrs in
+    let free = ref true in
+    let i = ref offsets.(u) in
+    while !free && !i < offsets.(u + 1) do
+      if not (f nbrs.(!i)) then free := false;
+      incr i
+    done;
+    !free
+  in
   let mv = movers_make nf in
   let completed_rounds = ref 0 in
   let steps_in_round = ref 0 in
@@ -708,28 +635,8 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
          ev.cell.u <- u;
          compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
        in
-       (* The common daemons pick straight off the bitset — no per-step
-          list materialization, but draw-for-draw the same RNG consumption
-          as lib/sim/daemon.ml ([Bits.nth] walks ascending order, exactly
-          the list the classic daemon indexes into). *)
-       (match daemon with
-       | Synchronous -> Bits.iter enabled push
-       | Central_random ->
-           push (Bits.nth enabled (Random.State.int rng !en_count))
-       | Central_first -> push (Bits.next_geq enabled 0)
-       | Central_last -> push (Bits.nth enabled (!en_count - 1))
-       | Round_robin ->
-           let u =
-             match Bits.next_geq enabled !cursor with
-             | -1 -> Bits.next_geq enabled 0
-             | u -> u
-           in
-           cursor := (u + 1) mod nn;
-           push u
-       | Distributed_random _ | Locally_central | Adversarial _ | Starve _ ->
-           let elist = ref [] in
-           Bits.iter enabled (fun u -> elist := u :: !elist);
-           List.iter push (select rng (List.rev !elist)));
+       Daemon.select daemon rng ~cursor ~enabled ~count:!en_count ~rule_name
+         ~for_all_neighbors push;
        (match prof_ctx with
        | None ->
            for k = 0 to mv.len - 1 do

@@ -7,20 +7,21 @@
     writing algorithms and hopeless at n = 10⁶.  This engine keeps {e one
     [int array] per declared field} (enums as constructor indices, bools
     as 0/1), adjacency in CSR form ({!Ssreset_graph.Csr}) and the enabled
-    set in a two-level bitset ({!Bits}) — and obtains the rules by
-    compiling the algorithm's IR to OCaml closures over those arrays.
+    set in a two-level bitset ({!Ssreset_sim.Bits}) — and obtains the
+    rules by compiling the algorithm's IR to OCaml closures over those arrays.
 
     The compilation is {e semantics-preserving by construction and by
     test}: the IR itself is differentially validated against the OCaml
     rules ({!Ssreset_check.Sym.check}), and the flat runs are
     differentially validated against {!Ssreset_sim.Engine.run} — same
     per-step movers, same post-states, same step/move/round counts, under
-    every registered daemon (the RNG draw sequence of each daemon is
-    replicated draw-for-draw).
+    every registered daemon (both engines select through the one
+    {!Ssreset_sim.Daemon.select}).
 
     {!run_partitioned} adds intra-run parallelism for the synchronous
-    daemon: nodes are split into {!Bits.part_align}-aligned contiguous
-    ranges, one {!Ssreset_sim.Pool.Team} worker per range, stepping in
+    daemon: nodes are split into {!Ssreset_sim.Bits.part_align}-aligned
+    contiguous ranges, one {!Ssreset_sim.Pool.Team} worker per range,
+    stepping in
     three barrier-separated phases (compute posts from the pre-state /
     write back / refresh).  Cross-range refresh work is handed off and
     replayed sequentially, and every shared write is either range-private
@@ -50,10 +51,6 @@ val params : prog -> (string * int) list
 val fields : prog -> (string * kind) array
 val rule_names : prog -> string array
 
-val has_legitimacy : prog -> bool
-(** Whether the spec carries [sp_legitimate] (enables [stop_on_legitimate]
-    and {!result.legitimate}). *)
-
 val load : prog -> int -> (string * Sym.value) list -> unit
 (** Overwrite node [u]'s fields from a classic-engine encoding (the
     [encode] of a {!Sym.INSTANCE}); unmentioned fields are untouched. *)
@@ -72,11 +69,11 @@ val checksum : prog -> int
 
 (** {2 Daemons}
 
-    Native mirrors of {!Ssreset_sim.Daemon.registry}, replicating each
-    daemon's RNG draw sequence exactly (same draws, same order), so a flat
-    run and a classic run from the same seed choose the same movers. *)
+    The one daemon of both engines, re-exported with its constructors so
+    [Flat.Synchronous] and friends read naturally at call sites; names
+    resolve through {!Ssreset_sim.Daemon.by_name}. *)
 
-type daemon =
+type daemon = Ssreset_sim.Daemon.t =
   | Synchronous
   | Central_random
   | Central_first
@@ -86,11 +83,6 @@ type daemon =
   | Locally_central
   | Adversarial of string list
   | Starve of int
-
-val daemon_of_name : string -> daemon option
-(** The nine registry names, with the registry's default arguments
-    ([distributed-random] p = 0.5, [adversarial] the standard prefer
-    list, [starve] victim 0). *)
 
 (** {2 Running} *)
 
@@ -136,7 +128,8 @@ val run :
   result
 (** Sequential run from the current state (the final state stays readable
     through {!read} afterwards), mirroring {!Ssreset_sim.Engine.run}:
-    ascending enabled list, movers act on the pre-state, incremental
+    the same {!Ssreset_sim.Daemon.select} over the enabled bitset, movers
+    act on the pre-state, incremental
     dirty-set refresh over the movers' closed neighborhoods, §2.4 round
     accounting (pending set refilled per round), terminal detection on an
     empty enabled set.  [stop_on_legitimate] (default [true], no-op

@@ -19,13 +19,11 @@ exception Job_failed of job_error
     to completion (or failure); the failure with the {e smallest input
     index} is the one surfaced, regardless of domain scheduling. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], floored at 1. *)
-
 val map_array :
   ?jobs:int -> ?prof:Ssreset_obs.Prof.t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array ~jobs f xs] is [Array.map f xs] computed by up to [jobs]
-    domains (the calling domain included; default {!default_jobs}).  With
+    domains (the calling domain included; default
+    [Domain.recommended_domain_count ()], floored at 1).  With
     [jobs <= 1] or fewer than two elements no domain is spawned and [f]
     runs inline, in order.
 
@@ -78,7 +76,7 @@ module Team : sig
       {!Job_failed} with the smallest worker index is raised after the
       barrier, like [map_array].  [fn] must confine writes to
       worker-private data (the flat engine partitions all arrays by
-      1024-aligned node ranges; see {!Ssreset_flat.Bits.part_align}).
+      1024-aligned node ranges; see {!Bits.part_align}).
       Not reentrant: one [run] at a time per team, from the creating
       domain.  With [size = 1], [fn 0] runs inline with no
       synchronization. *)

@@ -31,8 +31,186 @@ let graph_zoo () =
     ("er12", Gen.erdos_renyi (rng 12) 12 0.25);
     ("tree10", Gen.random_tree (rng 10) 10) ]
 
-(* Exhaustive daemon list (fresh round-robin cursor per call). *)
-let daemons () = Daemon.all_standard ()
+(* Exhaustive daemon list. *)
+let daemons () = Daemon.all_standard
+
+(* The reference daemons: the list-based closure daemons the engines used
+   before both selected through {!Daemon.select} over a bitset, kept
+   verbatim.  [Daemon.select] must choose exactly their processes and leave
+   the RNG exactly where they leave it. *)
+module Ref_daemon = struct
+  type context = {
+    step : int;
+    graph : Graph.t;
+    enabled : int list;
+    rule_name : int -> string;
+  }
+
+  type t = {
+    daemon_name : string;
+    select : Random.State.t -> context -> int list;
+  }
+
+  let pick_random rng l =
+    match l with
+    | [] -> invalid_arg "Daemon.pick_random: empty list"
+    | l -> List.nth l (Random.State.int rng (List.length l))
+
+  let synchronous =
+    { daemon_name = "synchronous"; select = (fun _ ctx -> ctx.enabled) }
+
+  let central_random =
+    {
+      daemon_name = "central-random";
+      select = (fun rng ctx -> [ pick_random rng ctx.enabled ]);
+    }
+
+  let central_first =
+    {
+      daemon_name = "central-first";
+      select =
+        (fun _ ctx ->
+          match ctx.enabled with
+          | u :: _ -> [ u ]
+          | [] -> invalid_arg "central_first: no enabled process");
+    }
+
+  let central_last =
+    {
+      daemon_name = "central-last";
+      select =
+        (fun _ ctx ->
+          match List.rev ctx.enabled with
+          | u :: _ -> [ u ]
+          | [] -> invalid_arg "central_last: no enabled process");
+    }
+
+  let round_robin () =
+    let cursor = ref 0 in
+    {
+      daemon_name = "round-robin";
+      select =
+        (fun _ ctx ->
+          (* First enabled process at or after the cursor, wrapping. *)
+          let n = Graph.n ctx.graph in
+          let enabled = Array.make n false in
+          List.iter (fun u -> enabled.(u) <- true) ctx.enabled;
+          let rec find k =
+            let u = (!cursor + k) mod n in
+            if enabled.(u) then u else find (k + 1)
+          in
+          let u = find 0 in
+          cursor := (u + 1) mod n;
+          [ u ]);
+    }
+
+  let distributed_random p =
+    if p <= 0.0 || p > 1.0 then invalid_arg "distributed_random: need 0 < p <= 1";
+    {
+      daemon_name = Printf.sprintf "distributed-random(p=%.2f)" p;
+      select =
+        (fun rng ctx ->
+          let chosen =
+            List.filter (fun _ -> Random.State.float rng 1.0 < p) ctx.enabled
+          in
+          match chosen with [] -> [ pick_random rng ctx.enabled ] | l -> l);
+    }
+
+  let locally_central_random =
+    {
+      daemon_name = "locally-central-random";
+      select =
+        (fun rng ctx ->
+          let arr = Array.of_list ctx.enabled in
+          (* Shuffle, then greedily keep processes with no kept neighbor. *)
+          for i = Array.length arr - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let t = arr.(i) in
+            arr.(i) <- arr.(j);
+            arr.(j) <- t
+          done;
+          let kept = Hashtbl.create 16 in
+          let ok u =
+            Graph.for_all_neighbors ctx.graph u ~f:(fun v ->
+                not (Hashtbl.mem kept v))
+          in
+          Array.iter (fun u -> if ok u then Hashtbl.add kept u ()) arr;
+          List.filter (Hashtbl.mem kept) ctx.enabled);
+    }
+
+  let adversarial_rule ~prefer =
+    let rank name =
+      let rec index i = function
+        | [] -> max_int
+        | p :: _ when String.equal p name -> i
+        | _ :: rest -> index (i + 1) rest
+      in
+      index 0 prefer
+    in
+    {
+      daemon_name =
+        Printf.sprintf "adversarial-rule(%s)" (String.concat ">" prefer);
+      select =
+        (fun rng ctx ->
+          let best =
+            List.fold_left
+              (fun acc u -> min acc (rank (ctx.rule_name u)))
+              max_int ctx.enabled
+          in
+          let candidates =
+            List.filter (fun u -> rank (ctx.rule_name u) = best) ctx.enabled
+          in
+          [ pick_random rng candidates ]);
+    }
+
+  let starve victim =
+    {
+      daemon_name = Printf.sprintf "starve(%d)" victim;
+      select =
+        (fun rng ctx ->
+          match List.filter (fun u -> u <> victim) ctx.enabled with
+          | [] -> ctx.enabled
+          | others -> [ pick_random rng others ]);
+    }
+
+  let check_selection ctx chosen =
+    if chosen = [] then invalid_arg "daemon selected an empty set";
+    List.iter
+      (fun u ->
+        if not (List.mem u ctx.enabled) then
+          invalid_arg
+            (Printf.sprintf "daemon selected disabled process %d at step %d" u
+               ctx.step))
+      chosen
+
+  (* Fresh reference twin of a daemon (round-robin gets its own cursor). *)
+  let of_daemon : Daemon.t -> t = function
+    | Daemon.Synchronous -> synchronous
+    | Daemon.Central_random -> central_random
+    | Daemon.Central_first -> central_first
+    | Daemon.Central_last -> central_last
+    | Daemon.Round_robin -> round_robin ()
+    | Daemon.Distributed_random p -> distributed_random p
+    | Daemon.Locally_central -> locally_central_random
+    | Daemon.Adversarial prefer -> adversarial_rule ~prefer
+    | Daemon.Starve victim -> starve victim
+end
+
+(* Enabled bitset over [0 .. n-1] holding exactly [l]. *)
+let bits_of n l =
+  let b = Ssreset_sim.Bits.create n in
+  List.iter (fun u -> ignore (Ssreset_sim.Bits.add b u)) l;
+  b
+
+(* [Daemon.select] collected into a list, for the unit tests. *)
+let select ?(cursor = ref 0) ?(rule_name = fun _ -> "r") d rng g enabled =
+  let chosen = ref [] in
+  Daemon.select d rng ~cursor
+    ~enabled:(bits_of (Graph.n g) enabled)
+    ~count:(List.length enabled) ~rule_name
+    ~for_all_neighbors:(fun u f -> Graph.for_all_neighbors g u ~f)
+    (fun u -> chosen := u :: !chosen);
+  List.rev !chosen
 
 (* Run [algorithm] from [cfg] and return the result. *)
 let run ?(seed = 1) ?(max_steps = 5_000_000) ?stop ~algorithm ~graph ~daemon
@@ -155,4 +333,4 @@ let differential_runs ~graph ~seeds ~max_steps ~algorithm ~stop ~init
                ~observer:(observer (Printf.sprintf "%s/seed %d" dname seed) cfg)
                ~algorithm ~graph ~daemon cfg))
         seeds)
-    (Daemon.registry ())
+    Daemon.registry

@@ -11,7 +11,7 @@ module Agreset = Ssreset_agreset.Agreset
 (* AGR needs weak fairness (like the Arora-Gouda original); these are the
    daemons it is specified for. *)
 let fair_daemons () =
-  [ Daemon.synchronous; Daemon.central_random; Daemon.round_robin ();
+  [ Daemon.synchronous; Daemon.central_random; Daemon.round_robin;
     Daemon.distributed_random 0.4; Daemon.distributed_random 0.9;
     Daemon.locally_central_random ]
 
@@ -92,7 +92,7 @@ let run_tests =
                   in
                   if r.Engine.outcome <> Engine.Stabilized then
                     Alcotest.failf "%s under %s did not stabilize" name
-                      daemon.Daemon.daemon_name
+                      (Daemon.name daemon)
                 done)
               (fair_daemons ()))
           (graph_zoo ()));
@@ -139,7 +139,7 @@ let run_tests =
         let cfg = Fault.arbitrary (rng 4) gen g in
         let r =
           Engine.run ~rng:(rng 5) ~max_steps:2_000_000 ~stop:(A.is_normal g)
-            ~algorithm:A.algorithm ~graph:g ~daemon:(Daemon.round_robin ())
+            ~algorithm:A.algorithm ~graph:g ~daemon:Daemon.round_robin
             cfg
         in
         check_true "stabilized" (r.Engine.outcome = Engine.Stabilized);
@@ -152,7 +152,7 @@ let run_tests =
         in
         let suffix =
           Engine.run ~rng:(rng 6) ~max_steps:200 ~observer
-            ~algorithm:A.algorithm ~graph:g ~daemon:(Daemon.round_robin ())
+            ~algorithm:A.algorithm ~graph:g ~daemon:Daemon.round_robin
             r.Engine.final
         in
         check_true "kept running" (suffix.Engine.steps > 0);

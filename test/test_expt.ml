@@ -104,7 +104,7 @@ let runner_tests =
   [ test "daemon_by_name covers the registry and rejects strangers" (fun () ->
         (* every registry name resolves, and the registry still contains the
            historical zoo (parity with the pre-registry hardcoded lists) *)
-        let names = Daemon.names () in
+        let names = Daemon.names in
         List.iter (fun name -> ignore (Runner.daemon_by_name name)) names;
         List.iter
           (fun name -> check_true (name ^ " registered") (List.mem name names))
@@ -118,7 +118,7 @@ let runner_tests =
           (fun (name, (d : Daemon.t)) ->
             check_true (name ^ " fresh") (Daemon.by_name name <> None);
             ignore d)
-          (Daemon.registry ());
+          Daemon.registry;
         check_true "unknown"
           (match Runner.daemon_by_name "nope" with
           | exception Invalid_argument _ -> true

@@ -4,7 +4,7 @@
    daemon) and partition-count invariance of the domain-parallel run. *)
 
 open Helpers
-module Bits = Ssreset_flat.Bits
+module Bits = Ssreset_sim.Bits
 module Flat = Ssreset_flat.Flat
 module Progs = Ssreset_flat.Progs
 module Csr = Ssreset_graph.Csr
@@ -165,11 +165,9 @@ let differential_one ~label inst daemon_name seed =
       ~observer:(fun ~step:_ ~moved _ -> classic_moved := moved :: !classic_moved)
       cfg0
   in
-  let flat_daemon = Option.get (Flat.daemon_of_name daemon_name) in
   let flat_moved = ref [] in
   let res_f =
-    Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false
-      ~daemon:flat_daemon
+    Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false ~daemon
       ~on_step:(fun ~step:_ ~moved -> flat_moved := moved :: !flat_moved)
       prog
   in
@@ -214,7 +212,7 @@ let differential_tests =
                         ~label:(Fmt.str "%s/%s/%s/#%d" gname iname dname seed)
                         inst dname seed
                     done)
-                  (Daemon.names ()))
+                  Daemon.names)
               (sym_instances g))
           (graph_zoo ()));
   ]
@@ -322,7 +320,7 @@ let prof_transparent_one ~label inst daemon_name seed =
     Array.iteri (fun u s -> Flat.load prog u (I.encode s)) cfg0;
     prog
   in
-  let daemon = Option.get (Flat.daemon_of_name daemon_name) in
+  let daemon = Option.get (Daemon.by_name daemon_name) in
   let p_bare = make () in
   let r_bare =
     Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false ~daemon
@@ -373,7 +371,7 @@ let observability_tests =
                         ~label:(Fmt.str "%s/%s/%s/#%d" gname iname dname seed)
                         inst dname seed
                     done)
-                  (Daemon.names ()))
+                  Daemon.names)
               (sym_instances g))
           (graph_zoo ()));
     test "partitioned prof-on digest invariant, parts in {1,2,4,8}" (fun () ->

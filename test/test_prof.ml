@@ -226,9 +226,7 @@ let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
   && Array.length a.Engine.final = Array.length b.Engine.final
   && Array.for_all2 equal a.Engine.final b.Engine.final
 
-(* Fresh daemon per run: round-robin carries a cursor, so a shared daemon
-   value would leak state from the prof-off run into the prof-on one. *)
-let fresh_daemon name = List.assoc name (Daemon.registry ())
+let named_daemon name = List.assoc name Daemon.registry
 
 let seeds = 5
 
@@ -249,7 +247,7 @@ let prof_transparency_case (entry : Registry.entry) =
         Engine.run
           ~rng:(Random.State.make [| seed |])
           ~max_steps:2_000 ?prof ~algorithm:F.algorithm ~graph:F.graph
-          ~daemon:(fresh_daemon daemon_name) (Array.copy cfg)
+          ~daemon:(named_daemon daemon_name) (Array.copy cfg)
       in
       List.iter
         (fun daemon_name ->
@@ -271,7 +269,7 @@ let prof_transparency_case (entry : Registry.entry) =
               (Printf.sprintf "%s/%s/%d: prof moves" F.name daemon_name seed)
               on.Engine.moves (Prof.moves p)
           done)
-        (Daemon.names ()))
+        Daemon.names)
 
 let prof_rule_attribution () =
   (* per-rule counters must agree exactly with the engine's own tally *)
@@ -279,7 +277,7 @@ let prof_rule_attribution () =
   let p = Prof.create () in
   let obs =
     Runner.run ~prof:p Runner.unison ~graph
-      ~daemon:(fresh_daemon "central-random") ~seed:4 ()
+      ~daemon:(named_daemon "central-random") ~seed:4 ()
   in
   let m = Prof.metrics p in
   let moves =
@@ -312,7 +310,7 @@ let windows_validate_round_trip () =
       let p = Prof.create ~window_steps:16 ~sink () in
       let obs =
         Runner.run ~prof:p Runner.unison ~graph
-          ~daemon:(fresh_daemon "central-random") ~seed:2 ()
+          ~daemon:(named_daemon "central-random") ~seed:2 ()
       in
       Prof.write_summary p;
       Sink.close sink;

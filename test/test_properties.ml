@@ -42,7 +42,7 @@ let daemon_of_index i =
   | 2 -> Daemon.central_first
   | 3 -> Daemon.distributed_random 0.4
   | 4 -> Daemon.locally_central_random
-  | _ -> Daemon.round_robin ()
+  | _ -> Daemon.round_robin
 
 let make_test ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest

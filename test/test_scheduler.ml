@@ -1,28 +1,33 @@
 (* Scheduler equivalence and pool determinism.
 
-   The dirty-set (`Incremental) scheduler must be bit-identical to the
-   reference full-rescan (`Full) path: same outcome, step, move and round
-   counts, same per-rule and per-process tallies, same final configuration —
-   on every registered algorithm, under every daemon of the zoo, across many
-   seeds.  And Pool.map_* must return the same values (and surface the same
-   error) for any jobs count. *)
+   The engine's incremental scheduler — dirty-set refresh, enabled bitset,
+   stamp-based round accounting — must be bit-identical to a full-rescan
+   reference that rebuilds the enabled set from scratch every step, selects
+   with the list-based reference daemons and recounts rounds by §2.4: same
+   outcome, step, move and round counts, same per-rule and per-process
+   tallies, same final configuration — on every registered algorithm, under
+   every daemon of the registry, across many seeds.  And Pool.map_* must
+   return the same values (and surface the same error) for any jobs
+   count. *)
 
 module Engine = Ssreset_sim.Engine
 module Daemon = Ssreset_sim.Daemon
+module Algorithm = Ssreset_sim.Algorithm
 module Pool = Ssreset_sim.Pool
 module Graph = Ssreset_graph.Graph
 module Gen = Ssreset_graph.Gen
 module Registry = Ssreset_check.Registry
 module Finite = Ssreset_check.Finite
 module Experiments = Ssreset_expt.Experiments
+module Ref_daemon = Helpers.Ref_daemon
 
 (* ------------------------ full vs incremental ------------------------- *)
 
 let seeds = 20
 let graphs () = [ Gen.ring 5; Gen.erdos_renyi (Random.State.make [| 9 |]) 6 0.4 ]
 
-(* Compare every field of the two results except wall_s (the only field a
-   scheduler may legitimately change). *)
+(* Compare every field of the two results except wall_s (the only field
+   the two paths may legitimately disagree on). *)
 let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
   a.Engine.outcome = b.Engine.outcome
   && a.Engine.steps = b.Engine.steps
@@ -33,9 +38,89 @@ let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
   && Array.length a.Engine.final = Array.length b.Engine.final
   && Array.for_all2 equal a.Engine.final b.Engine.final
 
-(* Fresh daemon per run: round-robin carries a cursor, so a shared daemon
-   value would leak state from the `Full run into the `Incremental one. *)
-let fresh_daemon name = List.assoc name (Daemon.registry ())
+let named_daemon name = List.assoc name Daemon.registry
+
+(* The full-rescan reference: every step rescans every guard, selects with
+   the reference daemon over the sorted enabled list, fires the movers on
+   the pre-step configuration, and counts rounds by §2.4 — a round ends
+   once every process enabled at its start has moved or been neutralized
+   (enabled before a step, disabled after it). *)
+let full_rescan_run ~rng ~max_steps ~(algorithm : _ Algorithm.t) ~graph
+    ~daemon cfg0 =
+  let n = Graph.n graph in
+  let daemon = Ref_daemon.of_daemon daemon in
+  let cfg = Array.copy cfg0 in
+  let table () =
+    Array.init n (fun u ->
+        Algorithm.enabled_rule algorithm (Algorithm.view graph cfg u))
+  in
+  let enabled_of t =
+    List.filter (fun u -> t.(u) <> None) (List.init n Fun.id)
+  in
+  let moves_per_process = Array.make n 0 in
+  let per_rule = Hashtbl.create 8 in
+  let steps = ref 0 and moves = ref 0 in
+  let rounds = ref 0 and steps_in_round = ref 0 in
+  let t = ref (table ()) in
+  let pending = ref (enabled_of !t) in
+  let outcome = ref Engine.Step_limit in
+  (try
+     while !steps < max_steps do
+       match enabled_of !t with
+       | [] ->
+           outcome := Engine.Terminal;
+           raise Exit
+       | enabled ->
+           let before = !t in
+           let ctx =
+             { Ref_daemon.step = !steps; graph; enabled;
+               rule_name =
+                 (fun u -> (Option.get before.(u)).Algorithm.rule_name) }
+           in
+           let chosen = daemon.Ref_daemon.select rng ctx in
+           Ref_daemon.check_selection ctx chosen;
+           let posts =
+             List.map
+               (fun u ->
+                 let r = Option.get before.(u) in
+                 (u, r.Algorithm.action (Algorithm.view graph cfg u),
+                  r.Algorithm.rule_name))
+               chosen
+           in
+           List.iter
+             (fun (u, post, name) ->
+               cfg.(u) <- post;
+               moves_per_process.(u) <- moves_per_process.(u) + 1;
+               Hashtbl.replace per_rule name
+                 (1 + Option.value ~default:0 (Hashtbl.find_opt per_rule name)))
+             posts;
+           incr steps;
+           incr steps_in_round;
+           moves := !moves + List.length chosen;
+           t := table ();
+           pending :=
+             List.filter
+               (fun u -> (not (List.mem u chosen)) && !t.(u) <> None)
+               !pending;
+           if !pending = [] then begin
+             incr rounds;
+             steps_in_round := 0;
+             pending := enabled_of !t
+           end
+     done
+   with Exit -> ());
+  {
+    Engine.outcome = !outcome;
+    final = cfg;
+    steps = !steps;
+    moves = !moves;
+    moves_per_process;
+    moves_per_rule =
+      List.sort compare
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_rule []);
+    rounds = (!rounds + if !steps_in_round > 0 then 1 else 0);
+    wall_s = 0.;
+  }
 
 let scheduler_equivalence_case (entry : Registry.entry) =
   Alcotest.test_case
@@ -52,19 +137,24 @@ let scheduler_equivalence_case (entry : Registry.entry) =
                   let dom = F.domain u in
                   List.nth dom (Random.State.int rng (List.length dom)))
             in
-            let run_with scheduler ~daemon_name ~seed cfg =
-              Engine.run
+            let run_with run ~daemon_name ~seed cfg =
+              run
                 ~rng:(Random.State.make [| seed |])
-                ~max_steps:2_000 ~scheduler ~algorithm:F.algorithm
-                ~graph:F.graph
-                ~daemon:(fresh_daemon daemon_name) (Array.copy cfg)
+                ~max_steps:2_000 ~algorithm:F.algorithm ~graph:F.graph
+                ~daemon:(named_daemon daemon_name) (Array.copy cfg)
             in
             List.iter
               (fun daemon_name ->
                 for seed = 1 to seeds do
                   let cfg = random_cfg (Random.State.make [| seed; 77 |]) in
-                  let full = run_with `Full ~daemon_name ~seed cfg in
-                  let inc = run_with `Incremental ~daemon_name ~seed cfg in
+                  let full = run_with full_rescan_run ~daemon_name ~seed cfg in
+                  let inc =
+                    run_with
+                      (fun ~rng ~max_steps ~algorithm ~graph ~daemon cfg ->
+                        Engine.run ~rng ~max_steps ~algorithm ~graph ~daemon
+                          cfg)
+                      ~daemon_name ~seed cfg
+                  in
                   if
                     not
                       (same_result F.algorithm.Ssreset_sim.Algorithm.equal
@@ -78,7 +168,7 @@ let scheduler_equivalence_case (entry : Registry.entry) =
                       full.Engine.moves full.Engine.rounds inc.Engine.steps
                       inc.Engine.moves inc.Engine.rounds
                 done)
-              (Daemon.names ())
+              Daemon.names
           end)
         (graphs ()))
 
@@ -95,16 +185,16 @@ let rngless_runs_are_order_independent () =
   in
   let go () =
     Engine.run ~max_steps:500 ~algorithm:F.algorithm ~graph:F.graph
-      ~daemon:(fresh_daemon "distributed-random")
+      ~daemon:(named_daemon "distributed-random")
       (Array.copy cfg)
   in
   let isolated = go () in
   (* interleave two other rng-less runs, then repeat *)
   ignore (Engine.run ~seed:99 ~max_steps:100 ~algorithm:F.algorithm
-            ~graph:F.graph ~daemon:(fresh_daemon "central-random")
+            ~graph:F.graph ~daemon:(named_daemon "central-random")
             (Array.copy cfg));
   ignore (Engine.step ~algorithm:F.algorithm ~graph:F.graph
-            ~daemon:(fresh_daemon "central-random") ~step_index:0
+            ~daemon:(named_daemon "central-random") ~step_index:0
             (Array.copy cfg));
   let interleaved = go () in
   Alcotest.(check bool) "same result regardless of surrounding runs" true

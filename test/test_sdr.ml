@@ -395,7 +395,7 @@ let convergence_tests =
                   in
                   if r.Engine.outcome <> Engine.Stabilized then
                     Alcotest.failf "%s under %s did not stabilize" name
-                      daemon.Daemon.daemon_name;
+                      (Daemon.name daemon);
                   if r.Engine.rounds > 3 * n then
                     Alcotest.failf "%s: %d rounds > 3n" name r.Engine.rounds;
                   Array.iteri

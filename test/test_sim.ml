@@ -256,43 +256,105 @@ let engine_tests =
 
 (* -------------------------------- Daemons ------------------------------ *)
 
-let mk_ctx g enabled =
-  { Daemon.step = 0;
-    graph = g;
-    enabled;
-    rule_name = (fun _ -> "r") }
+(* A connected sparse graph on [n] nodes: a path plus n/4 random chords. *)
+let sparse_graph r n =
+  let seen = Hashtbl.create n in
+  let edges = ref [] in
+  let add u v =
+    let key = (min u v, max u v) in
+    if u <> v && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      edges := key :: !edges
+    end
+  in
+  for u = 0 to n - 2 do
+    add u (u + 1)
+  done;
+  for _ = 1 to n / 4 do
+    add (Random.State.int r n) (Random.State.int r n)
+  done;
+  Graph.make ~n ~edges:!edges
+
+(* Daemon.select against the list reference over random enabled sets: the
+   same processes, and the RNG left in the same state.  Sizes straddle the
+   32-bit words and the 1024-node level-1 blocks of the bitset; several
+   steps per run carry the round-robin cursor. *)
+let select_matches_reference () =
+  let names = Array.of_list (Daemon.standard_prefer @ [ "SDR-R"; "other" ]) in
+  let daemons =
+    List.map snd Daemon.registry
+    @ [ Daemon.distributed_random 0.3; Daemon.distributed_random 0.8 ]
+  in
+  List.iter
+    (fun n ->
+      for seed = 1 to 4 do
+        let r = rng (1000 + seed + n) in
+        let g = sparse_graph r n in
+        let rule = Array.init n (fun _ -> names.(Random.State.int r 7)) in
+        let density = [| 0.01; 0.3; 0.9; 1.0 |].(seed mod 4) in
+        List.iter
+          (fun d ->
+            let reference = Ref_daemon.of_daemon d in
+            let cursor = ref 0 in
+            let rng_new = rng seed and rng_ref = rng seed in
+            for step = 0 to 4 do
+              let enabled =
+                List.filter
+                  (fun _ -> Random.State.float r 1.0 < density)
+                  (List.init n Fun.id)
+              in
+              let enabled =
+                if enabled = [] then [ Random.State.int r n ] else enabled
+              in
+              let ctx =
+                { Ref_daemon.step; graph = g; enabled;
+                  rule_name = (fun u -> rule.(u)) }
+              in
+              let want = reference.Ref_daemon.select rng_ref ctx in
+              let got =
+                select ~cursor ~rule_name:(fun u -> rule.(u)) d rng_new g
+                  enabled
+              in
+              let where =
+                Printf.sprintf "%s n=%d seed=%d step=%d" (Daemon.name d) n
+                  seed step
+              in
+              check (Alcotest.list Alcotest.int) where want got;
+              check_int (where ^ ": rng state") (Random.State.bits rng_ref)
+                (Random.State.bits rng_new)
+            done)
+          daemons
+      done)
+    [ 1; 31; 32; 33; 1023; 1024; 1025; 2100 ]
 
 let daemon_tests =
   [ test "synchronous selects everything" (fun () ->
         let g = Gen.ring 5 in
-        let ctx = mk_ctx g [ 0; 2; 4 ] in
         check (Alcotest.list Alcotest.int) "all" [ 0; 2; 4 ]
-          (Daemon.synchronous.Daemon.select (rng 1) ctx));
+          (select Daemon.synchronous (rng 1) g [ 0; 2; 4 ]));
     test "central daemons select exactly one enabled process" (fun () ->
         let g = Gen.ring 5 in
-        let ctx = mk_ctx g [ 1; 3 ] in
         List.iter
           (fun d ->
-            match d.Daemon.select (rng 2) ctx with
+            match select d (rng 2) g [ 1; 3 ] with
             | [ u ] -> check_true "member" (List.mem u [ 1; 3 ])
             | other ->
-                Alcotest.failf "%s selected %d processes" d.Daemon.daemon_name
+                Alcotest.failf "%s selected %d processes" (Daemon.name d)
                   (List.length other))
           [ Daemon.central_random; Daemon.central_first; Daemon.central_last;
-            Daemon.round_robin () ]);
+            Daemon.round_robin ]);
     test "central_first/last are deterministic extremes" (fun () ->
         let g = Gen.ring 7 in
-        let ctx = mk_ctx g [ 2; 4; 6 ] in
         check (Alcotest.list Alcotest.int) "first" [ 2 ]
-          (Daemon.central_first.Daemon.select (rng 3) ctx);
+          (select Daemon.central_first (rng 3) g [ 2; 4; 6 ]);
         check (Alcotest.list Alcotest.int) "last" [ 6 ]
-          (Daemon.central_last.Daemon.select (rng 3) ctx));
+          (select Daemon.central_last (rng 3) g [ 2; 4; 6 ]));
     test "round_robin visits all processes over time" (fun () ->
         let g = Gen.ring 4 in
-        let d = Daemon.round_robin () in
+        let cursor = ref 0 in
         let seen = Hashtbl.create 4 in
         for _ = 1 to 8 do
-          match d.Daemon.select (rng 1) (mk_ctx g [ 0; 1; 2; 3 ]) with
+          match select ~cursor Daemon.round_robin (rng 1) g [ 0; 1; 2; 3 ] with
           | [ u ] -> Hashtbl.replace seen u ()
           | _ -> Alcotest.fail "round robin must be central"
         done;
@@ -301,7 +363,7 @@ let daemon_tests =
         let g = Gen.ring 6 in
         let d = Daemon.distributed_random 0.01 in
         for seed = 1 to 50 do
-          let chosen = d.Daemon.select (rng seed) (mk_ctx g [ 0; 3 ]) in
+          let chosen = select d (rng seed) g [ 0; 3 ] in
           check_true "nonempty" (chosen <> []);
           List.iter (fun u -> check_true "subset" (List.mem u [ 0; 3 ])) chosen
         done);
@@ -314,10 +376,7 @@ let daemon_tests =
         let g = Gen.ring 8 in
         let all = List.init 8 Fun.id in
         for seed = 1 to 30 do
-          let chosen =
-            Daemon.locally_central_random.Daemon.select (rng seed)
-              (mk_ctx g all)
-          in
+          let chosen = select Daemon.locally_central_random (rng seed) g all in
           check_true "nonempty" (chosen <> []);
           List.iter
             (fun u ->
@@ -332,34 +391,31 @@ let daemon_tests =
         let g = Gen.ring 4 in
         let d = Daemon.starve 0 in
         for seed = 1 to 20 do
-          (match d.Daemon.select (rng seed) (mk_ctx g [ 0; 1; 2 ]) with
+          (match select d (rng seed) g [ 0; 1; 2 ] with
           | [ u ] -> check_true "not victim" (u <> 0)
           | _ -> Alcotest.fail "starve is central")
         done;
         check (Alcotest.list Alcotest.int) "alone" [ 0 ]
-          (d.Daemon.select (rng 1) (mk_ctx g [ 0 ])));
+          (select d (rng 1) g [ 0 ]));
     test "adversarial_rule prefers listed rules" (fun () ->
         let g = Gen.ring 4 in
-        let ctx =
-          { Daemon.step = 0;
-            graph = g;
-            enabled = [ 0; 1; 2 ];
-            rule_name = (fun u -> if u = 1 then "special" else "other") }
-        in
         let d = Daemon.adversarial_rule ~prefer:[ "special" ] in
         check (Alcotest.list Alcotest.int) "prefers" [ 1 ]
-          (d.Daemon.select (rng 1) ctx));
+          (select
+             ~rule_name:(fun u -> if u = 1 then "special" else "other")
+             d (rng 1) g [ 0; 1; 2 ]));
     test "check_selection rejects bad selections" (fun () ->
-        let g = Gen.ring 4 in
-        let ctx = mk_ctx g [ 1; 2 ] in
+        let enabled = bits_of 4 [ 1; 2 ] in
         check_true "empty"
-          (match Daemon.check_selection ctx [] with
+          (match Daemon.check_selection enabled [] with
           | exception Invalid_argument _ -> true
           | _ -> false);
         check_true "foreign"
-          (match Daemon.check_selection ctx [ 3 ] with
+          (match Daemon.check_selection enabled [ 3 ] with
           | exception Invalid_argument _ -> true
-          | _ -> false)) ]
+          | _ -> false));
+    test "select ≡ list reference (every daemon, n across word and block \
+          edges)" select_matches_reference ]
 
 (* ------------------------------ Fault/Trace ---------------------------- *)
 
@@ -518,7 +574,7 @@ let aliasing_tests =
             check (Alcotest.array Alcotest.int) "cfg0" [| 0; 3; 5; 1; 4; 2; 0 |]
               cfg0;
             check_true "final is the run's own array" (r.Engine.final != cfg0))
-          (Daemon.all_standard ()));
+          Daemon.all_standard);
     test "step returns a fresh array and leaves its argument untouched"
       (fun () ->
         let g = Gen.path 3 in
@@ -574,7 +630,7 @@ let aliasing_tests =
                 check (Alcotest.array Alcotest.int) (name ^ ": last = final")
                   r.Engine.final
                   (List.nth configs (List.length configs - 1)))
-              (Daemon.all_standard ()))
+              Daemon.all_standard)
           [ ("ring8", Gen.ring 8); ("star6", Gen.star 6);
             ("grid3x3", Gen.grid 3 3) ]) ]
 

@@ -99,7 +99,7 @@ let causality_tests =
                 let cp = Causality.critical_length c in
                 check_true
                   (Printf.sprintf "%s/%s: cp %d <= steps %d" name
-                     daemon.Daemon.daemon_name cp r.Engine.steps)
+                     (Daemon.name daemon) cp r.Engine.steps)
                   (cp <= r.Engine.steps);
                 check_int (name ^ ": all moves counted") r.Engine.moves
                   (Causality.move_count c))
@@ -157,11 +157,11 @@ let causality_tests =
             in
             let c = Causality.build ~graph:g (Trace.Compact.moves tr) in
             check_int
-              (Printf.sprintf "%s: fully sequential" daemon.Daemon.daemon_name)
+              (Printf.sprintf "%s: fully sequential" (Daemon.name daemon))
               (n - 1)
               (Causality.move_count c);
             check_int
-              (Printf.sprintf "%s: cp = moves" daemon.Daemon.daemon_name)
+              (Printf.sprintf "%s: cp = moves" (Daemon.name daemon))
               r.Engine.moves
               (Causality.critical_length c))
           (daemons ())) ]

@@ -86,7 +86,7 @@ let bare_tests =
                 check_true "never terminal"
                   (r.Engine.outcome = Engine.Step_limit);
                 check_int "no violation" 0 (Checker.safety_violations monitor))
-              [ Daemon.synchronous; Daemon.round_robin ();
+              [ Daemon.synchronous; Daemon.round_robin;
                 Daemon.distributed_random 0.7 ];
             (* liveness proxy under a fair-ish daemon *)
             let n = Graph.n g in
@@ -97,7 +97,7 @@ let bare_tests =
             let _ =
               Engine.run ~rng:(rng 4) ~max_steps:(80 * n)
                 ~observer:(Checker.observe_bare monitor)
-                ~algorithm:U.bare ~graph:g ~daemon:(Daemon.round_robin ())
+                ~algorithm:U.bare ~graph:g ~daemon:Daemon.round_robin
                 (U.gamma_init g)
             in
             if Checker.min_increments monitor = 0 then
@@ -200,7 +200,7 @@ let bare_tests =
                   (Checker.safety_violations monitor);
                 steps := !steps + r.Engine.steps;
                 unsafe := !unsafe + !unsafe_steps)
-              (Daemon.registry ()))
+              Daemon.registry)
           (graph_zoo ());
         check_true "both safe and unsafe steps"
           (0 < !unsafe && !unsafe < !steps)) ]
@@ -252,7 +252,7 @@ let composed_tests =
         let suffix =
           Engine.run ~rng:(rng 10) ~max_steps:(60 * n) ~observer
             ~algorithm:U.Composed.algorithm ~graph:g
-            ~daemon:(Daemon.round_robin ()) r.Engine.final
+            ~daemon:Daemon.round_robin r.Engine.final
         in
         check_true "ran" (suffix.Engine.steps > 0);
         check_int "safety kept" 0 !violations;
@@ -348,7 +348,7 @@ let tail_tests =
                   in
                   if r.Engine.outcome <> Engine.Stabilized then
                     Alcotest.failf "%s under %s did not stabilize" name
-                      daemon.Daemon.daemon_name
+                      (Daemon.name daemon)
                 done)
               (daemons ()))
           (graph_zoo ()));
@@ -371,7 +371,7 @@ let tail_tests =
         in
         let _ =
           Engine.run ~rng:(rng 4) ~max_steps:300 ~observer
-            ~algorithm:T.algorithm ~graph:g ~daemon:(Daemon.round_robin ())
+            ~algorithm:T.algorithm ~graph:g ~daemon:Daemon.round_robin
             r.Engine.final
         in
         check_true "closed" !ok);
@@ -452,7 +452,7 @@ let min_unison_tests =
                   in
                   if r.Engine.outcome <> Engine.Stabilized then
                     Alcotest.failf "%s under %s did not stabilize" name
-                      daemon.Daemon.daemon_name
+                      (Daemon.name daemon)
                 done)
               (daemons ()))
           (graph_zoo ()));
@@ -468,7 +468,7 @@ let min_unison_tests =
         in
         let _ =
           Engine.run ~rng:(rng 5) ~max_steps:300 ~observer
-            ~algorithm:M.algorithm ~graph:g ~daemon:(Daemon.round_robin ())
+            ~algorithm:M.algorithm ~graph:g ~daemon:Daemon.round_robin
             (M.gamma_init g)
         in
         check_true "closed" !ok) ]

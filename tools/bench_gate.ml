@@ -295,14 +295,14 @@ let () =
                 (list_field "differential_inputs" fresh_smt))
       | _ -> ()));
 
-  (* 6. Engine scheduler throughput — informational. *)
+  (* 6. Classic engine throughput — informational. *)
   List.iter
     (fun r ->
       match
         ( Option.bind (Json.member "n" r) Json.to_int_opt,
-          float_field "speedup" r )
+          float_field "steps_per_s" r )
       with
-      | Some n, Some s -> info "engine n=%d: incremental speedup %.1fx" n s
+      | Some n, Some s -> info "engine n=%d: %.0f steps/s" n s
       | _ -> ())
     (list_field "engine" fresh);
 
