@@ -589,31 +589,31 @@ let check_cmd =
     | _ -> None
   in
   let entry_caps (e : Registry.entry) =
-    let cert =
+    let mark b = if b then "yes" else "-" in
+    (* One rank per entry: the spec's rank_spec, which the model checker
+       also evaluates as the instance's certificate. *)
+    let rank =
       let g = Ssreset_graph.Gen.complete (max 2 e.Registry.min_n) in
       let module F = (val e.Registry.instance g) in
       Option.is_some F.certificate
+      || List.exists
+           (fun (s : Ssreset_check.Sym.spec) ->
+             Option.is_some s.Ssreset_check.Sym.sp_rank)
+           (List.filter_map Fun.id [ e.Registry.smt_spec; e.Registry.comp_spec ])
     in
-    let mark b = if b then "yes" else "-" in
-    let has_rank spec =
-      match spec with
-      | None -> false
-      | Some (s : Ssreset_check.Sym.spec) ->
-          Option.is_some s.Ssreset_check.Sym.sp_rank
-    in
-    Printf.sprintf "%-5s %-10s %-7s %-4s %-4s" (mark cert)
+    Printf.sprintf "%-10s %-7s %-4s %-4s"
       (mark (Option.is_some e.Registry.footprint))
       (mark (Option.is_some e.Registry.sym))
       (mark
          (Option.is_some e.Registry.smt_spec
          || Option.is_some e.Registry.comp_spec))
-      (mark (has_rank e.Registry.smt_spec || has_rank e.Registry.comp_spec))
+      (mark rank)
   in
-  let run algo json quick max_n list_only symmetry footprint sym certs
-      family smt_out =
+  let run algo json quick max_n list_only symmetry footprint sym family
+      smt_out =
     if list_only then begin
-      Fmt.pr "%-16s %-5s %-10s %-7s %-4s %-4s %s@." "NAME" "cert" "footprint"
-        "sym-IR" "smt" "rank" "DESCRIPTION";
+      Fmt.pr "%-16s %-10s %-7s %-4s %-4s %s@." "NAME" "footprint" "sym-IR"
+        "smt" "rank" "DESCRIPTION";
       List.iter
         (fun (e : Registry.entry) ->
           Fmt.pr "%-16s %s %s@." e.Registry.name (entry_caps e)
@@ -634,9 +634,7 @@ let check_cmd =
           2
       | selected ->
           let mode = if quick then `Quick else `Full in
-          let options =
-            { Ssreset_check.Model.default_options with symmetry; certs }
-          in
+          let options = { Ssreset_check.Model.default_options with symmetry } in
           let graphs = graphs_of_family family in
           let reports =
             List.map
@@ -705,10 +703,11 @@ let check_cmd =
       & info [ "list" ]
           ~doc:
             "List registered algorithms and fixtures with their capability \
-             columns: potential-function certificate, composed footprint \
-             target, symbolic rule IR (differential pass), SMT obligation \
-             spec (input-layer or composed), global ranking function \
-             (rank / comp.rank obligation families).")
+             columns: composed footprint target, symbolic rule IR \
+             (differential pass), SMT obligation spec (input-layer or \
+             composed), global ranking function (checked by the model \
+             checker on every move and exported as the rank / comp.rank \
+             obligation families).")
   in
   let symmetry =
     Arg.(
@@ -753,17 +752,6 @@ let check_cmd =
              $(b,.smt2) per obligation plus $(b,manifest.json) into \
              $(docv).  See also the $(b,smt) subcommand.")
   in
-  let certs =
-    Arg.(
-      value
-      & opt bool true
-      & info [ "certs" ] ~docv:"BOOL"
-          ~doc:
-            "Verify registered potential-function certificates: on every \
-             explored transition out of an illegitimate configuration whose \
-             movers all fired covered rules, the potential must strictly \
-             decrease.  Default: $(b,true).")
-  in
   let family =
     Arg.(
       value
@@ -782,13 +770,13 @@ let check_cmd =
          "Lint rule sets, analyze rule footprints and non-interference, \
           differentially validate attached symbolic rule IRs, and \
           exhaustively model-check self-stabilization properties \
-          (closure, convergence/livelock-freedom, silence, certificate \
-          descent, exact worst-case moves and rounds vs the paper bounds) \
+          (closure, convergence/livelock-freedom, silence, rank descent, \
+          exact worst-case moves and rounds vs the paper bounds) \
           on all small connected graphs.  Exits 1 when findings or \
           violations exist.")
     Term.(
       const run $ algo $ json $ quick $ max_n $ list_only $ symmetry
-      $ footprint $ sym $ certs $ family $ smt_out)
+      $ footprint $ sym $ family $ smt_out)
 
 (* ------------------------------ smt export ------------------------------ *)
 

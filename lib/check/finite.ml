@@ -1,5 +1,10 @@
-module Graph = Ssreset_graph.Graph
 module Sdr = Ssreset_core.Sdr
+
+type 's ranking = {
+  rank : Sym.rank_spec;
+  params : (string * int) list;
+  encode : 's -> (string * Sym.value) list;
+}
 
 module type FINITE = sig
   type state
@@ -10,7 +15,7 @@ module type FINITE = sig
   val domain : int -> state list
   val is_legitimate : state array -> bool
   val terminal_ok : state array -> bool
-  val certificate : state Cert.t option
+  val certificate : state ranking option
 end
 
 type t = (module FINITE)
@@ -38,11 +43,3 @@ let sdr_domain ~inner ~max_d u =
         (fun d -> List.map (fun i -> { Sdr.st; d; inner = i }) inner_states)
         (List.init (max_d + 1) Fun.id))
     [ Sdr.C; Sdr.RB; Sdr.RF ]
-
-let seed_count (module F : FINITE) =
-  let n = Graph.n F.graph in
-  let total = ref 1 in
-  for u = 0 to n - 1 do
-    total := !total * List.length (F.domain u)
-  done;
-  !total

@@ -12,6 +12,16 @@
     A first-class {!FINITE} value keeps the state type existential: the
     checker never needs to name it. *)
 
+type 's ranking = {
+  rank : Sym.rank_spec;
+  params : (string * int) list;  (** the instance's IR parameter values *)
+  encode : 's -> (string * Sym.value) list;
+      (** the instance's state encoder into the rank's IR fields *)
+}
+(** An IR rank bound to a concrete instance: the same {!Sym.rank_spec} the
+    differential and the SMT export use, evaluated by {!Model} through
+    {!Sym.rank_step}. *)
+
 module type FINITE = sig
   type state
 
@@ -35,9 +45,9 @@ module type FINITE = sig
       proper", "the alliance is 1-minimal".  Only evaluated on terminal
       configurations. *)
 
-  val certificate : state Cert.t option
-  (** Optional potential-function certificate, checked by {!Model} on every
-      explored illegitimate transition within its rule scope. *)
+  val certificate : state ranking option
+  (** Optional convergence rank, checked by {!Model} on every explored move
+      of a rule it covers. *)
 end
 
 type t = (module FINITE)
@@ -49,7 +59,7 @@ val make :
   domain:(int -> 's list) ->
   legitimate:(Ssreset_graph.Graph.t -> 's array -> bool) ->
   ?terminal_ok:(Ssreset_graph.Graph.t -> 's array -> bool) ->
-  ?certificate:'s Cert.t ->
+  ?certificate:'s ranking ->
   unit ->
   t
 (** Pack an instance.  [terminal_ok] defaults to [legitimate]; [certificate]
@@ -61,7 +71,3 @@ val sdr_domain :
     {C, RB, RF}, distance [0..max_d], and the inner domain.  [max_d = n] is
     a sensible seed bound — larger distances are reached by closure if the
     dynamics produce them. *)
-
-val seed_count : t -> int
-(** Product of the domain sizes over all processes — the number of seed
-    configurations the model checker will enumerate (before closure). *)

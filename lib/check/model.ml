@@ -33,7 +33,6 @@ type options = {
   rounds : [ `Auto | `On | `Off ];
   expect_silent : bool;
   symmetry : bool;
-  certs : bool;
 }
 
 let default_options =
@@ -41,8 +40,7 @@ let default_options =
     max_round_states = 600_000;
     rounds = `Auto;
     expect_silent = false;
-    symmetry = false;
-    certs = true }
+    symmetry = false }
 
 exception Abort of string
 
@@ -176,13 +174,42 @@ let check_instance (type s) ~options
     | None -> Hashtbl.add vtable property (detail, ref 1)
   in
   let aborted = ref None in
-  (* Certificate checking: on each explored transition out of an
-     illegitimate configuration whose movers all fired covered rules, the
-     potential must strictly decrease (lexicographically).  Potentials are
-     memoized per interned configuration. *)
-  let cert = if options.certs then F.certificate else None in
-  let pot_memo : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-  let rule_names = Array.make n "" in
+  (* Rank checking: every explored move of a covered rule must take a
+     {!Sym.rank_step}.  Components read [Self] only, so the verdict depends
+     on the mover's pre- and post-state alone and is memoized per pair of
+     interned state ids. *)
+  let check_move =
+    match F.certificate with
+    | None -> fun _ _ _ _ _ -> ()
+    | Some { Finite.rank; params; encode } ->
+        let memo : (int * int, (unit, string) result) Hashtbl.t =
+          Hashtbl.create 256
+        in
+        fun cfg u rule pre post ->
+          if List.mem rule rank.Sym.rk_rules then begin
+            let verdict =
+              match Hashtbl.find_opt memo (pre, post) with
+              | Some v -> v
+              | None ->
+                  let v =
+                    try
+                      Sym.rank_step ~params rank
+                        ~pre:(encode (Vec.get states pre))
+                        ~post:(encode (Vec.get states post))
+                    with Sym.Ill_formed msg ->
+                      Error ("rank evaluation failed: " ^ msg)
+                  in
+                  Hashtbl.add memo (pre, post) v;
+                  v
+            in
+            match verdict with
+            | Ok () -> ()
+            | Error why ->
+                violate "certificate"
+                  (Fmt.str "in %a, process %d fires %s: %s" pp_cfg cfg u rule
+                     why)
+          end
+  in
   (try
      (* Seed: the full product of the per-process domains — or, under
         symmetry reduction, one representative per orbit of that product,
@@ -241,9 +268,9 @@ let check_instance (type s) ~options
          match Algorithm.enabled_rule algo (Algorithm.view F.graph full u) with
          | Some r ->
              mask := !mask lor (1 lsl u);
-             rule_names.(u) <- r.Algorithm.rule_name;
              next_sid.(u) <-
-               intern_state (r.Algorithm.action (Algorithm.view F.graph full u))
+               intern_state (r.Algorithm.action (Algorithm.view F.graph full u));
+             check_move cfg u r.Algorithm.rule_name cfg.(u) next_sid.(u)
          | None -> ()
        done;
        Vec.push enabled_masks !mask;
@@ -264,36 +291,6 @@ let check_instance (type s) ~options
            done;
            let sc = intern_cfg succ_cfg in
            incr transitions;
-           (match cert with
-           | Some ct when not (Vec.get legit c) ->
-               let covered = ref true in
-               for u = 0 to n - 1 do
-                 if sel land (1 lsl u) <> 0 && not (Cert.covers ct rule_names.(u))
-                 then covered := false
-               done;
-               if !covered then begin
-                 let potential_of id =
-                   match Hashtbl.find_opt pot_memo id with
-                   | Some p -> p
-                   | None ->
-                       let p =
-                         ct.Cert.potential F.graph
-                           (materialize (Vec.get cfgs id))
-                       in
-                       Hashtbl.add pot_memo id p;
-                       p
-                 in
-                 let pc = potential_of c and ps = potential_of sc in
-                 if not (Cert.lex_lt ps pc) then
-                   violate "certificate"
-                     (Fmt.str
-                        "potential %s: %a -> %a does not decrease on %a \
-                         --0x%x--> %a"
-                        ct.Cert.cert_name Cert.pp_potential pc
-                        Cert.pp_potential ps pp_cfg cfg sel pp_cfg
-                        (Vec.get cfgs sc))
-               end
-           | _ -> ());
            edges := pack sc sel :: !edges);
        Vec.push succs (Array.of_list (List.rev !edges))
      done;
@@ -651,7 +648,7 @@ let check_instance (type s) ~options
     worst_moves;
     worst_rounds;
     automorphisms = Option.map Symmetry.order reduce;
-    certificate = Option.map (fun ct -> ct.Cert.cert_name) cert }
+    certificate = Option.map (fun c -> c.Finite.rank.Sym.rk_name) F.certificate }
 
 let check ?(options = default_options) (inst : Finite.t) =
   let (module F) = inst in

@@ -61,9 +61,10 @@ type t = {
           [None] when unreduced (symmetry off, asymmetric graph, or
           per-process domains differ) *)
   certificate : string option;
-      (** name of the potential-function certificate that was checked on
-          every explored illegitimate transition in its rule scope; a
-          failed check surfaces as a ["certificate"] violation *)
+      (** name of the instance's rank ({!Finite.ranking}), checked on every
+          explored move of a rule it covers: the mover's tuple must take a
+          {!Sym.rank_step}; a failed check surfaces as a ["certificate"]
+          violation *)
 }
 
 type options = {
@@ -83,11 +84,8 @@ type options = {
           identical per-process seed domains (checked here) and
           neighbor-order-invariant rules (checked by {!Lint}'s permutation
           pass).  Verdicts, [worst_moves] and [worst_rounds] are identical
-          to the unreduced run; [stats.configs] counts orbits.  Any
-          registered certificate must be automorphism-invariant (sums and
-          counts over processes are). *)
-  certs : bool;
-      (** evaluate the instance's {!Cert.t}, if any (default [true]) *)
+          to the unreduced run; [stats.configs] counts orbits.  The rank
+          check is per move, so it holds on every orbit member alike. *)
 }
 
 val default_options : options

@@ -31,62 +31,11 @@ type entry = {
 
 let never_terminal _ _ = false
 
-(* Certificates are layer-scoped progress measures (see {!Cert}): each one
-   provably strictly decreases on every step all of whose movers fired the
-   covered rules, which is exactly what the model checker enforces. *)
-
-let climb_debt rules =
-  Cert.make ~name:"climb-debt" ~rules (fun _ cfg ->
-      [ Array.fold_left (fun acc c -> acc + max 0 (-c)) 0 cfg ])
-
-let min_unison g =
-  let n = Graph.n g in
-  let k = max 4 ((n * n) + 1) and alpha = max 1 (n - 2) in
-  let module M = Min_unison.Make (struct
-    let k = k
-    let alpha = alpha
-  end) in
-  Finite.make
-    ~name:(Printf.sprintf "min-unison[K=%d,a=%d]" k alpha)
-    ~algorithm:M.algorithm ~graph:g
-    ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
-    ~legitimate:M.is_legitimate ~terminal_ok:never_terminal
-    ~certificate:(climb_debt [ Min_unison.rule_climb ])
-    ()
-
-let tail_unison g =
-  let n = Graph.n g in
-  let k = max 4 ((2 * n) + 2) and alpha = max 1 n in
-  let module T = Tail_unison.Make (struct
-    let k = k
-    let alpha = alpha
-  end) in
-  Finite.make
-    ~name:(Printf.sprintf "tail-unison[K=%d,a=%d]" k alpha)
-    ~algorithm:T.algorithm ~graph:g
-    ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
-    ~legitimate:T.is_legitimate ~terminal_ok:never_terminal
-    ~certificate:(climb_debt [ Tail_unison.rule_climb ])
-    ()
-
-(* Σ over processes of the remaining wave obligations (RB = 2, RF = 1,
-   C = 0): SDR-RF turns a 2 into a 1 and SDR-C a 1 into a 0 at the mover,
-   touching nothing else — the paper's feedback-phase progress measure. *)
-let wave_completion =
-  Cert.make ~name:"wave-completion" ~rules:[ "SDR-RF"; "SDR-C" ]
-    (fun _ cfg ->
-      [ Array.fold_left
-          (fun acc s ->
-            acc + match s.Sdr.st with Sdr.RB -> 2 | Sdr.RF -> 1 | Sdr.C -> 0)
-          0 cfg ])
-
-(* Number of undecided inner states; the covered decision rules require the
-   mover to be undecided and decide it. *)
-let undecided_cert ~rules undecided =
-  Cert.make ~name:"undecided" ~rules (fun _ cfg ->
-      [ Array.fold_left
-          (fun acc s -> acc + if undecided s.Sdr.inner then 1 else 0)
-          0 cfg ])
+(* The model checker's rank is the entry's own {!Sym.rank_spec}, bound to
+   the instance's state encoder and parameter values — the measure the
+   differential and the SMT export check, not a second copy of it. *)
+let ranking (spec : Sym.spec) ~params ~encode =
+  Option.map (fun rank -> { Finite.rank; params; encode }) spec.Sym.sp_rank
 
 (* --- symbolic rule IRs -------------------------------------------------
 
@@ -127,6 +76,7 @@ let tail_core_spec ~ir_name ~reset ~climb ~tick =
       [ Sym.And [ Sym.Le (Sym.Num 0, s_b); s_ring_ok ];
         Sym.And [ Sym.Lt (s_b, Sym.Num 0); Sym.Le (s_c, Sym.Num 1) ] ]
   in
+  let climb_debt = Sym.Ite (Sym.Lt (s_c, Sym.Num 0), Sym.Neg s_c, Sym.Num 0) in
   let ir =
     { Sym.ir_name;
       fields = [ ("c", Sym.TInt) ];
@@ -162,19 +112,15 @@ let tail_core_spec ~ir_name ~reset ~climb ~tick =
       Some
         { Sym.cs_name = "climb-debt";
           cs_rules = [ climb ];
-          cs_local = Sym.Ite (Sym.Lt (s_c, Sym.Num 0), Sym.Neg s_c, Sym.Num 0)
-        };
-    (* Same measure as the certificate, replayed through the global
-       implicit-rankings pipeline: {!Obligation} additionally proves the
-       multiset/lex step argument ([rank-step]) the pointwise
+          cs_local = climb_debt };
+    (* The same term as a global rank: {!Obligation} additionally proves
+       the multiset/lex step argument ([rank-step]) the pointwise
        cert-decrease obligations only sketch. *)
     sp_rank =
       Some
         { Sym.rk_name = "climb-debt";
           rk_rules = [ climb ];
-          rk_components =
-            [ Sym.Ite (Sym.Lt (s_c, Sym.Num 0), Sym.Neg s_c, Sym.Num 0) ] }
-  }
+          rk_components = [ climb_debt ] } }
 
 let tail_unison_spec =
   tail_core_spec ~ir_name:"tail-unison" ~reset:Tail_unison.rule_reset
@@ -185,6 +131,40 @@ let min_unison_spec =
     ~climb:Min_unison.rule_climb ~tick:Min_unison.rule_tick
 
 let encode_clock c = [ ("c", Sym.VInt c) ]
+
+let min_unison g =
+  let n = Graph.n g in
+  let k = max 4 ((n * n) + 1) and alpha = max 1 (n - 2) in
+  let module M = Min_unison.Make (struct
+    let k = k
+    let alpha = alpha
+  end) in
+  Finite.make
+    ~name:(Printf.sprintf "min-unison[K=%d,a=%d]" k alpha)
+    ~algorithm:M.algorithm ~graph:g
+    ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
+    ~legitimate:M.is_legitimate ~terminal_ok:never_terminal
+    ?certificate:
+      (ranking min_unison_spec ~params:[ ("K", k); ("alpha", alpha) ]
+         ~encode:encode_clock)
+    ()
+
+let tail_unison g =
+  let n = Graph.n g in
+  let k = max 4 ((2 * n) + 2) and alpha = max 1 n in
+  let module T = Tail_unison.Make (struct
+    let k = k
+    let alpha = alpha
+  end) in
+  Finite.make
+    ~name:(Printf.sprintf "tail-unison[K=%d,a=%d]" k alpha)
+    ~algorithm:T.algorithm ~graph:g
+    ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
+    ~legitimate:T.is_legitimate ~terminal_ok:never_terminal
+    ?certificate:
+      (ranking tail_unison_spec ~params:[ ("K", k); ("alpha", alpha) ]
+         ~encode:encode_clock)
+    ()
 
 let tail_unison_sym g =
   let n = Graph.n g in
@@ -241,17 +221,6 @@ let unison_params g =
   let k = n + 2 in
   let clocks = List.init k Fun.id in
   (k, Finite.sdr_domain ~inner:(fun _ -> clocks) ~max_d:n)
-
-let unison_sdr g =
-  let k, domain = unison_params g in
-  let module U = Unison.Make (struct
-    let k = k
-  end) in
-  Finite.make
-    ~name:(Printf.sprintf "unison-sdr[K=%d]" k)
-    ~algorithm:U.Composed.algorithm ~graph:g ~domain
-    ~legitimate:U.Composed.is_normal ~terminal_ok:never_terminal
-    ~certificate:wave_completion ()
 
 let unison_sym g =
   let k, _ = unison_params g in
@@ -387,6 +356,21 @@ let encode_composed (s : Unison.clock Sdr.state) =
     ("d", Sym.VInt s.Sdr.d);
     ("c", Sym.VInt s.Sdr.inner) ]
 
+let unison_sdr g =
+  let k, domain = unison_params g in
+  let module U = Unison.Make (struct
+    let k = k
+  end) in
+  Finite.make
+    ~name:(Printf.sprintf "unison-sdr[K=%d]" k)
+    ~algorithm:U.Composed.algorithm ~graph:g ~domain
+    ~legitimate:U.Composed.is_normal ~terminal_ok:never_terminal
+    ?certificate:
+      (ranking unison_sdr_composed_spec
+         ~params:(unison_sdr_params_of_n (Graph.n g))
+         ~encode:encode_composed)
+    ()
+
 let unison_sdr_composed_sym g =
   let k, domain = unison_params g in
   let module U = Unison.Make (struct
@@ -413,20 +397,6 @@ let coloring_inner g u =
   :: List.init (Graph.degree g u + 1) (fun c ->
          { Coloring.id = u; color = Some c })
 
-let coloring_sdr g =
-  let module C = Coloring.Make (struct
-    let graph = g
-    let ids = None
-  end) in
-  Finite.make ~name:"coloring-sdr" ~algorithm:C.Composed.algorithm ~graph:g
-    ~domain:(Finite.sdr_domain ~inner:(coloring_inner g) ~max_d:(Graph.n g))
-    ~legitimate:C.Composed.is_normal
-    ~terminal_ok:(fun _ cfg -> C.is_proper (C.coloring_of_composed cfg))
-    ~certificate:
-      (undecided_cert ~rules:[ Coloring.rule_pick ] (fun s ->
-           s.Coloring.color = None))
-    ()
-
 let coloring_sdr_footprint g =
   let module C = Coloring.Make (struct
     let graph = g
@@ -439,20 +409,6 @@ let coloring_sdr_footprint g =
 
 let mis_inner u =
   List.map (fun m -> { Mis.id = u; m }) [ Mis.Undecided; Mis.In; Mis.Out ]
-
-let mis_sdr g =
-  let module M = Mis.Make (struct
-    let graph = g
-    let ids = None
-  end) in
-  Finite.make ~name:"mis-sdr" ~algorithm:M.Composed.algorithm ~graph:g
-    ~domain:(Finite.sdr_domain ~inner:mis_inner ~max_d:(Graph.n g))
-    ~legitimate:M.Composed.is_normal
-    ~terminal_ok:(fun _ cfg -> M.is_mis (M.independent_set_of_composed cfg))
-    ~certificate:
-      (undecided_cert ~rules:[ Mis.rule_join; Mis.rule_out ] (fun s ->
-           s.Mis.m = Mis.Undecided))
-    ()
 
 let mis_sdr_footprint g =
   let module M = Mis.Make (struct
@@ -564,6 +520,7 @@ let s_id_b = Sym.Var (Sym.Nbr, "id")
 let s_none = Sym.Num (-1)
 let max_id_range = ("id", Sym.Num 0, Sym.Add (Sym.Param "MaxId", Sym.Num 1))
 let max_id_param = { Sym.pname = "MaxId"; lower = Some 0 }
+let max_id_params g = [ ("MaxId", Graph.n g - 1) ]
 
 let coloring_spec =
   let col_s = Sym.Var (Sym.Self, "col")
@@ -610,19 +567,32 @@ let coloring_spec =
           rk_components =
             [ Sym.Ite (Sym.Eq (col_s, s_none), Sym.Num 1, Sym.Num 0) ] } }
 
+let encode_coloring (s : Coloring.state) =
+  [ ("id", Sym.VInt s.Coloring.id);
+    ("col", Sym.VInt (match s.Coloring.color with None -> -1 | Some c -> c)) ]
+
 let coloring_sym g =
   let module C = Coloring.Make (struct
     let graph = g
     let ids = None
   end) in
-  Sym.make_instance ~spec:coloring_spec
-    ~params:[ ("MaxId", Graph.n g - 1) ]
+  Sym.make_instance ~spec:coloring_spec ~params:(max_id_params g)
     ~algorithm:C.bare ~graph:g
     ~domain:(coloring_inner g)
-    ~encode:(fun (s : Coloring.state) ->
-      [ ("id", Sym.VInt s.Coloring.id);
-        ("col",
-         Sym.VInt (match s.Coloring.color with None -> -1 | Some c -> c)) ])
+    ~encode:encode_coloring ()
+
+let coloring_sdr g =
+  let module C = Coloring.Make (struct
+    let graph = g
+    let ids = None
+  end) in
+  Finite.make ~name:"coloring-sdr" ~algorithm:C.Composed.algorithm ~graph:g
+    ~domain:(Finite.sdr_domain ~inner:(coloring_inner g) ~max_d:(Graph.n g))
+    ~legitimate:C.Composed.is_normal
+    ~terminal_ok:(fun _ cfg -> C.is_proper (C.coloring_of_composed cfg))
+    ?certificate:
+      (ranking coloring_spec ~params:(max_id_params g)
+         ~encode:(fun s -> encode_coloring s.Sdr.inner))
     ()
 
 let mis_spec =
@@ -678,22 +648,35 @@ let mis_spec =
           rk_components =
             [ Sym.Ite (Sym.Eq (m_s, und), Sym.Num 1, Sym.Num 0) ] } }
 
+let encode_mis (s : Mis.state) =
+  [ ("id", Sym.VInt s.Mis.id);
+    ("m",
+     Sym.VEnum
+       (match s.Mis.m with
+       | Mis.Undecided -> "Und"
+       | Mis.In -> "In"
+       | Mis.Out -> "Out")) ]
+
 let mis_sym g =
   let module M = Mis.Make (struct
     let graph = g
     let ids = None
   end) in
-  Sym.make_instance ~spec:mis_spec
-    ~params:[ ("MaxId", Graph.n g - 1) ]
-    ~algorithm:M.bare ~graph:g ~domain:mis_inner
-    ~encode:(fun (s : Mis.state) ->
-      [ ("id", Sym.VInt s.Mis.id);
-        ("m",
-         Sym.VEnum
-           (match s.Mis.m with
-           | Mis.Undecided -> "Und"
-           | Mis.In -> "In"
-           | Mis.Out -> "Out")) ])
+  Sym.make_instance ~spec:mis_spec ~params:(max_id_params g)
+    ~algorithm:M.bare ~graph:g ~domain:mis_inner ~encode:encode_mis ()
+
+let mis_sdr g =
+  let module M = Mis.Make (struct
+    let graph = g
+    let ids = None
+  end) in
+  Finite.make ~name:"mis-sdr" ~algorithm:M.Composed.algorithm ~graph:g
+    ~domain:(Finite.sdr_domain ~inner:mis_inner ~max_d:(Graph.n g))
+    ~legitimate:M.Composed.is_normal
+    ~terminal_ok:(fun _ cfg -> M.is_mis (M.independent_set_of_composed cfg))
+    ?certificate:
+      (ranking mis_spec ~params:(max_id_params g)
+         ~encode:(fun s -> encode_mis s.Sdr.inner))
     ()
 
 let matching_spec =
@@ -764,8 +747,7 @@ let matching_sym g =
     let graph = g
     let ids = None
   end) in
-  Sym.make_instance ~spec:matching_spec
-    ~params:[ ("MaxId", Graph.n g - 1) ]
+  Sym.make_instance ~spec:matching_spec ~params:(max_id_params g)
     ~algorithm:M.bare ~graph:g
     ~domain:(matching_inner g)
     ~encode:(fun (s : Matching.state) ->
@@ -1072,20 +1054,6 @@ let fixtures =
       sym = None;
       smt_spec = None;
       comp_spec = None };
-    { name = "toy-badcert";
-      description =
-        "fixture: increasing potential registered as certificate — cert \
-         pass must flag";
-      expect_silent = false;
-      round_bound = None;
-      min_n = 1;
-      max_n_quick = 2;
-      max_n_full = 3;
-      instance = Toy.badcert;
-      footprint = None;
-      sym = None;
-      smt_spec = None;
-      comp_spec = None };
     { name = "toy-badsym";
       description =
         "fixture: symbolic IR guard disagrees with the OCaml rule — the \
@@ -1103,7 +1071,7 @@ let fixtures =
     { name = "toy-badrank";
       description =
         "fixture: exact IR whose rank claim stutters on the 1 -> 0 move — \
-         the ranking differential must flag";
+         the ranking differential and the model rank pass must flag";
       expect_silent = false;
       round_bound = None;
       min_n = 1;

@@ -75,17 +75,23 @@ val unison_sdr_composed_sym : Ssreset_graph.Graph.t -> Sym.instance
 
 val entries : entry list
 (** min-unison, tail-unison, unison-sdr, coloring-sdr, mis-sdr,
-    matching-sdr, fga-sdr.  The unison entries carry a ["climb-debt"]
-    certificate, unison-sdr a ["wave-completion"] one, and coloring-sdr /
-    mis-sdr an ["undecided"] one ({!Cert}).  Every entry now attaches a
-    symbolic IR, so [check smt emit] covers the whole registry. *)
+    matching-sdr, fga-sdr.  Every entry attaches a symbolic IR, so [check
+    smt emit] covers the whole registry.  Five entries also carry a rank,
+    and their instance's certificate is that same {!Sym.rank_spec} bound
+    to the instance's encoder and parameters ({!Finite.ranking}): the two
+    tail-core unisons a ["climb-debt"] rank, unison-sdr the composed
+    spec's ["wave-completion"] rank, and coloring-sdr / mis-sdr the input
+    spec's ["undecided"] rank, encoded on the SDR state's inner layer (the
+    lifted rules keep the input rule names). *)
 
 val fixtures : entry list
-(** toy-livelock, toy-overlap, toy-interference, toy-badsym, toy-badcert,
-    toy-badrank ({!Toy}).  toy-badsym is clean under lint, footprint and
-    the model checker; only the symbolic differential flags it.
-    toy-badrank is additionally clean under the guard/post differential;
-    only the ranking differential (["rank"] mismatches) flags it. *)
+(** toy-livelock, toy-overlap, toy-interference, toy-badsym, toy-badrank
+    ({!Toy}).  toy-badsym is clean under lint, footprint and the model
+    checker; only the symbolic differential flags it.  toy-badrank is the
+    one bad-measure fixture: clean under lint and the guard/post
+    differential, it is flagged by both rank checks — the ranking
+    differential (["rank"] mismatches) and the model checker (a
+    ["certificate"] violation). *)
 
 val footprint_target : entry -> Ssreset_graph.Graph.t -> Footprint.target
 (** The target {!run} analyzes for this entry on one graph (declared or

@@ -24,10 +24,6 @@ val app : string -> sexp list -> sexp
 
 (** {2 Printing} *)
 
-val pp_sexp : sexp Fmt.t
-(** One s-expression, wrapped at a readable width. *)
-
-val pp_script : script Fmt.t
 val to_string : script -> string
 val write_file : string -> script -> unit
 

@@ -232,6 +232,39 @@ and subst_self_form assigns = function
 
 let subst_self assigns f = subst_self_form assigns f
 
+(* --- ranks -------------------------------------------------------------- *)
+
+(* Tuples of different lengths are never ordered, so a rank whose length
+   varies surfaces as a failed step instead of passing vacuously. *)
+let lex_lt a b =
+  let rec go a b =
+    match (a, b) with
+    | [], [] -> false
+    | x :: xs, y :: ys -> x < y || (x = y && go xs ys)
+    | _ -> false
+  in
+  List.compare_lengths a b = 0 && go a b
+
+let rank_step ~params rk ~pre ~post =
+  let tuple self =
+    List.map
+      (fun c -> as_int (eval_term (env ~params ~self ~nbrs:[||]) c))
+      rk.rk_components
+  in
+  let pre_t = tuple pre and post_t = tuple post in
+  let fail what =
+    Error
+      (Fmt.str "rank %s %s (pre [%a], post [%a])" rk.rk_name what
+         Fmt.(list ~sep:(any " ") int)
+         pre_t
+         Fmt.(list ~sep:(any " ") int)
+         post_t)
+  in
+  if List.exists (fun v -> v < 0) (pre_t @ post_t) then
+    fail "not bounded below"
+  else if not (lex_lt post_t pre_t) then fail "does not strictly decrease"
+  else Ok ()
+
 (* --- static lint ------------------------------------------------------ *)
 
 let well_formed ir =
@@ -448,17 +481,11 @@ let run_views (type s) ~max_views_per_process
   (* Seed-domain states must satisfy the declared ranges: the emitted
      range axioms are assumptions, so a domain state outside them would
      make the SMT obligations vacuously strong. *)
-  let range_env self =
-    { ve_params = I.param_values;
-      ve_self = self;
-      ve_nbrs = [||];
-      ve_cur = None }
-  in
   for u = 0 to n - 1 do
     List.iter
       (fun s ->
         let self = I.encode s in
-        let e = range_env self in
+        let e = env ~params:I.param_values ~self ~nbrs:[||] in
         List.iter
           (fun (f, lo, hi) ->
             let v = as_int (lookup self f) in
@@ -524,49 +551,16 @@ let run_views (type s) ~max_views_per_process
                     Fmt.str "post-state disagrees (OCaml %a, IR %a) on %a"
                       pp_valuation post pp_valuation sym_post pp_view view);
               (* Ranking differential: on every enabled view of a covered
-                 rule, the claimed lexicographic rank must be bounded below
-                 by 0 on both sides of the move and strictly decrease for
-                 the mover — the concrete shadow of the rank-decrease SMT
-                 obligations ({!Obligation}).  Components read [Self]
-                 fields only, so the mover's tuple is all that changes. *)
+                 rule, the mover's rank must take a strict step — the
+                 concrete shadow of the rank-decrease SMT obligations
+                 ({!Obligation}). *)
               (match I.spec.sp_rank with
-              | Some rk when List.mem sr.rule rk.rk_rules ->
-                  let tuple st =
-                    List.map
-                      (fun c -> as_int (eval_term (range_env st) c))
-                      rk.rk_components
-                  in
-                  let pre_t = tuple self and post_t = tuple post in
-                  let rec lex_lt a b =
-                    match (a, b) with
-                    | [], [] -> false
-                    | x :: xs, y :: ys ->
-                        x < y || (x = y && lex_lt xs ys)
-                    | _ -> false
-                  in
-                  if
-                    List.exists (fun v -> v < 0) pre_t
-                    || List.exists (fun v -> v < 0) post_t
-                  then
-                    record ~where:"rank" ~rules:[ sr.rule ] (fun () ->
-                        Fmt.str
-                          "rank %s not bounded below (pre [%a], post [%a]) \
-                           on %a"
-                          rk.rk_name
-                          Fmt.(list ~sep:(any " ") int)
-                          pre_t
-                          Fmt.(list ~sep:(any " ") int)
-                          post_t pp_view view)
-                  else if not (lex_lt post_t pre_t) then
-                    record ~where:"rank" ~rules:[ sr.rule ] (fun () ->
-                        Fmt.str
-                          "rank %s does not strictly decrease (pre [%a], \
-                           post [%a]) on %a"
-                          rk.rk_name
-                          Fmt.(list ~sep:(any " ") int)
-                          pre_t
-                          Fmt.(list ~sep:(any " ") int)
-                          post_t pp_view view)
+              | Some rk when List.mem sr.rule rk.rk_rules -> (
+                  match rank_step ~params:I.param_values rk ~pre:self ~post with
+                  | Ok () -> ()
+                  | Error why ->
+                      record ~where:"rank" ~rules:[ sr.rule ] (fun () ->
+                          Fmt.str "%s on %a" why pp_view view))
               | _ -> ())
             end
           with
@@ -578,10 +572,6 @@ let run_views (type s) ~max_views_per_process
     done
   done;
   { views = !views; steps = 0; daemons = 0; mismatches = dump () }
-
-let differential_views ?(max_views_per_process = 2000) (inst : instance) =
-  let (module I) = inst in
-  run_views ~max_views_per_process (module I)
 
 (* --- daemon-driven differential --------------------------------------- *)
 
@@ -742,12 +732,9 @@ let run_daemons (type s) ~max_steps ~seeds
     daemons = List.length Daemon.registry;
     mismatches = dump () }
 
-let differential_daemons ?(max_steps = 50) ?(seeds = [ 0; 1 ])
-    (inst : instance) =
+let check ?(max_views_per_process = 2000) ?(max_steps = 50) (inst : instance)
+    =
   let (module I) = inst in
-  run_daemons ~max_steps ~seeds (module I)
-
-let check ?max_views_per_process ?max_steps inst =
   merge_diffs
-    [ differential_views ?max_views_per_process inst;
-      differential_daemons ?max_steps inst ]
+    [ run_views ~max_views_per_process (module I);
+      run_daemons ~max_steps ~seeds:[ 0; 1 ] (module I) ]

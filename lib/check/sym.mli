@@ -10,11 +10,10 @@
 
     - {b differential validation} ({!check}): the IR is evaluated on
       concrete views and must agree with the OCaml rules on the enabled
-      set and the post-state — over strided per-process view spaces
-      ({!differential_views}, in the spirit of {!Footprint}'s probing) and
-      over engine-style executions under every registered daemon
-      ({!differential_daemons}).  A lying IR is an executable-spec bug and
-      is reported like any other finding;
+      set and the post-state — over strided per-process view spaces (in
+      the spirit of {!Footprint}'s probing) and over engine-style
+      executions under every registered daemon.  A lying IR is an
+      executable-spec bug and is reported like any other finding;
     - {b SMT export} ({!Obligation}): because the IR is first-order, the
       same rules compile to SMT-LIB over a {e symbolic} node sort, turning
       bounded-n verdicts into unbounded-n proof obligations.
@@ -108,13 +107,13 @@ type ir = {
 (** {2 Specs — predicates beyond the rules}
 
     The obligations of {!Obligation} need more than the transition
-    relation: the legitimacy predicate (closure), a potential certificate
-    (convergence) and the §3.5 reset/checkability interface of an SDR
-    input layer. *)
+    relation: the legitimacy predicate (closure), convergence measures
+    (a pointwise potential and a global rank) and the §3.5
+    reset/checkability interface of an SDR input layer. *)
 
 type cert_spec = {
   cs_name : string;
-  cs_rules : string list;  (** covered rules, as in {!Cert.t} *)
+  cs_rules : string list;  (** covered rules *)
   cs_local : term;
       (** per-process contribution to the global potential [Σ_u local(u)];
           must read only [Self] fields, so a covered move changes exactly
@@ -144,9 +143,11 @@ type spec = {
   sp_reset : assign list option;  (** the [reset] macro *)
   sp_cert : cert_spec option;
   sp_rank : rank_spec option;
-      (** global-ranking convergence claim, validated concretely by the
-          differential (["rank"] mismatches) and exported as rank-*
-          obligations by {!Obligation}. *)
+      (** global-ranking convergence claim, the one convergence measure
+          of the concrete checks: validated by the differential (["rank"]
+          mismatches) and by {!Model} on every explored move (a
+          ["certificate"] violation), and exported as rank-* obligations
+          by {!Obligation}. *)
 }
 
 val spec_of_ir : ir -> spec
@@ -157,36 +158,11 @@ val spec_of_ir : ir -> spec
 type value = VInt of int | VBool of bool | VEnum of string
 
 val value_equal : value -> value -> bool
-val pp_value : value Fmt.t
 
 exception Ill_formed of string
 (** Raised by evaluation on scoping or typing errors ([Nbr] outside a
     quantifier, unknown field or parameter, boolean where an integer is
     expected). *)
-
-val eval_form :
-  params:(string * int) list ->
-  self:(string * value) list ->
-  nbrs:(string * value) list array ->
-  form ->
-  bool
-
-val eval_rule_enabled :
-  params:(string * int) list ->
-  self:(string * value) list ->
-  nbrs:(string * value) list array ->
-  rule ->
-  bool
-
-val eval_rule_apply :
-  params:(string * int) list ->
-  fields:(string * ty) list ->
-  self:(string * value) list ->
-  nbrs:(string * value) list array ->
-  rule ->
-  (string * value) list
-(** Post-valuation of the mover: assigned fields from their terms (in the
-    pre-state), unassigned fields unchanged; result in [fields] order. *)
 
 val subst_self_term : assign list -> term -> term
 (** Term-level {!subst_self}. *)
@@ -203,6 +179,26 @@ val well_formed : ir -> string list
     refers to a declared field or parameter, [Nbr] occurs only under a
     neighborhood quantifier, rule names are unique, range bounds are
     closed (no fields). *)
+
+(** {2 Ranks} *)
+
+val lex_lt : int list -> int list -> bool
+(** Strict lexicographic order; tuples of different lengths are never
+    ordered, so a rank whose length varies fails its step check instead of
+    passing vacuously. *)
+
+val rank_step :
+  params:(string * int) list ->
+  rank_spec ->
+  pre:(string * value) list ->
+  post:(string * value) list ->
+  (unit, string) result
+(** The one check behind every concrete use of a {!rank_spec}: evaluate the
+    tuple on the mover's pre- and post-valuation, require every component
+    [>= 0] on both sides and a strict {!lex_lt} decrease.  Components read
+    [Self] only, so this is the whole claim for a covered move.  [Error]
+    carries the reason and both tuples.
+    @raise Ill_formed when a component does not evaluate to an integer. *)
 
 (** {2 Instances and differential validation} *)
 
@@ -249,25 +245,20 @@ val diff_ok : diff -> bool
 val merge_diffs : diff list -> diff
 val pp_mismatch : mismatch Fmt.t
 
-val differential_views :
-  ?max_views_per_process:int -> instance -> diff
-(** Strided sweep of each process's view space (own domain × neighbor
-    domains, default cap 2000 views per process, as {!Lint}): per rule,
-    the OCaml guard and the IR guard must agree on every probed view, and
-    on enabled views the OCaml action must equal the IR assignment
-    application.  Also validates the static {!well_formed} lint, the
-    rule-name alignment, and that every seed-domain state satisfies the
-    declared {!ir.ranges}. *)
-
-val differential_daemons :
-  ?max_steps:int -> ?seeds:int list -> instance -> diff
-(** Drive the instance from random seed configurations under {e every}
-    registered daemon ({!Ssreset_sim.Daemon.registry}), cross-checking at
-    each step the enabled set (process and rule name), each mover's
-    post-state, and — when both the spec and the instance carry a
-    legitimacy predicate — the view-level legitimate form against the
-    concrete configuration predicate. *)
-
 val check :
   ?max_views_per_process:int -> ?max_steps:int -> instance -> diff
-(** {!differential_views} + {!differential_daemons}, merged. *)
+(** Differential validation, two sweeps merged:
+    - a strided sweep of each process's view space (own domain × neighbor
+      domains, default cap 2000 views per process, as {!Lint}): per rule,
+      the OCaml guard and the IR guard must agree on every probed view; on
+      enabled views the OCaml action must equal the IR assignment
+      application, and a rule the {!rank_spec} covers must take a
+      {!rank_step} (["rank"] mismatches).  It also validates the static
+      {!well_formed} lint, the rule-name alignment, and that every
+      seed-domain state satisfies the declared {!ir.ranges};
+    - random seed configurations driven for [max_steps] (default 50) steps
+      under {e every} registered daemon ({!Ssreset_sim.Daemon.registry}),
+      cross-checking at each step the enabled set (process and rule name),
+      each mover's post-state, and — when both the spec and the instance
+      carry a legitimacy predicate — the view-level legitimate form against
+      the concrete configuration predicate. *)

@@ -128,6 +128,8 @@ let badsym graph =
     ~domain:(fun _ -> [ 0; 1; 2 ])
     ~legitimate:badsym_legitimate ()
 
+let encode_counter c = [ ("c", Sym.VInt c) ]
+
 let badsym_spec =
   Sym.spec_of_ir
     { Sym.ir_name = "toy-badsym";
@@ -144,15 +146,17 @@ let badsym_sym graph =
   Sym.make_instance ~spec:badsym_spec ~params:[]
     ~algorithm:badsym_algorithm ~graph
     ~domain:(fun _ -> [ 0; 1; 2 ])
-    ~encode:(fun c -> [ ("c", Sym.VInt c) ])
+    ~encode:encode_counter
     ~is_legitimate:(badsym_legitimate graph) ()
 
 (* A correct, strictly decreasing counter whose symbolic IR is exact but
    whose attached rank_spec lies: the component max(c, 0)·[c > 1] claims
    a strict decrease for every T-down move, yet the 1 → 0 move keeps the
-   tuple at [0] — a stutter only the ranking differential (and, symbolically,
-   the rank-decrease obligation) can flag.  Lint, model, footprint and the
-   guard/post differential are all clean by construction. *)
+   tuple at [0] — a stutter that only the rank checks can flag: the
+   ranking differential, the model checker's rank pass and, symbolically,
+   the rank-decrease obligation.  Lint, footprint, the enumerated model
+   verdicts and the guard/post differential are all clean by
+   construction. *)
 
 let badrank_rule =
   { Algorithm.rule_name = "T-down";
@@ -167,10 +171,11 @@ let badrank_algorithm =
 
 let badrank_legitimate _ cfg = Array.for_all (fun s -> s = 0) cfg
 
-let badrank graph =
-  Finite.make ~name:"toy-badrank" ~algorithm:badrank_algorithm ~graph
-    ~domain:(fun _ -> [ 0; 1; 2; 3 ])
-    ~legitimate:badrank_legitimate ()
+let badrank_rank =
+  let c = Sym.Var (Sym.Self, "c") in
+  { Sym.rk_name = "stutter";
+    rk_rules = [ "T-down" ];
+    rk_components = [ Sym.Ite (Sym.Lt (Sym.Num 1, c), c, Sym.Num 0) ] }
 
 let badrank_spec =
   let c = Sym.Var (Sym.Self, "c") in
@@ -185,38 +190,19 @@ let badrank_spec =
                assigns = [ ("c", Sym.Sub (c, Sym.Num 1)) ]
              } ] })
     with
-    Sym.sp_rank =
-      Some
-        { Sym.rk_name = "stutter";
-          rk_rules = [ "T-down" ];
-          rk_components = [ Sym.Ite (Sym.Lt (Sym.Num 1, c), c, Sym.Num 0) ]
-        } }
+    Sym.sp_rank = Some badrank_rank }
+
+let badrank graph =
+  Finite.make ~name:"toy-badrank" ~algorithm:badrank_algorithm ~graph
+    ~domain:(fun _ -> [ 0; 1; 2; 3 ])
+    ~legitimate:badrank_legitimate
+    ~certificate:
+      { Finite.rank = badrank_rank; params = []; encode = encode_counter }
+    ()
 
 let badrank_sym graph =
   Sym.make_instance ~spec:badrank_spec ~params:[]
     ~algorithm:badrank_algorithm ~graph
     ~domain:(fun _ -> [ 0; 1; 2; 3 ])
-    ~encode:(fun c -> [ ("c", Sym.VInt c) ])
+    ~encode:encode_counter
     ~is_legitimate:(badrank_legitimate graph) ()
-
-(* A correct, trivially convergent counter registered with an increasing
-   "potential": lint and the enumerated model verdicts are clean, so only
-   the certificate pass can flag the bogus measure. *)
-let badcert graph =
-  let up =
-    { Algorithm.rule_name = "T-up";
-      guard = (fun v -> v.Algorithm.state < 2);
-      action = (fun v -> v.Algorithm.state + 1) }
-  in
-  let algorithm =
-    { Algorithm.name = "toy-badcert";
-      rules = [ up ];
-      equal = Int.equal;
-      pp = Fmt.int }
-  in
-  Finite.make ~name:"toy-badcert" ~algorithm ~graph
-    ~domain:(fun _ -> [ 0; 1; 2 ])
-    ~legitimate:(fun _ cfg -> Array.for_all (fun s -> s = 2) cfg)
-    ~certificate:
-      (Cert.make ~name:"bogus-up" (fun _ cfg -> [ Array.fold_left ( + ) 0 cfg ]))
-    ()

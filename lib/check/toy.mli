@@ -1,6 +1,6 @@
 (** Hand-built defective algorithms — no-false-negative fixtures.
 
-    Both are deliberately broken in ways the checker must detect; the test
+    Each is deliberately broken in ways the checker must detect; the test
     suite asserts that it does.  Keeping them out of {!Registry.entries}
     preserves the invariant that every {e paper} algorithm is clean. *)
 
@@ -45,16 +45,12 @@ val badrank : Ssreset_graph.Graph.t -> Finite.t
 (** A correct strictly-decreasing counter ([T-down]: fires while
     state > 0; legitimate = all-0) whose symbolic IR is exact but whose
     rank claim stutters: the component [if c > 1 then c else 0] stays at
-    0 across the 1 → 0 move.  Lint, model, footprint and the guard/post
-    differential are all clean, so only the ranking differential (a
-    ["rank"] mismatch) — or a solver on the exported [rank-decrease]
-    obligation — can flag it. *)
+    0 across the 1 → 0 move.  The instance carries that rank as its
+    certificate.  Lint, footprint, the enumerated model verdicts and the
+    guard/post differential are all clean, so only the rank checks can
+    flag it: the ranking differential (a ["rank"] mismatch), the model
+    checker's rank pass (a ["certificate"] violation) and a solver on the
+    exported [rank-decrease] obligation. *)
 
 val badrank_sym : Ssreset_graph.Graph.t -> Sym.instance
 (** The stuttering-rank symbolic instance for {!badrank}. *)
-
-val badcert : Ssreset_graph.Graph.t -> Finite.t
-(** A correct monotone counter ([T-up]: 0 → 1 → 2; legitimate = all-2)
-    registered with a bogus {e increasing} potential [Σ state] — clean
-    under lint and every enumerated verdict, so only {!Model}'s
-    certificate pass (a ["certificate"] violation) can flag it. *)

@@ -73,15 +73,15 @@ let add agg (o : Runner.obs) =
   agg.max_wl_p90 <- Float.max agg.max_wl_p90 o.Runner.workload_p90
 
 (* Run [run] for every daemon of the pool and [seeds] seeds; the seed also
-   perturbs the graph for randomized families.  A daemon's seeds share one
-   round-robin cursor, each run continuing where the previous one left it. *)
+   perturbs the graph for randomized families.  Every run is independent
+   (round-robin starts at cursor 0), so each one can be reproduced alone
+   with [run -d DAEMON --seed K]. *)
 let sweep_cell ~seeds ~run =
   let agg = new_agg () in
   List.iter
     (fun daemon ->
-      let cursor = ref 0 in
       for seed = 1 to seeds do
-        add agg (run ~cursor ~daemon ~seed)
+        add agg (run ~daemon ~seed)
       done)
     Runner.experiment_daemons;
   agg
@@ -97,13 +97,13 @@ let e1_e2_e3 profile =
     let agg =
       match system with
       | `Unison ->
-          sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
+          sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.run ~cursor Runner.unison ~graph ~daemon ~seed ())
+              Runner.run Runner.unison ~graph ~daemon ~seed ())
       | `Fga ->
-          sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
+          sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.run ~cursor
+              Runner.run
                 (Runner.alliance ~stop_at_normal:true Spec.dominating_set)
                 ~graph ~daemon ~seed ())
     in
@@ -169,8 +169,8 @@ let e4_e5 profile =
         let graph = family.Workload.build ~seed:1 ~n in
         let diam = Metrics.diameter graph in
         let agg =
-          sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
-              Runner.run ~cursor Runner.unison ~graph ~daemon ~seed ())
+          sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
+              Runner.run Runner.unison ~graph ~daemon ~seed ())
         in
         (family.Workload.family_name, n, diam, agg))
   in
@@ -314,9 +314,8 @@ let e8 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds
-                 ~run:(fun ~cursor ~daemon ~seed ->
-                   Runner.run ~cursor (Runner.alliance_bare spec) ~graph ~daemon
-                     ~seed ())
+                 ~run:(fun ~daemon ~seed ->
+                   Runner.run (Runner.alliance_bare spec) ~graph ~daemon ~seed ())
              in
              Some
                [ spec.Spec.spec_name; family.Workload.family_name;
@@ -357,9 +356,8 @@ let e9_e10 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds
-                 ~run:(fun ~cursor ~daemon ~seed ->
-                   Runner.run ~cursor (Runner.alliance spec) ~graph ~daemon
-                     ~seed ())
+                 ~run:(fun ~daemon ~seed ->
+                   Runner.run (Runner.alliance spec) ~graph ~daemon ~seed ())
              in
              Some
                (spec.Spec.spec_name, family.Workload.family_name, n, graph,
@@ -527,16 +525,16 @@ let e13 profile =
          ~f:(fun ((family : Workload.family), n) ->
             let graph = family.Workload.build ~seed:1 ~n in
             let col =
-              sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
-                  Runner.run ~cursor Runner.coloring ~graph ~daemon ~seed ())
+              sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
+                  Runner.run Runner.coloring ~graph ~daemon ~seed ())
             in
             let mis =
-              sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
-                  Runner.run ~cursor Runner.mis ~graph ~daemon ~seed ())
+              sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
+                  Runner.run Runner.mis ~graph ~daemon ~seed ())
             in
             let mat =
-              sweep_cell ~seeds:profile.seeds ~run:(fun ~cursor ~daemon ~seed ->
-                  Runner.run ~cursor Runner.matching ~graph ~daemon ~seed ())
+              sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
+                  Runner.run Runner.matching ~graph ~daemon ~seed ())
             in
             [ [ "coloring∘SDR"; family.Workload.family_name; Table.cell_int n;
                 Table.cell_int col.max_rounds; Table.cell_bool col.all_ok ];

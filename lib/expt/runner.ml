@@ -269,7 +269,7 @@ let telemetry sink layer =
   in
   (on_step, on_round, summary)
 
-let run_setup (type s) ?max_steps ?cursor ?prof ?sink ~trace_steps
+let run_setup (type s) ?max_steps ?prof ?sink ~trace_steps
     (s : s setup) ~graph ~daemon ~seed =
   let cfg_rng = Random.State.make [| seed; 17 |] in
   let run_rng = Random.State.make [| seed; 91 |] in
@@ -291,7 +291,7 @@ let run_setup (type s) ?max_steps ?cursor ?prof ?sink ~trace_steps
           [ (fun ~step:_ ~moved _ -> Algorithm.Tracker.mark illegit ~moved) ] )
   in
   let result =
-    Engine.run ?cursor ?prof ~rng:run_rng
+    Engine.run ?prof ~rng:run_rng
       ~max_steps:(Option.value max_steps ~default:s.max_steps)
       ?observer:
         (match layer.observers @ stop_observer with
@@ -313,12 +313,11 @@ let run_setup (type s) ?max_steps ?cursor ?prof ?sink ~trace_steps
   Option.iter (fun (_, _, summary) -> summary o result) tele;
   o
 
-let run ?max_steps ?cursor ?prof ?sink ?(trace_steps = false) system ~graph
-    ~daemon ~seed () =
+let run ?max_steps ?prof ?sink ?(trace_steps = false) system ~graph ~daemon
+    ~seed () =
   match system.setup graph with
   | Setup s ->
-      run_setup ?max_steps ?cursor ?prof ?sink ~trace_steps s ~graph ~daemon
-        ~seed
+      run_setup ?max_steps ?prof ?sink ~trace_steps s ~graph ~daemon ~seed
 
 (* ------------------------------ the table ------------------------------- *)
 

@@ -18,9 +18,10 @@
     configuration in place.  Only the final [check] reads the whole
     configuration.
 
-    [?cursor] and [?prof] are forwarded to {!Ssreset_sim.Engine.run}: a
-    round-robin cursor carried across runs, and an attached
-    {!Ssreset_obs.Prof} profiler, which never changes any result.
+    [?prof] is forwarded to {!Ssreset_sim.Engine.run}: an attached
+    {!Ssreset_obs.Prof} profiler, which never changes any result.  Every
+    run starts the round-robin cursor at 0, so a run is reproducible from
+    its (system, graph, daemon, seed) alone.
 
     With [?sink], the run streams one {!Ssreset_obs.Sink.round_record} per
     completed round and a final {!Ssreset_obs.Sink.summary} (per-rule move
@@ -129,7 +130,6 @@ type system = {
 
 val run :
   ?max_steps:int ->
-  ?cursor:int ref ->
   ?prof:Ssreset_obs.Prof.t ->
   ?sink:Ssreset_obs.Sink.t ->
   ?trace_steps:bool ->

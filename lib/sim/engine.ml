@@ -20,7 +20,7 @@ type 'state result = {
    process's enabled rule (what a mover fires), [enabled]/[count] the same
    set as a bitset plus its size (what {!Daemon.select} reads), so no step
    materializes a list of the enabled processes.  [cursor] is the run's
-   round-robin position; [chosen] buffers the selection. *)
+   round-robin position, starting at 0; [chosen] buffers the selection. *)
 type 'state sched = {
   table : 'state Algorithm.rule option array;
   enabled : Bits.t;
@@ -40,7 +40,7 @@ let set_entry s u r =
 
 (* Full scan of the initial configuration — the only O(n) guard work of a
    run (and all of a one-shot [step]). *)
-let make_sched ?(cursor = ref 0) algo g cfg =
+let make_sched algo g cfg =
   let n = Graph.n g in
   let table = Array.make n None in
   let s =
@@ -48,7 +48,7 @@ let make_sched ?(cursor = ref 0) algo g cfg =
       table;
       enabled = Bits.create n;
       count = 0;
-      cursor;
+      cursor = ref 0;
       chosen = Array.make n 0;
       n_chosen = 0;
       rule_name =
@@ -297,7 +297,7 @@ let step ?rng ?(seed = 0) ?(check_overlap = false) ~algorithm ~graph ~daemon
     next
   |> Option.map (fun moved -> (next, moved))
 
-let run ?rng ?(seed = 0) ?cursor ?(max_steps = 10_000_000)
+let run ?rng ?(seed = 0) ?(max_steps = 10_000_000)
     ?(check_overlap = false) ?prof ?observer ?on_step ?on_round
     ?(stop = fun _ -> false) ~algorithm ~graph ~daemon cfg0 =
   let rng =
@@ -325,7 +325,7 @@ let run ?rng ?(seed = 0) ?cursor ?(max_steps = 10_000_000)
   (* The scheduler state always describes the *current* configuration:
      full scan at start, then a dirty-set refresh of the movers' closed
      neighborhoods after every step. *)
-  let s = make_sched ?cursor algorithm graph cfg in
+  let s = make_sched algorithm graph cfg in
   let stamp = Array.make n 0 in
   let gen = ref 0 in
   (* Round accounting (§2.4): the pending set holds the processes enabled

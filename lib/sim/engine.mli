@@ -29,7 +29,6 @@ type 'state result = {
 val run :
   ?rng:Random.State.t ->
   ?seed:int ->
-  ?cursor:int ref ->
   ?max_steps:int ->
   ?check_overlap:bool ->
   ?prof:Ssreset_obs.Prof.t ->
@@ -66,9 +65,7 @@ val run :
     [seed] (default 0), so an rng-less run is reproducible regardless of
     what other engine runs executed before it — there is no shared
     module-level state.  Likewise the {!Daemon.Round_robin} cursor starts
-    at 0 in every run unless [cursor] is passed: the run then starts from
-    it and leaves its final position there, so a sweep can continue one
-    cursor across runs.
+    at 0 in every run, so a run never depends on the runs before it.
 
     Scheduling: [run] scans every guard once, then after each step
     re-evaluates only the closed neighborhoods of the movers — a step

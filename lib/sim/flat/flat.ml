@@ -131,7 +131,6 @@ let read p u =
        p.field_names)
 
 let set_int p ~field u v = p.state.(field_index p field).(u) <- v
-let get_int p ~field u = p.state.(field_index p field).(u)
 
 let checksum p =
   let h = ref 0x811c9dc5 in

@@ -61,8 +61,6 @@ val read : prog -> int -> (string * Sym.value) list
 val set_int : prog -> field:string -> int -> int -> unit
 (** [set_int p ~field u v]: raw write, for generators and perturbation. *)
 
-val get_int : prog -> field:string -> int -> int
-
 val checksum : prog -> int
 (** Order-sensitive FNV-style hash of the whole state — the deterministic
     configuration fingerprint behind [--digest]. *)

@@ -47,7 +47,3 @@ let percentile xs ~p =
       arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
 
 let median xs = percentile xs ~p:50.
-
-let pp_summary ppf s =
-  Fmt.pf ppf "mean=%.1f min=%.0f max=%.0f sd=%.1f (%d samples)" s.mean s.min
-    s.max s.stddev s.count

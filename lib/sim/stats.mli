@@ -28,6 +28,3 @@ val percentile : float list -> p:float -> float
 
 val median : float list -> float
 (** [percentile ~p:50.]. *)
-
-val pp_summary : summary Fmt.t
-(** "mean=… min=… max=… sd=… (k samples)". *)

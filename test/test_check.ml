@@ -1,12 +1,12 @@
 open Helpers
 module Algorithm = Ssreset_sim.Algorithm
-module Cert = Ssreset_check.Cert
 module Finite = Ssreset_check.Finite
 module Footprint = Ssreset_check.Footprint
 module Lint = Ssreset_check.Lint
 module Model = Ssreset_check.Model
 module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
+module Sym = Ssreset_check.Sym
 module Symmetry = Ssreset_check.Symmetry
 module Toy = Ssreset_check.Toy
 
@@ -276,37 +276,70 @@ let symmetry_tests =
 
 let cert_tests =
   [ test "lex_lt is a strict lexicographic order" (fun () ->
-        check_true "lt" (Cert.lex_lt [ 1; 9 ] [ 2; 0 ]);
-        check_true "tie then lt" (Cert.lex_lt [ 2; 1 ] [ 2; 3 ]);
-        check_false "eq" (Cert.lex_lt [ 2; 3 ] [ 2; 3 ]);
-        check_false "gt" (Cert.lex_lt [ 3; 0 ] [ 2; 9 ]);
+        check_true "lt" (Sym.lex_lt [ 1; 9 ] [ 2; 0 ]);
+        check_true "tie then lt" (Sym.lex_lt [ 2; 1 ] [ 2; 3 ]);
+        check_false "eq" (Sym.lex_lt [ 2; 3 ] [ 2; 3 ]);
+        check_false "gt" (Sym.lex_lt [ 3; 0 ] [ 2; 9 ]);
         (* length mismatch is never "less": it must surface as a
            violation rather than vacuously pass *)
-        check_false "short" (Cert.lex_lt [ 1 ] [ 2; 3 ]);
-        check_false "empty" (Cert.lex_lt [] [ 1 ]));
-    test "toy-badcert: the bogus increasing potential is flagged" (fun () ->
-        let r = Model.check (Toy.badcert (Gen.path 2)) in
-        check
-          Alcotest.(option string)
-          "name" (Some "bogus-up") r.Model.certificate;
-        check_true "violation" (List.mem "certificate" (properties r)));
-    test "climb-debt certificate verifies on tail-unison" (fun () ->
-        let r =
-          Model.check ((entry "tail-unison").Registry.instance (Gen.path 2))
+        check_false "short" (Sym.lex_lt [ 1 ] [ 2; 3 ]);
+        check_false "empty" (Sym.lex_lt [] [ 1 ]));
+    test "rank_step: strict decrease, stutter and a component below 0"
+      (fun () ->
+        let rk =
+          { Sym.rk_name = "c";
+            rk_rules = [ "R" ];
+            rk_components = [ Sym.Var (Sym.Self, "c") ] }
+        in
+        let step pre post =
+          Sym.rank_step ~params:[] rk
+            ~pre:[ ("c", Sym.VInt pre) ]
+            ~post:[ ("c", Sym.VInt post) ]
+        in
+        let fails_with what r =
+          match r with
+          | Ok () -> false
+          | Error msg -> Astring_like.contains msg what
+        in
+        check_true "2 -> 1" (step 2 1 = Ok ());
+        check_true "1 -> 1 stutters"
+          (fails_with "does not strictly decrease" (step 1 1));
+        (* a decrease that leaves the naturals is not a well-founded step *)
+        check_true "0 -> -1 unbounded"
+          (fails_with "not bounded below" (step 0 (-1)));
+        check_true "-1 -> -2 unbounded"
+          (fails_with "not bounded below" (step (-1) (-2))));
+    test "every entry's certificate is its spec's rank, clean on path 2"
+      (fun () ->
+        let expected =
+          [ ("min-unison", Some "climb-debt");
+            ("tail-unison", Some "climb-debt");
+            ("unison-sdr", Some "wave-completion");
+            ("coloring-sdr", Some "undecided");
+            ("mis-sdr", Some "undecided");
+            ("matching-sdr", None);
+            ("fga-sdr", None) ]
         in
         check
-          Alcotest.(option string)
-          "name" (Some "climb-debt") r.Model.certificate;
-        check_true "clean" (r.Model.violations = []));
-    test "certs:false disables the pass" (fun () ->
-        let r =
-          Model.check
-            ~options:{ Model.default_options with certs = false }
-            (Toy.badcert (Gen.path 2))
-        in
-        check Alcotest.(option string) "off" None r.Model.certificate;
-        check_false "no certificate violation"
-          (List.mem "certificate" (properties r))) ]
+          Alcotest.(list string)
+          "every entry covered" (List.map fst expected)
+          (List.map (fun (e : Registry.entry) -> e.Registry.name)
+             Registry.entries);
+        List.iter
+          (fun (name, rank) ->
+            let e = entry name in
+            let spec_rank =
+              List.find_map
+                (fun (s : Sym.spec) ->
+                  Option.map (fun r -> r.Sym.rk_name) s.Sym.sp_rank)
+                (List.filter_map Fun.id
+                   [ e.Registry.comp_spec; e.Registry.smt_spec ])
+            in
+            check Alcotest.(option string) (name ^ " spec rank") rank spec_rank;
+            let r = Model.check (e.Registry.instance (Gen.path 2)) in
+            check Alcotest.(option string) name rank r.Model.certificate;
+            check_true (name ^ " clean") (r.Model.violations = []))
+          expected) ]
 
 (* ------------------------------ footprint ------------------------------- *)
 
@@ -391,7 +424,7 @@ let footprint_tests =
 let registry_tests =
   [ test "find matches case-insensitive substrings" (fun () ->
         check_int "unison" 3 (List.length (Registry.find "UNISON"));
-        check_int "toy" 6 (List.length (Registry.find "toy"));
+        check_int "toy" 5 (List.length (Registry.find "toy"));
         check_int "none" 0 (List.length (Registry.find "zzz")));
     test "fixtures are reported dirty, entries clean (quick mode)" (fun () ->
         List.iter

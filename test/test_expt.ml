@@ -453,6 +453,47 @@ let experiment_tests =
         List.iter
           (fun t -> check_true t.Table.title (last_col_ok t))
           (Experiments.e1_e2_e3 tiny_profile));
+    test "E4/E5 cells aggregate independent Runner.run calls" (fun () ->
+        (* Each (daemon, seed) run of a sweep cell must be the run that
+           [Runner.run] gives alone: no daemon state (the round-robin
+           cursor) may leak from one seed's run into the next. *)
+        let profile = { tiny_profile with Experiments.sizes = [ 12 ]; seeds = 2 } in
+        let e4, e5 =
+          match Experiments.e4_e5 profile with
+          | [ e4; e5 ] -> (e4, e5)
+          | _ -> Alcotest.fail "e4_e5 returns two tables"
+        in
+        let row table family =
+          List.find (fun r -> String.equal (List.hd r) family) table.Table.rows
+        in
+        List.iter
+          (fun (family : Workload.family) ->
+            let graph = family.Workload.build ~seed:1 ~n:12 in
+            let obs =
+              List.concat_map
+                (fun daemon ->
+                  List.init 2 (fun i ->
+                      Runner.run Runner.unison ~graph ~daemon ~seed:(i + 1) ()))
+                Runner.experiment_daemons
+            in
+            let moves = List.map (fun (o : Runner.obs) -> o.Runner.moves) obs in
+            let name = family.Workload.family_name in
+            let e4_row = row e4 name and e5_row = row e5 name in
+            check Alcotest.string (name ^ " max moves")
+              (Table.cell_int (List.fold_left max 0 moves))
+              (List.nth e4_row 3);
+            check Alcotest.string (name ^ " mean moves")
+              (Table.cell_float
+                 (float_of_int (List.fold_left ( + ) 0 moves)
+                 /. float_of_int (List.length moves)))
+              (List.nth e4_row 4);
+            check Alcotest.string (name ^ " max rounds")
+              (Table.cell_int
+                 (List.fold_left
+                    (fun acc (o : Runner.obs) -> max acc o.Runner.rounds)
+                    0 obs))
+              (List.nth e5_row 2))
+          [ Workload.ring; Workload.path; Workload.sparse_random ]);
     test "E7 passes on a tiny profile" (fun () ->
         check_true "e7" (last_col_ok (Experiments.e7 tiny_profile)));
     test "E13 passes on a tiny profile" (fun () ->

@@ -58,8 +58,9 @@ let () =
       in
       if r.Report.name = "toy-badsym" && not sym_dirty then
         fail "toy-badsym: symbolic differential did NOT flag the lying IR";
-      (* toy-badrank's IR is exact — only the ranking differential can see
-         the stutter, so require a mismatch specifically tagged "rank". *)
+      (* toy-badrank is the one bad-measure fixture: its IR is exact, so
+         both rank checks must see the stutter — a differential mismatch
+         tagged "rank" and a model "certificate" violation. *)
       if r.Report.name = "toy-badrank" then begin
         let rank_dirty =
           match r.Report.sym with
@@ -69,11 +70,20 @@ let () =
                 (fun (m : Ssreset_check.Sym.mismatch) ->
                   m.Ssreset_check.Sym.where = "rank")
                 d.Ssreset_check.Sym.mismatches
+        and cert_dirty =
+          List.exists
+            (fun (m : Report.model_item) ->
+              List.exists
+                (fun (v : Model.violation) -> v.Model.property = "certificate")
+                m.Report.result.Model.violations)
+            r.Report.models
         in
         if not rank_dirty then
           fail
             "toy-badrank: ranking differential did NOT flag the stuttering \
-             rank"
+             rank";
+        if not cert_dirty then
+          fail "toy-badrank: model rank pass did NOT flag the stuttering rank"
       end;
       if not dirty then
         fail "%s: fixture was NOT flagged (false negative)" r.Report.name
