@@ -20,7 +20,9 @@ type 'state result = {
    process's enabled rule (what a mover fires), [enabled]/[count] the same
    set as a bitset plus its size (what {!Daemon.select} reads), so no step
    materializes a list of the enabled processes.  [cursor] is the run's
-   round-robin position, starting at 0; [chosen] buffers the selection. *)
+   round-robin position, starting at 0; [chosen] buffers the selection.
+   [touched]/[evals]/[flips] are the refresh's exact running counts, kept
+   whether or not a profiler reads them. *)
 type 'state sched = {
   table : 'state Algorithm.rule option array;
   enabled : Bits.t;
@@ -30,6 +32,9 @@ type 'state sched = {
   mutable n_chosen : int;
   rule_name : int -> string;
   for_all_neighbors : int -> (int -> bool) -> bool;
+  mutable touched : int;  (* dirty-set touch attempts *)
+  mutable evals : int;  (* guard re-evaluations actually done *)
+  mutable flips : int;  (* table entries whose rule changed *)
 }
 
 let set_entry s u r =
@@ -57,6 +62,9 @@ let make_sched algo g cfg =
           | Some r -> r.Algorithm.rule_name
           | None -> invalid_arg "rule_name: disabled process");
       for_all_neighbors = (fun u f -> Graph.for_all_neighbors g u ~f);
+      touched = 0;
+      evals = 0;
+      flips = 0;
     }
   in
   for u = 0 to n - 1 do
@@ -64,18 +72,29 @@ let make_sched algo g cfg =
   done;
   s
 
+let same_entry before after =
+  match (before, after) with
+  | None, None -> true
+  | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
+  | _ -> false
+
 (* Dirty-set refresh: a process's enabled rule depends only on its view (its
    own state plus its neighbors' states), and a step changes only the movers'
    states — so only the closed neighborhoods of the movers can change
    enabled status.  [stamp]/[gen] deduplicate processes shared by several
-   movers' neighborhoods without any per-step allocation. *)
+   movers' neighborhoods without any per-step allocation; a touch the stamp
+   skips is a dedup hit, so [touched - evals] counts them. *)
 let refresh_moved algo g cfg s stamp gen moved =
   incr gen;
   let gen = !gen in
   let touch u =
+    s.touched <- s.touched + 1;
     if stamp.(u) <> gen then begin
       stamp.(u) <- gen;
-      set_entry s u (Algorithm.enabled_rule algo (Algorithm.view g cfg u))
+      s.evals <- s.evals + 1;
+      let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
+      if not (same_entry s.table.(u) after) then s.flips <- s.flips + 1;
+      set_entry s u after
     end
   in
   List.iter
@@ -90,7 +109,8 @@ let refresh_moved algo g cfg s stamp gen moved =
    name.  Phase attribution is lap-based: [mark] is the last phase
    boundary; closing a phase is one clock read, one histogram record and
    one mutation — the whole per-step overhead with profiling on is 5 + k
-   clock reads for k movers, and exactly zero extra work with it off. *)
+   clock reads for k movers plus one publish of the step's scheduler
+   counts, which the refresh keeps whether or not a profiler is attached. *)
 type prof_ctx = {
   p : Prof.t;
   scan : Prof.timer;  (* initial table build + overlap check *)
@@ -166,38 +186,15 @@ let rule_counter pc name =
     Hashtbl.replace pc.rule_moves name c;
     c
 
-let same_entry before after =
-  match (before, after) with
-  | None, None -> true
-  | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
-  | _ -> false
-
-(* Instrumented twin of [refresh_moved]: same table writes in the same
-   order (results stay bit-identical), plus the scheduler counters the
-   profile reports. *)
-let refresh_moved_prof pc algo g cfg s stamp gen moved =
-  incr gen;
-  let gen = !gen in
-  let evals = ref 0 in
-  let touch u =
-    Metrics.incr pc.c_touched;
-    if stamp.(u) <> gen then begin
-      stamp.(u) <- gen;
-      incr evals;
-      let before = s.table.(u) in
-      let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-      set_entry s u after;
-      if not (same_entry before after) then Metrics.incr pc.c_flips
-    end
-    else Metrics.incr pc.c_dedup
-  in
-  List.iter
-    (fun (u, _rule) ->
-      touch u;
-      Array.iter touch (Graph.neighbors g u))
-    moved;
-  Metrics.add pc.c_evals !evals;
-  Histogram.record pc.h_refresh !evals
+(* Publish one step's refresh into the profile: the counters get the
+   step's deltas (so window records carry them), the histogram its evals. *)
+let publish_refresh pc s ~touched0 ~evals0 ~flips0 =
+  let touched = s.touched - touched0 and evals = s.evals - evals0 in
+  Metrics.add pc.c_touched touched;
+  Metrics.add pc.c_evals evals;
+  Metrics.add pc.c_dedup (touched - evals);
+  Metrics.add pc.c_flips (s.flips - flips0);
+  Histogram.record pc.h_refresh evals
 
 let assert_exclusive algorithm graph cfg enabled =
   Bits.iter enabled (fun u ->
@@ -241,45 +238,32 @@ let step_with_sched ~prof ~rng ~check_overlap ~algorithm ~graph ~daemon
           r.Algorithm.rule_name
       | None -> assert false
     in
-    let commit () =
-      for k = 0 to s.n_chosen - 1 do
+    (* Per-rule attribution without extra clock reads: movers chain laps,
+       so their spans tile the apply phase exactly (the last mover's span
+       absorbs the write-back).  The phase total is derived from the chain,
+       not measured again. *)
+    let apply_start = match prof with Some pc -> pc.mark | None -> 0 in
+    let[@tail_mod_cons] rec go k =
+      if k = s.n_chosen then []
+      else
         let u = s.chosen.(k) in
-        cfg.(u) <- scratch.(u)
-      done
+        let name = fire u in
+        if k = s.n_chosen - 1 then
+          for j = 0 to k do
+            let v = s.chosen.(j) in
+            cfg.(v) <- scratch.(v)
+          done;
+        (match prof with
+        | Some pc ->
+            lap pc (rule_timer pc name);
+            Metrics.incr (rule_counter pc name)
+        | None -> ());
+        (u, name) :: go (k + 1)
     in
-    let moved =
-      match prof with
-      | None ->
-          let[@tail_mod_cons] rec go k =
-            if k = s.n_chosen then []
-            else
-              let u = s.chosen.(k) in
-              let name = fire u in
-              (u, name) :: go (k + 1)
-          in
-          let moved = go 0 in
-          commit ();
-          moved
-      | Some pc ->
-          (* Per-rule attribution without extra clock reads: movers chain
-             laps, so their spans tile the apply phase exactly (the last
-             mover's span absorbs the write-back).  The phase total is
-             derived from the chain, not measured again. *)
-          let apply_start = pc.mark in
-          let[@tail_mod_cons] rec go k =
-            if k = s.n_chosen then []
-            else
-              let u = s.chosen.(k) in
-              let name = fire u in
-              if k = s.n_chosen - 1 then commit ();
-              lap pc (rule_timer pc name);
-              Metrics.incr (rule_counter pc name);
-              (u, name) :: go (k + 1)
-          in
-          let moved = go 0 in
-          Prof.record_span pc.apply (pc.mark - apply_start);
-          moved
-    in
+    let moved = go 0 in
+    (match prof with
+    | Some pc -> Prof.record_span pc.apply (pc.mark - apply_start)
+    | None -> ());
     Some moved
   end
 
@@ -383,11 +367,13 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000)
                bump_rule name;
                unpend u)
              moved;
+           let touched0 = s.touched and evals0 = s.evals and flips0 = s.flips in
+           refresh_moved algorithm graph cfg s stamp gen moved;
            (match prof_ctx with
-           | None -> refresh_moved algorithm graph cfg s stamp gen moved
            | Some pc ->
-               refresh_moved_prof pc algorithm graph cfg s stamp gen moved;
-               lap pc pc.refresh);
+               publish_refresh pc s ~touched0 ~evals0 ~flips0;
+               lap pc pc.refresh
+           | None -> ());
            (* Neutralization: pending processes that were enabled before the
               step (by definition of pending) and are disabled after it.
               Only the movers' closed neighborhoods can change enabled

@@ -77,10 +77,11 @@ val run :
     bitset, so no per-step cost grows with n at fixed degree.  Test
     suites check the whole pipeline against a full-rescan reference.
 
-    [prof] attaches a {!Ssreset_obs.Prof} profiler — pay-as-you-go like the
-    telemetry hooks: with it absent the step loop does zero extra work, and
-    results are bit-identical either way (asserted over the whole zoo by the
-    test suite).  With it present the run attributes wall time to the
+    [prof] attaches a {!Ssreset_obs.Prof} profiler.  The refresh always
+    keeps its exact scheduler counts; a profiler adds only its clock laps,
+    histogram records and the publishing of those counts, and results are
+    bit-identical either way (asserted over the whole zoo by the test
+    suite).  With it present the run attributes wall time to the
     [phase.scan] / [phase.select] / [phase.apply] / [phase.refresh] /
     [phase.neutralize] / [phase.callbacks] / [phase.stop] timers (lap-based:
     consecutive laps tile the loop, so the phase totals sum to the loop's

@@ -509,6 +509,26 @@ type beat = {
   hb_moves_per_s : float;  (* over the last heartbeat interval *)
 }
 
+(* One heartbeat of either run.  [last] holds the wall clock and move count
+   of the previous beat, so the rate covers one interval; [legit_steps] is
+   [None] when availability is not sampled. *)
+let beat last ~steps ~moves ~enabled ~legit ~legit_steps =
+  let now = Unix.gettimeofday () in
+  let t, m = !last in
+  last := (now, moves);
+  {
+    hb_steps = steps;
+    hb_moves = moves;
+    hb_enabled = enabled;
+    hb_legit = legit;
+    hb_availability =
+      (match legit_steps with
+      | Some k when steps > 0 -> float_of_int k /. float_of_int steps
+      | _ -> -1.);
+    hb_moves_per_s =
+      (if now -. t > 0. then float_of_int (moves - m) /. (now -. t) else 0.);
+  }
+
 (* Latch the paper's complexity bounds from the flat counters: the 3n round
    bound and the D·n² move bound of U∘SDR trip a named anomaly at most once
    per run, like the classic runners' monitors. *)
@@ -584,6 +604,10 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   refill_pending ();
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
+  (* The refresh's exact running counts: touch attempts, guard
+     re-evaluations (a touch the stamp skips is a dedup hit) and rule
+     changes.  A profiler only publishes them. *)
+  let touched = ref 0 and evals = ref 0 and flips = ref 0 in
   let cursor = ref 0 in
   let rule_name u = p.rule_names.(rule_of.(u)) in
   let for_all_neighbors u f =
@@ -609,8 +633,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     && (prof_ctx <> None || heartbeat <> None || monitor <> None)
   in
   let legit_steps = ref 0 in
-  let hb_last_t = ref t0 in
-  let hb_last_moves = ref 0 in
+  let hb_last = ref (t0, 0) in
   let outcome = ref Engine.Step_limit in
   (* Everything since [run] began — evaluator compilation, the initial
      enabled/legitimacy scan, the first pending refill — is scan work. *)
@@ -636,29 +659,30 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
        in
        Daemon.select daemon rng ~cursor ~enabled ~count:!en_count ~rule_name
          ~for_all_neighbors push;
-       (match prof_ctx with
-       | None ->
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             for f = 0 to nf - 1 do
-               p.state.(f).(u) <- mv.mp.((k * nf) + f)
-             done
-           done
-       | Some pc ->
-           lap pc pc.select;
-           (* Per-rule attribution without extra clock reads: movers chain
-              laps, so their spans tile the apply phase exactly; the phase
-              total is derived from the chain, not measured again. *)
-           let apply_start = pc.mark in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             for f = 0 to nf - 1 do
-               p.state.(f).(u) <- mv.mp.((k * nf) + f)
-             done;
+       (* Per-rule attribution without extra clock reads: movers chain laps,
+          so their spans tile the apply phase exactly; the phase total is
+          derived from the chain, not measured again. *)
+       let apply_start =
+         match prof_ctx with
+         | Some pc ->
+             lap pc pc.select;
+             pc.mark
+         | None -> 0
+       in
+       for k = 0 to mv.len - 1 do
+         let u = mv.mu.(k) in
+         for f = 0 to nf - 1 do
+           p.state.(f).(u) <- mv.mp.((k * nf) + f)
+         done;
+         match prof_ctx with
+         | Some pc ->
              lap pc pc.rule_timers.(mv.mr.(k));
              Metrics.incr pc.rule_counters.(mv.mr.(k))
-           done;
-           Prof.record_span pc.apply (pc.mark - apply_start));
+         | None -> ()
+       done;
+       (match prof_ctx with
+       | Some pc -> Prof.record_span pc.apply (pc.mark - apply_start)
+       | None -> ());
        incr steps;
        incr steps_in_round;
        for k = 0 to mv.len - 1 do
@@ -678,84 +702,52 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
        let g = !gen in
        let offsets = p.csr.Csr.offsets in
        let nbrs = p.csr.Csr.nbrs in
+       let touched0 = !touched and evals0 = !evals and flips0 = !flips in
+       let touch v =
+         incr touched;
+         if stamp.(v) <> g then begin
+           stamp.(v) <- g;
+           incr evals;
+           let r = first_enabled ev v in
+           if r <> rule_of.(v) then incr flips;
+           rule_of.(v) <- r;
+           if r >= 0 then begin
+             if Bits.add enabled v then incr en_count
+           end
+           else begin
+             if Bits.remove enabled v then decr en_count;
+             if pend_stamp.(v) = !pend_gen then begin
+               pend_stamp.(v) <- 0;
+               decr pend_count
+             end
+           end;
+           match (ev.legit, legit_of) with
+           | Some clo, Some la ->
+               let lg = clo () in
+               if lg <> la.(v) then begin
+                 la.(v) <- lg;
+                 illegit := !illegit + if lg then -1 else 1
+               end
+           | _ -> ()
+         end
+       in
+       for k = 0 to mv.len - 1 do
+         let u = mv.mu.(k) in
+         touch u;
+         for i = offsets.(u) to offsets.(u + 1) - 1 do
+           touch nbrs.(i)
+         done
+       done;
        (match prof_ctx with
-       | None ->
-           let touch v =
-             if stamp.(v) <> g then begin
-               stamp.(v) <- g;
-               let r = first_enabled ev v in
-               rule_of.(v) <- r;
-               if r >= 0 then begin
-                 if Bits.add enabled v then incr en_count
-               end
-               else begin
-                 if Bits.remove enabled v then decr en_count;
-                 if pend_stamp.(v) = !pend_gen then begin
-                   pend_stamp.(v) <- 0;
-                   decr pend_count
-                 end
-               end;
-               match (ev.legit, legit_of) with
-               | Some clo, Some la ->
-                   let lg = clo () in
-                   if lg <> la.(v) then begin
-                     la.(v) <- lg;
-                     illegit := !illegit + if lg then -1 else 1
-                   end
-               | _ -> ()
-             end
-           in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             touch u;
-             for i = offsets.(u) to offsets.(u + 1) - 1 do
-               touch nbrs.(i)
-             done
-           done
        | Some pc ->
-           (* Instrumented twin: same table writes in the same order, plus
-              the scheduler counters the profile reports. *)
-           let evals = ref 0 in
-           let touch v =
-             Metrics.incr pc.c_touched;
-             if stamp.(v) <> g then begin
-               stamp.(v) <- g;
-               incr evals;
-               let r0 = rule_of.(v) in
-               let r = first_enabled ev v in
-               rule_of.(v) <- r;
-               if r <> r0 then Metrics.incr pc.c_flips;
-               if r >= 0 then begin
-                 if Bits.add enabled v then incr en_count
-               end
-               else begin
-                 if Bits.remove enabled v then decr en_count;
-                 if pend_stamp.(v) = !pend_gen then begin
-                   pend_stamp.(v) <- 0;
-                   decr pend_count
-                 end
-               end;
-               match (ev.legit, legit_of) with
-               | Some clo, Some la ->
-                   let lg = clo () in
-                   if lg <> la.(v) then begin
-                     la.(v) <- lg;
-                     illegit := !illegit + if lg then -1 else 1
-                   end
-               | _ -> ()
-             end
-             else Metrics.incr pc.c_dedup
-           in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             touch u;
-             for i = offsets.(u) to offsets.(u + 1) - 1 do
-               touch nbrs.(i)
-             done
-           done;
-           Metrics.add pc.c_evals !evals;
-           Histogram.record pc.h_refresh !evals;
-           lap pc pc.refresh);
+           let dt = !touched - touched0 and de = !evals - evals0 in
+           Metrics.add pc.c_touched dt;
+           Metrics.add pc.c_evals de;
+           Metrics.add pc.c_dedup (dt - de);
+           Metrics.add pc.c_flips (!flips - flips0);
+           Histogram.record pc.h_refresh de;
+           lap pc pc.refresh
+       | None -> ());
        if count_legit && !illegit = 0 then incr legit_steps;
        (match on_step with
        | Some f ->
@@ -774,25 +766,12 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
        | None -> ());
        (match heartbeat with
        | Some (every, f) when every > 0 && !steps mod every = 0 ->
-           let now = Unix.gettimeofday () in
-           let dt = now -. !hb_last_t in
-           let dmoves = !total_moves - !hb_last_moves in
-           hb_last_t := now;
-           hb_last_moves := !total_moves;
            f
-             {
-               hb_steps = !steps;
-               hb_moves = !total_moves;
-               hb_enabled = !en_count;
-               hb_legit =
-                 (match legit_of with None -> -1 | Some _ -> nn - !illegit);
-               hb_availability =
-                 (if count_legit && !steps > 0 then
-                    float_of_int !legit_steps /. float_of_int !steps
-                  else -1.);
-               hb_moves_per_s =
-                 (if dt > 0. then float_of_int dmoves /. dt else 0.);
-             }
+             (beat hb_last ~steps:!steps ~moves:!total_moves
+                ~enabled:!en_count
+                ~legit:
+                  (match legit_of with None -> -1 | Some _ -> nn - !illegit)
+                ~legit_steps:(if count_legit then Some !legit_steps else None))
        | _ -> ());
        trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
        if !pend_count = 0 then begin
@@ -828,23 +807,14 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
 (* --------------------------- partitioned run --------------------------- *)
 
 (* Worker-private instrumentation slots for the partitioned path: each
-   domain accumulates its own phase nanoseconds, duration histograms,
-   scheduler counts and GC baselines — separate heap blocks, no sharing —
-   and everything is merged into the single profiler on the calling domain
-   after the team shuts down ({!Prof.merge_spans} / {!Histogram.merge_into}
-   are lossless, so the merged stream is exact). *)
+   domain accumulates its own phase nanoseconds, duration histograms and
+   GC baselines — separate heap blocks, no sharing — and everything is
+   merged, with the run's scheduler counts, into the single profiler on
+   the calling domain after the team shuts down ({!Prof.merge_spans} /
+   {!Histogram.merge_into} are lossless, so the merged stream is exact). *)
 type wslots = {
-  mutable ws_init_ns : int;
-  mutable ws_compute_ns : int;
-  mutable ws_write_ns : int;
-  mutable ws_refresh_ns : int;
-  h_init : Histogram.t;
-  h_compute : Histogram.t;
-  h_write : Histogram.t;
-  h_refresh : Histogram.t;
-  mutable ws_touched : int;
-  mutable ws_evals : int;
-  mutable ws_dedup : int;
+  ws_ns : int array;  (* per worker phase, indexed like [worker_phases] *)
+  ws_hist : Histogram.t array;
   mutable ws_minor0 : float;
   mutable ws_major0 : float;
   mutable ws_minor : float;
@@ -857,10 +827,7 @@ type wslots = {
 type part_prof = {
   pp : Prof.t;
   slots : wslots array;
-  t_init : Prof.timer;
-  t_compute : Prof.timer;
-  t_write : Prof.timer;
-  t_refresh : Prof.timer;
+  t_phases : Prof.timer array;  (* indexed like [worker_phases] *)
   t_replay : Prof.timer;
   t_callbacks : Prof.timer;
   prc : Metrics.counter array;  (* moves.R *)
@@ -869,13 +836,16 @@ type part_prof = {
   pc_legit : Metrics.counter;
 }
 
+(* The phases every worker runs, in pipeline order. *)
+let worker_phases = [| "init"; "compute"; "write"; "refresh" |]
+let ph_init = 0 and ph_compute = 1 and ph_write = 2 and ph_refresh = 3
+
 let make_part_prof pr ~nparts rule_names =
   Prof.gc_mark pr;
   let m = Prof.metrics pr in
-  let t_init = Prof.timer pr "phase.init" in
-  let t_compute = Prof.timer pr "phase.compute" in
-  let t_write = Prof.timer pr "phase.write" in
-  let t_refresh = Prof.timer pr "phase.refresh" in
+  let t_phases =
+    Array.map (fun ph -> Prof.timer pr ("phase." ^ ph)) worker_phases
+  in
   (* Registered here for display order; Pool.Team feeds it at shutdown. *)
   ignore (Prof.timer pr "phase.barrier");
   let t_replay = Prof.timer pr "phase.replay" in
@@ -885,26 +855,14 @@ let make_part_prof pr ~nparts rule_names =
     slots =
       Array.init nparts (fun _ ->
           {
-            ws_init_ns = 0;
-            ws_compute_ns = 0;
-            ws_write_ns = 0;
-            ws_refresh_ns = 0;
-            h_init = Histogram.create ();
-            h_compute = Histogram.create ();
-            h_write = Histogram.create ();
-            h_refresh = Histogram.create ();
-            ws_touched = 0;
-            ws_evals = 0;
-            ws_dedup = 0;
+            ws_ns = Array.make (Array.length worker_phases) 0;
+            ws_hist = Array.map (fun _ -> Histogram.create ()) worker_phases;
             ws_minor0 = 0.;
             ws_major0 = 0.;
             ws_minor = 0.;
             ws_major = 0.;
           });
-    t_init;
-    t_compute;
-    t_write;
-    t_refresh;
+    t_phases;
     t_replay;
     t_callbacks;
     prc = Array.map (fun r -> Metrics.counter m ("moves." ^ r)) rule_names;
@@ -917,28 +875,43 @@ let make_part_prof pr ~nparts rule_names =
    worker's spans (sum ≈ parts × wall together with phase.barrier, which
    is what the multi-worker coverage check validates), per-worker gauges
    keep the split for the `prof report` worker table. *)
-let merge_part_prof o ~nparts =
+let merge_part_prof o ~nparts ~touched ~evals =
   let m = Prof.metrics o.pp in
   Array.iteri
     (fun d s ->
-      Prof.merge_spans o.t_init ~total_ns:s.ws_init_ns s.h_init;
-      Prof.merge_spans o.t_compute ~total_ns:s.ws_compute_ns s.h_compute;
-      Prof.merge_spans o.t_write ~total_ns:s.ws_write_ns s.h_write;
-      Prof.merge_spans o.t_refresh ~total_ns:s.ws_refresh_ns s.h_refresh;
+      Array.iteri
+        (fun ph tm -> Prof.merge_spans tm ~total_ns:s.ws_ns.(ph) s.ws_hist.(ph))
+        o.t_phases;
       let gset name v =
         let g = Metrics.gauge m (Printf.sprintf "flat.worker%d.%s" d name) in
         Metrics.set g (Metrics.gauge_value g +. v)
       in
-      gset "compute_s" (float_of_int s.ws_compute_ns /. 1e9);
-      gset "write_s" (float_of_int s.ws_write_ns /. 1e9);
-      gset "refresh_s" (float_of_int s.ws_refresh_ns /. 1e9);
+      List.iter
+        (fun ph ->
+          gset (worker_phases.(ph) ^ "_s") (float_of_int s.ws_ns.(ph) /. 1e9))
+        [ ph_compute; ph_write; ph_refresh ];
       gset "gc_minor_words" (s.ws_minor -. s.ws_minor0);
-      gset "gc_major_words" (s.ws_major -. s.ws_major0);
-      Metrics.add (Metrics.counter m "sched.touched") s.ws_touched;
-      Metrics.add (Metrics.counter m "sched.evals") s.ws_evals;
-      Metrics.add (Metrics.counter m "sched.dedup_hits") s.ws_dedup)
+      gset "gc_major_words" (s.ws_major -. s.ws_major0))
     o.slots;
+  let touched = Array.fold_left ( + ) 0 touched
+  and evals = Array.fold_left ( + ) 0 evals in
+  Metrics.add (Metrics.counter m "sched.touched") touched;
+  Metrics.add (Metrics.counter m "sched.evals") evals;
+  Metrics.add (Metrics.counter m "sched.dedup_hits") (touched - evals);
   Metrics.set (Metrics.gauge m "flat.parts") (float_of_int nparts)
+
+(* Run [body] as worker [d]'s share of phase [ph]; profiled, its span goes
+   to the worker's private slot. *)
+let worker_phase pobs d ph body =
+  match pobs with
+  | None -> body ()
+  | Some o ->
+      let t = Prof.now_ns () in
+      body ();
+      let s = o.slots.(d) in
+      let dt = Prof.now_ns () - t in
+      s.ws_ns.(ph) <- s.ws_ns.(ph) + dt;
+      Histogram.record s.ws_hist.(ph) dt
 
 let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat ~parts p =
@@ -977,6 +950,9 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
      out-of-range neighbors) or by the sequential frontier replay. *)
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
+  (* Per-domain refresh counts (touch attempts, guard re-evaluations),
+     written once per phase from worker-local refs. *)
+  let w_touched = Array.make nparts 0 and w_evals = Array.make nparts 0 in
   let recompute ev d v =
     let r = first_enabled ev v in
     rule_of.(v) <- r;
@@ -1001,8 +977,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     track_legit && (pobs <> None || heartbeat <> None || monitor <> None)
   in
   let legit_steps = ref 0 in
-  let hb_last_t = ref t0 in
-  let hb_last_moves = ref 0 in
+  let hb_last = ref (t0, 0) in
   let outcome = ref Engine.Step_limit in
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
@@ -1017,28 +992,21 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
               s.ws_minor0 <- q.Gc.minor_words;
               s.ws_major0 <- q.Gc.major_words
           | None -> ());
-          let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-          let ev = evs.(d) in
-          for u = lo d to hi d - 1 do
-            let r = first_enabled ev u in
-            rule_of.(u) <- r;
-            if r >= 0 then begin
-              ignore (Bits.add enabled u);
-              en_count.(d) <- en_count.(d) + 1
-            end;
-            if track_legit then begin
-              let lg = (Option.get ev.legit) () in
-              legit_of.(u) <- lg;
-              if not lg then illegit.(d) <- illegit.(d) + 1
-            end
-          done;
-          match pobs with
-          | Some o ->
-              let s = o.slots.(d) in
-              let dt = Prof.now_ns () - tph in
-              s.ws_init_ns <- s.ws_init_ns + dt;
-              Histogram.record s.h_init dt
-          | None -> ());
+          worker_phase pobs d ph_init (fun () ->
+            let ev = evs.(d) in
+            for u = lo d to hi d - 1 do
+              let r = first_enabled ev u in
+              rule_of.(u) <- r;
+              if r >= 0 then begin
+                ignore (Bits.add enabled u);
+                en_count.(d) <- en_count.(d) + 1
+              end;
+              if track_legit then begin
+                let lg = (Option.get ev.legit) () in
+                legit_of.(u) <- lg;
+                if not lg then illegit.(d) <- illegit.(d) + 1
+              end
+            done));
       (try
          if track_legit && sum illegit = 0 then begin
            outcome := Engine.Stabilized;
@@ -1052,41 +1020,27 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           (* Phase A — every enabled node moves (synchronous daemon);
              buffer post rows from the shared pre-state, no writes. *)
           Pool.Team.run team (fun d ->
-              let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-              let ev = evs.(d) in
-              let b = bufs.(d) in
-              b.len <- 0;
-              Bits.iter_range enabled (lo d) (hi d) (fun u ->
-                  let r = rule_of.(u) in
-                  movers_push b nf u r;
-                  ev.cell.u <- u;
-                  compute_post p ev r ~dst:b.mp ~off:((b.len - 1) * nf));
-              match pobs with
-              | Some o ->
-                  let s = o.slots.(d) in
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_compute_ns <- s.ws_compute_ns + dt;
-                  Histogram.record s.h_compute dt
-              | None -> ());
+              worker_phase pobs d ph_compute (fun () ->
+                let ev = evs.(d) in
+                let b = bufs.(d) in
+                b.len <- 0;
+                Bits.iter_range enabled (lo d) (hi d) (fun u ->
+                    let r = rule_of.(u) in
+                    movers_push b nf u r;
+                    ev.cell.u <- u;
+                    compute_post p ev r ~dst:b.mp ~off:((b.len - 1) * nf))));
           (* Phase B — write back own-range movers and account them. *)
           Pool.Team.run team (fun d ->
-              let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-              let b = bufs.(d) in
-              for k = 0 to b.len - 1 do
-                let u = b.mu.(k) in
-                for f = 0 to nf - 1 do
-                  p.state.(f).(u) <- b.mp.((k * nf) + f)
-                done;
-                moves_per_process.(u) <- moves_per_process.(u) + 1;
-                rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
-              done;
-              match pobs with
-              | Some o ->
-                  let s = o.slots.(d) in
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_write_ns <- s.ws_write_ns + dt;
-                  Histogram.record s.h_write dt
-              | None -> ());
+              worker_phase pobs d ph_write (fun () ->
+                let b = bufs.(d) in
+                for k = 0 to b.len - 1 do
+                  let u = b.mu.(k) in
+                  for f = 0 to nf - 1 do
+                    p.state.(f).(u) <- b.mp.((k * nf) + f)
+                  done;
+                  moves_per_process.(u) <- moves_per_process.(u) + 1;
+                  rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
+                done));
           (* Phase C — refresh the movers' closed neighborhoods.  Writes
              stay in the worker's own range; out-of-range neighbors are
              handed off and replayed sequentially below.  Recomputation is
@@ -1096,101 +1050,57 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           incr gen;
           let g = !gen in
           Pool.Team.run team (fun d ->
-              match pobs with
-              | None ->
-                  let ev = evs.(d) in
-                  let b = bufs.(d) in
-                  frontier.(d) <- [];
-                  let l = lo d and h = hi d in
-                  for k = 0 to b.len - 1 do
-                    let u = b.mu.(k) in
-                    if stamp.(u) <> g then begin
-                      stamp.(u) <- g;
-                      recompute ev d u
-                    end;
-                    for i = offsets.(u) to offsets.(u + 1) - 1 do
-                      let v = nbrs.(i) in
-                      if v >= l && v < h then begin
-                        if stamp.(v) <> g then begin
-                          stamp.(v) <- g;
-                          recompute ev d v
-                        end
+              worker_phase pobs d ph_refresh (fun () ->
+                let ev = evs.(d) in
+                let b = bufs.(d) in
+                frontier.(d) <- [];
+                let l = lo d and h = hi d in
+                let touched = ref 0 and evals = ref 0 in
+                for k = 0 to b.len - 1 do
+                  let u = b.mu.(k) in
+                  incr touched;
+                  if stamp.(u) <> g then begin
+                    stamp.(u) <- g;
+                    incr evals;
+                    recompute ev d u
+                  end;
+                  for i = offsets.(u) to offsets.(u + 1) - 1 do
+                    let v = nbrs.(i) in
+                    if v >= l && v < h then begin
+                      incr touched;
+                      if stamp.(v) <> g then begin
+                        stamp.(v) <- g;
+                        incr evals;
+                        recompute ev d v
                       end
-                      else frontier.(d) <- v :: frontier.(d)
-                    done
-                  done
-              | Some o ->
-                  (* Instrumented twin: same recomputation in the same
-                     order, plus per-domain touch/eval/dedup counts. *)
-                  let tph = Prof.now_ns () in
-                  let s = o.slots.(d) in
-                  let touched = ref 0 and evals = ref 0 and dedup = ref 0 in
-                  let ev = evs.(d) in
-                  let b = bufs.(d) in
-                  frontier.(d) <- [];
-                  let l = lo d and h = hi d in
-                  for k = 0 to b.len - 1 do
-                    let u = b.mu.(k) in
-                    incr touched;
-                    if stamp.(u) <> g then begin
-                      stamp.(u) <- g;
-                      incr evals;
-                      recompute ev d u
                     end
-                    else incr dedup;
-                    for i = offsets.(u) to offsets.(u + 1) - 1 do
-                      let v = nbrs.(i) in
-                      if v >= l && v < h then begin
-                        incr touched;
-                        if stamp.(v) <> g then begin
-                          stamp.(v) <- g;
-                          incr evals;
-                          recompute ev d v
-                        end
-                        else incr dedup
-                      end
-                      else frontier.(d) <- v :: frontier.(d)
-                    done
-                  done;
-                  s.ws_touched <- s.ws_touched + !touched;
-                  s.ws_evals <- s.ws_evals + !evals;
-                  s.ws_dedup <- s.ws_dedup + !dedup;
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_refresh_ns <- s.ws_refresh_ns + dt;
-                  Histogram.record s.h_refresh dt);
+                    else frontier.(d) <- v :: frontier.(d)
+                  done
+                done;
+                w_touched.(d) <- w_touched.(d) + !touched;
+                w_evals.(d) <- w_evals.(d) + !evals));
+          (* Sequential frontier replay: the cross-boundary cost, counted
+             as handoffs and the replays the stamp did not skip. *)
+          let t_r = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
+          let handed = ref 0 and replayed = ref 0 in
+          Array.iter
+            (fun fr ->
+              List.iter
+                (fun v ->
+                  incr handed;
+                  if stamp.(v) <> g then begin
+                    stamp.(v) <- g;
+                    incr replayed;
+                    recompute evs.(0) (owner v) v
+                  end)
+                fr)
+            frontier;
           (match pobs with
-          | None ->
-              Array.iter
-                (fun fr ->
-                  List.iter
-                    (fun v ->
-                      if stamp.(v) <> g then begin
-                        stamp.(v) <- g;
-                        recompute evs.(0) (owner v) v
-                      end)
-                    fr)
-                frontier
           | Some o ->
-              (* Sequential frontier replay, timed and counted on the
-                 caller: the cross-boundary cost ROADMAP item 1 asks
-                 about. *)
-              let t_r = Prof.now_ns () in
-              let handed = ref 0 and replayed = ref 0 in
-              Array.iter
-                (fun fr ->
-                  List.iter
-                    (fun v ->
-                      incr handed;
-                      if stamp.(v) <> g then begin
-                        stamp.(v) <- g;
-                        incr replayed;
-                        recompute evs.(0) (owner v) v
-                      end)
-                    fr)
-                frontier;
               Metrics.add o.c_frontier !handed;
               Metrics.add o.c_replays !replayed;
-              Prof.record_span o.t_replay (Prof.now_ns () - t_r));
+              Prof.record_span o.t_replay (Prof.now_ns () - t_r)
+          | None -> ());
           incr steps;
           Array.iter (fun b -> total_moves := !total_moves + b.len) bufs;
           (match pobs with
@@ -1212,12 +1122,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           if count_legit && sum illegit = 0 then incr legit_steps;
           (match heartbeat with
           | Some (every, f) when every > 0 && !steps mod every = 0 ->
-              let now = Unix.gettimeofday () in
-              let dt = now -. !hb_last_t in
-              let dmoves = !total_moves - !hb_last_moves in
-              hb_last_t := now;
-              hb_last_moves := !total_moves;
-              let legit_now =
+              let legit =
                 if track_legit then nn - sum illegit
                 else
                   match evs.(0).legit with
@@ -1235,18 +1140,10 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
                       !c
               in
               f
-                {
-                  hb_steps = !steps;
-                  hb_moves = !total_moves;
-                  hb_enabled = sum en_count;
-                  hb_legit = legit_now;
-                  hb_availability =
-                    (if count_legit && !steps > 0 then
-                       float_of_int !legit_steps /. float_of_int !steps
-                     else -1.);
-                  hb_moves_per_s =
-                    (if dt > 0. then float_of_int dmoves /. dt else 0.);
-                }
+                (beat hb_last ~steps:!steps ~moves:!total_moves
+                   ~enabled:(sum en_count) ~legit
+                   ~legit_steps:
+                     (if count_legit then Some !legit_steps else None))
           | _ -> ());
           trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
           (* Under the synchronous daemon each step completes one round. *)
@@ -1269,7 +1166,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
       | None -> ());
   (match pobs with
   | Some o ->
-      merge_part_prof o ~nparts;
+      merge_part_prof o ~nparts ~touched:w_touched ~evals:w_evals;
       finish_prof o.pp (Unix.gettimeofday () -. t0)
   | None -> ());
   let rule_totals = Array.make nr 0 in

@@ -136,10 +136,11 @@ val run :
     too, like the classic engine's [stop].  [on_step] sees the movers of
     each executed step in selection order.
 
-    Observability is pay-as-you-go: with [prof], [monitor] and [heartbeat]
-    all absent the step loop is the exact uninstrumented code (no clock
-    reads, no counter bumps) and the run is bit-identical to one without
-    these parameters.  [prof] attributes wall time to the flat phases
+    Observability is pay-as-you-go: the step loop always keeps its exact
+    scheduler counts, [prof] adds only clock laps, records and the
+    publishing of those counts, and the run is bit-identical with or
+    without [prof], [monitor] and [heartbeat] (asserted by the test
+    suite).  [prof] attributes wall time to the flat phases
     ([phase.scan]/[select]/[apply]/[refresh]/[callbacks] — the same
     lap-timer discipline as the classic engine) plus per-rule [rule.R]
     timers and [moves.R] counters, scheduler counters ([sched.touched],
@@ -176,10 +177,11 @@ val run_partitioned :
     ({!Ssreset_obs.Prof.merge_spans}); the {!Ssreset_sim.Pool.Team}
     contributes [phase.barrier] wait spans and per-worker busy/barrier
     gauges; the sequential cross-boundary replay is timed as
-    [phase.replay] and counted by [flat.frontier_handoffs] /
+    [phase.replay] and published as [flat.frontier_handoffs] /
     [flat.frontier_replays].  Per-worker gauges
     [flat.workerN.compute_s]/[write_s]/[refresh_s]/[gc_minor_words]/
     [gc_major_words] and the [flat.parts] gauge feed [prof report]'s
     per-worker section and its multi-worker coverage check (phase laps
-    tile [parts × wall]).  With all three absent, the phase bodies are the
-    exact uninstrumented code. *)
+    tile [parts × wall]).  Each phase has one body whether or not they are
+    attached: the scheduler and frontier counts are always kept, in
+    worker-local counters written once per phase. *)

@@ -10,6 +10,8 @@ module Progs = Ssreset_flat.Progs
 module Csr = Ssreset_graph.Csr
 module Sym = Ssreset_check.Sym
 module Registry = Ssreset_check.Registry
+module Prof = Ssreset_obs.Prof
+module ObsMetrics = Ssreset_obs.Metrics
 
 (* ------------------------------- bitset -------------------------------- *)
 
@@ -143,6 +145,12 @@ let outcome_str (o : Engine.outcome) =
   | Engine.Terminal -> "terminal"
   | Engine.Step_limit -> "step-limit"
 
+let counter p name =
+  ObsMetrics.counter_value (ObsMetrics.counter (Prof.metrics p) name)
+
+let sched_counters =
+  [ "sched.touched"; "sched.evals"; "sched.dedup_hits"; "sched.table_flips" ]
+
 let differential_one ~label inst daemon_name seed =
   let module I = (val inst : Sym.INSTANCE) in
   let g = I.graph in
@@ -159,18 +167,26 @@ let differential_one ~label inst daemon_name seed =
   Array.iteri (fun u s -> Flat.load prog u (I.encode s)) cfg0;
   let daemon = Option.get (Daemon.by_name daemon_name) in
   let classic_moved = ref [] in
+  let prof_c = Prof.create () in
   let res_c =
-    Engine.run ~rng:(rng seed) ~max_steps:60 ~algorithm:I.algorithm ~graph:g
-      ~daemon
+    Engine.run ~rng:(rng seed) ~max_steps:60 ~prof:prof_c ~algorithm:I.algorithm
+      ~graph:g ~daemon
       ~observer:(fun ~step:_ ~moved _ -> classic_moved := moved :: !classic_moved)
       cfg0
   in
   let flat_moved = ref [] in
+  let prof_f = Prof.create () in
   let res_f =
-    Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false ~daemon
+    Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false
+      ~prof:prof_f ~daemon
       ~on_step:(fun ~step:_ ~moved -> flat_moved := moved :: !flat_moved)
       prog
   in
+  List.iter
+    (fun name ->
+      check_int (label ^ " " ^ name) (counter prof_c name)
+        (counter prof_f name))
+    sched_counters;
   check Alcotest.string (label ^ " outcome") (outcome_str res_c.Engine.outcome)
     (outcome_str res_f.Flat.outcome);
   check_int (label ^ " steps") res_c.Engine.steps res_f.Flat.steps;
@@ -257,12 +273,29 @@ let partition_tests =
           [ 1; 2; 4; 8 ]);
     test "partitioned = sequential synchronous" (fun () ->
         let p_seq = scale_prog () in
-        let r_seq = Flat.run ~daemon:Flat.Synchronous p_seq in
-        let p_par = scale_prog () in
-        let r_par = Flat.run_partitioned ~parts:4 p_par in
-        check Alcotest.string "digest" (Progs.digest p_seq r_seq)
-          (Progs.digest p_par r_par);
-        check_int "rounds" r_seq.Flat.rounds r_par.Flat.rounds);
+        let prof_seq = Prof.create () in
+        let r_seq = Flat.run ~prof:prof_seq ~daemon:Flat.Synchronous p_seq in
+        List.iter
+          (fun parts ->
+            let p_par = scale_prog () in
+            let prof_par = Prof.create () in
+            let r_par = Flat.run_partitioned ~prof:prof_par ~parts p_par in
+            let label what = Fmt.str "%s parts=%d" what parts in
+            check Alcotest.string (label "digest") (Progs.digest p_seq r_seq)
+              (Progs.digest p_par r_par);
+            check_int (label "rounds") r_seq.Flat.rounds r_par.Flat.rounds;
+            (* A boundary neighbor is handed to the sequential replay instead
+               of touched by its mover's domain, and re-evaluated there only
+               if no domain already did. *)
+            check_int (label "evals = evals + replays")
+              (counter prof_seq "sched.evals")
+              (counter prof_par "sched.evals"
+              + counter prof_par "flat.frontier_replays");
+            check_int (label "touched = touched + handoffs")
+              (counter prof_seq "sched.touched")
+              (counter prof_par "sched.touched"
+              + counter prof_par "flat.frontier_handoffs"))
+          [ 1; 2; 4 ]);
     test "tiny graphs tolerate more parts than alignment blocks" (fun () ->
         List.iter
           (fun parts ->
@@ -294,8 +327,6 @@ let composed_ir_tests =
 
 (* ----------------------- observability transparency --------------------- *)
 
-module Prof = Ssreset_obs.Prof
-module ObsMetrics = Ssreset_obs.Metrics
 module Monitor = Ssreset_obs.Monitor
 
 (* Run the same instance from the same configuration twice — bare, then
