@@ -1,14 +1,16 @@
 (* 32 bits per word: indices stay simple shifts/masks well inside OCaml's
-   63-bit ints, and a level-1 word covers 32·32 = 1024 nodes. *)
+   63-bit ints, and a level-1 word covers 32·32 = 1024 nodes, one block;
+   [c1] holds each block's member count. *)
 
-type t = { n : int; l0 : int array; l1 : int array }
+type t = { n : int; l0 : int array; l1 : int array; c1 : int array }
 
 let part_align = 1024
 let words n = (n + 31) lsr 5
 
 let create n =
   if n <= 0 then invalid_arg "Bits.create: need n >= 1";
-  { n; l0 = Array.make (words n) 0; l1 = Array.make (words (words n)) 0 }
+  let nb = words (words n) in
+  { n; l0 = Array.make (words n) 0; l1 = Array.make nb 0; c1 = Array.make nb 0 }
 
 let length t = t.n
 let mem t u = (t.l0.(u lsr 5) lsr (u land 31)) land 1 = 1
@@ -21,6 +23,7 @@ let add t u =
   else begin
     t.l0.(w) <- old lor b;
     t.l1.(w lsr 5) <- t.l1.(w lsr 5) lor (1 lsl (w land 31));
+    t.c1.(w lsr 5) <- t.c1.(w lsr 5) + 1;
     true
   end
 
@@ -34,6 +37,7 @@ let remove t u =
     t.l0.(w) <- now;
     if now = 0 then
       t.l1.(w lsr 5) <- t.l1.(w lsr 5) land lnot (1 lsl (w land 31));
+    t.c1.(w lsr 5) <- t.c1.(w lsr 5) - 1;
     true
   end
 
@@ -109,63 +113,59 @@ let iter_range t lo hi f =
     end
   end
 
-let count_range t lo hi =
+(* Members of [u]'s block that lie below [u]: the nonempty level-0 words
+   before [u]'s word, found through the level-1 bits, plus the low bits of
+   [u]'s own word.  [u = n] is allowed. *)
+let below_in_block t u =
+  let w = u lsr 5 in
   let c = ref 0 in
-  (* Same traversal as iter_range, popcounting words instead. *)
-  if lo < hi then begin
-    let wlo = lo lsr 5 and whi = (hi - 1) lsr 5 in
-    if wlo = whi then c := popcount (t.l0.(wlo) land word_mask lo hi)
-    else begin
-      c := popcount (t.l0.(wlo)
-                     land (if lo land 31 = 0 then 0xFFFFFFFF
-                           else word_mask lo ((wlo + 1) lsl 5)));
-      for s = (wlo + 1) lsr 5 to whi lsr 5 do
-        if t.l1.(s) <> 0 then begin
-          let from = max (wlo + 1) (s lsl 5) in
-          let upto = min (whi - 1) ((s lsl 5) + 31) in
-          for k = from to upto do
-            c := !c + popcount t.l0.(k)
-          done
-        end
-      done;
-      c :=
-        !c
-        + popcount (t.l0.(whi)
-                    land (if hi land 31 = 0 then 0xFFFFFFFF
-                          else word_mask (whi lsl 5) hi))
-    end
+  if w land 31 <> 0 then begin
+    let w1 = ref (t.l1.(w lsr 5) land ((1 lsl (w land 31)) - 1)) in
+    let base = w land lnot 31 in
+    while !w1 <> 0 do
+      c := !c + popcount t.l0.(base + ctz !w1);
+      w1 := !w1 land (!w1 - 1)
+    done
   end;
+  if u land 31 <> 0 then
+    c := !c + popcount (t.l0.(w) land ((1 lsl (u land 31)) - 1));
   !c
+
+let count_range t lo hi =
+  if lo >= hi then 0
+  else begin
+    let c = ref (below_in_block t hi - below_in_block t lo) in
+    for s = lo lsr 10 to (hi lsr 10) - 1 do
+      c := !c + t.c1.(s)
+    done;
+    !c
+  end
+
+(* Position of the [i]-th set bit of word [w] (0-indexed, [i] below its
+   popcount). *)
+let rec nth_in_word w i =
+  if i = 0 then ctz w else nth_in_word (w land (w - 1)) (i - 1)
+
+(* The [i]-th member of the block whose level-1 word is [w1] and whose
+   first level-0 word is [base]; the block holds more than [i] members.
+   Skip whole nonempty words by their popcount. *)
+let rec nth_in_block t w1 base i =
+  if w1 = 0 then invalid_arg "Bits.nth: block count out of step";
+  let k = base + ctz w1 in
+  let p = popcount t.l0.(k) in
+  if i < p then (k lsl 5) + nth_in_word t.l0.(k) i
+  else nth_in_block t (w1 land (w1 - 1)) base (i - p)
 
 let nth t i =
   if i < 0 then invalid_arg "Bits.nth";
-  let remaining = ref i in
-  let result = ref (-1) in
-  (try
-     for s = 0 to Array.length t.l1 - 1 do
-       if t.l1.(s) <> 0 then begin
-         let w1 = ref t.l1.(s) in
-         let base = s lsl 5 in
-         while !w1 <> 0 do
-           let k = base + ctz !w1 in
-           let p = popcount t.l0.(k) in
-           if !remaining < p then begin
-             let w = ref t.l0.(k) in
-             while !remaining > 0 do
-               w := !w land (!w - 1);
-               decr remaining
-             done;
-             result := (k lsl 5) + ctz !w;
-             raise Exit
-           end;
-           remaining := !remaining - p;
-           w1 := !w1 land (!w1 - 1)
-         done
-       end
-     done
-   with Exit -> ());
-  if !result < 0 then invalid_arg "Bits.nth: not enough members";
-  !result
+  let nb = Array.length t.c1 in
+  let s = ref 0 and i = ref i in
+  while !s < nb && !i >= t.c1.(!s) do
+    i := !i - t.c1.(!s);
+    incr s
+  done;
+  if !s = nb then invalid_arg "Bits.nth: not enough members";
+  nth_in_block t t.l1.(!s) (!s lsl 5) !i
 
 let next_geq t u =
   if u >= t.n then -1

@@ -37,7 +37,8 @@ let name = function
   | Starve victim -> Printf.sprintf "starve(%d)" victim
 
 (* Uniform pick among the enabled processes: one [Random.State.int] draw,
-   indexing the ascending order. *)
+   indexing the ascending order.  [Bits.nth] finds the member through its
+   per-block counts, O(n/1024 + 32) per pick. *)
 let pick rng enabled count = Bits.nth enabled (Random.State.int rng count)
 
 (* Every case draws from [rng] exactly as the reference list daemons do

@@ -621,6 +621,14 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     !free
   in
   let mv = movers_make nf in
+  (* Buffer every mover's post row from the pre-state, then write: movers
+     act on the pre-state even when they are neighbors. *)
+  let push u =
+    let r = rule_of.(u) in
+    movers_push mv nf u r;
+    ev.cell.u <- u;
+    compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
+  in
   let completed_rounds = ref 0 in
   let steps_in_round = ref 0 in
   let steps = ref 0 in
@@ -648,15 +656,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
          outcome := Engine.Terminal;
          raise Exit
        end;
-       (* Buffer every mover's post row from the pre-state, then write:
-          movers act on the pre-state even when they are neighbors. *)
        mv.len <- 0;
-       let push u =
-         let r = rule_of.(u) in
-         movers_push mv nf u r;
-         ev.cell.u <- u;
-         compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
-       in
        Daemon.select daemon rng ~cursor ~enabled ~count:!en_count ~rule_name
          ~for_all_neighbors push;
        (* Per-rule attribution without extra clock reads: movers chain laps,
@@ -875,7 +875,7 @@ let make_part_prof pr ~nparts rule_names =
    worker's spans (sum ≈ parts × wall together with phase.barrier, which
    is what the multi-worker coverage check validates), per-worker gauges
    keep the split for the `prof report` worker table. *)
-let merge_part_prof o ~nparts ~touched ~evals =
+let merge_part_prof o ~nparts ~touched ~evals ~flips =
   let m = Prof.metrics o.pp in
   Array.iteri
     (fun d s ->
@@ -898,6 +898,8 @@ let merge_part_prof o ~nparts ~touched ~evals =
   Metrics.add (Metrics.counter m "sched.touched") touched;
   Metrics.add (Metrics.counter m "sched.evals") evals;
   Metrics.add (Metrics.counter m "sched.dedup_hits") (touched - evals);
+  Metrics.add (Metrics.counter m "sched.table_flips")
+    (Array.fold_left ( + ) 0 flips);
   Metrics.set (Metrics.gauge m "flat.parts") (float_of_int nparts)
 
 (* Run [body] as worker [d]'s share of phase [ph]; profiled, its span goes
@@ -951,10 +953,13 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
   (* Per-domain refresh counts (touch attempts, guard re-evaluations),
-     written once per phase from worker-local refs. *)
+     written once per phase from worker-local refs, and rule changes,
+     charged to the node's owner by [recompute]. *)
   let w_touched = Array.make nparts 0 and w_evals = Array.make nparts 0 in
+  let w_flips = Array.make nparts 0 in
   let recompute ev d v =
     let r = first_enabled ev v in
+    if r <> rule_of.(v) then w_flips.(d) <- w_flips.(d) + 1;
     rule_of.(v) <- r;
     if r >= 0 then begin
       if Bits.add enabled v then en_count.(d) <- en_count.(d) + 1
@@ -1166,7 +1171,8 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
       | None -> ());
   (match pobs with
   | Some o ->
-      merge_part_prof o ~nparts ~touched:w_touched ~evals:w_evals;
+      merge_part_prof o ~nparts ~touched:w_touched ~evals:w_evals
+        ~flips:w_flips;
       finish_prof o.pp (Unix.gettimeofday () -. t0)
   | None -> ());
   let rule_totals = Array.make nr 0 in

@@ -15,64 +15,115 @@ module ObsMetrics = Ssreset_obs.Metrics
 
 (* ------------------------------- bitset -------------------------------- *)
 
+(* Random churn on a bitset of size [n] against a bool array, then every
+   query against the array: [nth] at every index, [count_range] and
+   [iter_range] on random ranges and on ranges that start or end inside a
+   1024-node block and across blocks. *)
+let nth_rejects where b i =
+  match Bits.nth b i with
+  | u -> Alcotest.failf "%s: nth %d returned %d" where i u
+  | exception Invalid_argument _ -> ()
+
+let bits_churn n =
+  let b = Bits.create n in
+  let r = Array.make n false in
+  let count = ref 0 in
+  let st = rng (42 + n) in
+  (* Half the churn clusters in a window, so the blocks there fill up,
+     and every block whose index is 1 mod 3 stays empty. *)
+  let window = max 1 (n / 7) in
+  for _ = 1 to 4 * n + 64 do
+    let u =
+      if Random.State.bool st then Random.State.int st n
+      else Random.State.int st window
+    in
+    let u = if (u lsr 10) mod 3 = 1 then u land 1023 else u in
+    if Random.State.int st 3 > 0 then begin
+      let changed = Bits.add b u in
+      check_bool "add changed" (not r.(u)) changed;
+      if changed then incr count;
+      r.(u) <- true
+    end
+    else begin
+      let changed = Bits.remove b u in
+      check_bool "remove changed" r.(u) changed;
+      if changed then decr count;
+      r.(u) <- false
+    end
+  done;
+  let where what = Fmt.str "%s n=%d" what n in
+  check_int (where "count_range full") !count (Bits.count_range b 0 n);
+  for u = 0 to n - 1 do
+    if Bits.mem b u <> r.(u) then Alcotest.failf "mem mismatch at %d" u
+  done;
+  let members = ref [] in
+  Bits.iter b (fun u -> members := u :: !members);
+  let want = List.filter (fun u -> r.(u)) (List.init n Fun.id) in
+  check (Alcotest.list Alcotest.int) (where "iter ascending") want
+    (List.rev !members);
+  List.iteri
+    (fun i u ->
+      let got = Bits.nth b i in
+      if got <> u then Alcotest.failf "nth %d n=%d: want %d, got %d" i n u got)
+    want;
+  (* prefix.(u) = members below u. *)
+  let prefix = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    prefix.(u + 1) <- (prefix.(u) + if r.(u) then 1 else 0)
+  done;
+  let check_range lo hi =
+    let want = if lo < hi then prefix.(hi) - prefix.(lo) else 0 in
+    let got = Bits.count_range b lo hi in
+    if got <> want then
+      Alcotest.failf "count_range [%d, %d) n=%d: want %d, got %d" lo hi n
+        want got
+  in
+  let st2 = rng (43 + n) in
+  let pick_in lo hi = lo + Random.State.int st2 (max 1 (hi - lo)) in
+  for _ = 1 to 200 do
+    let lo = Random.State.int st2 n in
+    let hi = lo + Random.State.int st2 (n - lo + 1) in
+    check_range lo hi;
+    (* Both ends inside one block, then ends in different blocks. *)
+    let blk = lo land lnot 1023 in
+    let lo' = pick_in blk (min n (blk + 1024)) in
+    check_range lo' (pick_in lo' (min n (blk + 1024)) + 1);
+    check_range lo' (min n (pick_in (blk + 1024) (blk + 3000)));
+    let got = ref [] in
+    Bits.iter_range b lo hi (fun u -> got := u :: !got);
+    check (Alcotest.list Alcotest.int) (where "iter_range")
+      (List.filter (fun u -> u >= lo && u < hi) want)
+      (List.rev !got);
+    let q = Random.State.int st2 n in
+    let want_geq =
+      match List.filter (fun u -> u >= q) want with [] -> -1 | u :: _ -> u
+    in
+    check_int (where "next_geq") want_geq (Bits.next_geq b q)
+  done;
+  (* Every block edge as a range end. *)
+  let edges =
+    List.filter
+      (fun u -> u >= 0 && u <= n)
+      (List.concat_map
+         (fun e -> [ e - 1; e; e + 1 ])
+         (List.init ((n / 1024) + 2) (fun k -> k * 1024)))
+  in
+  List.iter (fun lo -> List.iter (fun hi -> check_range lo hi) edges) edges;
+  nth_rejects (where "i = count") b !count;
+  nth_rejects (where "i < 0") b (-1)
+
 let bits_reference_tests =
   [
     test "bits agrees with a reference bool array under random churn"
       (fun () ->
-        let n = 5000 in
-        let b = Bits.create n in
-        let r = Array.make n false in
-        let count = ref 0 in
-        let st = rng 42 in
-        for _ = 1 to 20_000 do
-          let u = Random.State.int st n in
-          if Random.State.bool st then begin
-            let changed = Bits.add b u in
-            check_bool "add changed" (not r.(u)) changed;
-            if changed then incr count;
-            r.(u) <- true
-          end
-          else begin
-            let changed = Bits.remove b u in
-            check_bool "remove changed" r.(u) changed;
-            if changed then decr count;
-            r.(u) <- false
-          end
-        done;
-        check_int "count_range full" !count (Bits.count_range b 0 n);
-        for u = 0 to n - 1 do
-          if Bits.mem b u <> r.(u) then
-            Alcotest.failf "mem mismatch at %d" u
-        done;
-        let members = ref [] in
-        Bits.iter b (fun u -> members := u :: !members);
-        let members = List.rev !members in
-        let expected =
-          List.filter (fun u -> r.(u)) (List.init n Fun.id)
-        in
-        check (Alcotest.list Alcotest.int) "iter ascending" expected members;
-        List.iteri
-          (fun i u -> check_int (Fmt.str "nth %d" i) u (Bits.nth b i))
-          expected;
-        let st2 = rng 43 in
-        for _ = 1 to 200 do
-          let lo = Random.State.int st2 n in
-          let hi = lo + Random.State.int st2 (n - lo + 1) in
-          let got = ref [] in
-          Bits.iter_range b lo hi (fun u -> got := u :: !got);
-          let want = List.filter (fun u -> u >= lo && u < hi) expected in
-          check (Alcotest.list Alcotest.int) "iter_range" want
-            (List.rev !got);
-          check_int "count_range" (List.length want)
-            (Bits.count_range b lo hi);
-          let q = Random.State.int st2 n in
-          let want_geq =
-            match List.filter (fun u -> u >= q) expected with
-            | [] -> -1
-            | u :: _ -> u
-          in
-          check_int "next_geq" want_geq (Bits.next_geq b q)
-        done);
+        List.iter bits_churn [ 1; 31; 32; 1023; 1024; 1025; 5000; 70000 ]);
+    test "nth rejects every index of an empty set" (fun () ->
+        List.iter
+          (fun n ->
+            let b = Bits.create n in
+            List.iter (nth_rejects (Fmt.str "empty n=%d" n) b) [ -1; 0; 1 ];
+            check_int "count_range empty" 0 (Bits.count_range b 0 n))
+          [ 1; 1024; 70000 ]);
   ]
 
 (* ------------------------ streaming CSR generators ---------------------- *)
@@ -294,7 +345,12 @@ let partition_tests =
             check_int (label "touched = touched + handoffs")
               (counter prof_seq "sched.touched")
               (counter prof_par "sched.touched"
-              + counter prof_par "flat.frontier_handoffs"))
+              + counter prof_par "flat.frontier_handoffs");
+            (* Each node is evaluated at most once per step, and the same
+               nodes as sequentially, so the rule changes agree exactly. *)
+            check_int (label "table_flips")
+              (counter prof_seq "sched.table_flips")
+              (counter prof_par "sched.table_flips"))
           [ 1; 2; 4 ]);
     test "tiny graphs tolerate more parts than alignment blocks" (fun () ->
         List.iter

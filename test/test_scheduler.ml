@@ -206,6 +206,102 @@ let scheduler_tests =
                           shared state)"
         `Quick rngless_runs_are_order_independent ]
 
+(* ------------------------- multi-block selection ----------------------- *)
+
+(* The registry graphs above have n ≤ 6, inside one 1024-node block of the
+   enabled bitset.  Here [Daemon.select] meets enabled sets spread over
+   many blocks — clustered runs, sparse members, every other block empty —
+   and must match the list reference draw for draw: the same processes
+   and the RNG left in the same state after every step. *)
+let multi_block_seeds = 200
+
+let enabled_pattern r n = function
+  | `Clustered ->
+      let runs =
+        List.init 3 (fun _ ->
+            let lo = Random.State.int r n in
+            (lo, min n (lo + 1 + Random.State.int r 600)))
+      in
+      List.filter
+        (fun u ->
+          List.exists (fun (lo, hi) -> u >= lo && u < hi) runs
+          && Random.State.float r 1.0 < 0.9)
+        (List.init n Fun.id)
+  | `Sparse ->
+      List.filter (fun _ -> Random.State.float r 1.0 < 0.002)
+        (List.init n Fun.id)
+  | `Empty_blocks ->
+      let parity = Random.State.int r 2 in
+      List.filter
+        (fun u -> (u lsr 10) land 1 = parity && Random.State.float r 1.0 < 0.3)
+        (List.init n Fun.id)
+
+let multi_block_select_matches_reference () =
+  List.iter
+    (fun n ->
+      let graph = Gen.ring n in
+      List.iter
+        (fun (pname, pattern) ->
+          for seed = 1 to multi_block_seeds do
+            let r = Random.State.make [| seed; n; 31 |] in
+            let enabled =
+              match enabled_pattern r n pattern with
+              | [] -> [ Random.State.int r n ]
+              | l -> l
+            in
+            let count = List.length enabled in
+            let member = Array.make n false in
+            List.iter (fun u -> member.(u) <- true) enabled;
+            let rec outside () =
+              let u = Random.State.int r n in
+              if member.(u) && count < n then outside () else u
+            in
+            let inside = List.nth enabled (Random.State.int r count) in
+            (* A one-member first step moves the round-robin cursor to a
+               random place, so later steps wrap across blocks. *)
+            let steps =
+              [ Random.State.int r n ] :: List.init 3 (fun _ -> enabled)
+            in
+            let daemons =
+              [ Daemon.central_random; Daemon.central_last;
+                Daemon.starve inside; Daemon.starve (outside ());
+                Daemon.round_robin ]
+            in
+            List.iter
+              (fun d ->
+                let reference = Ref_daemon.of_daemon d in
+                let cursor = ref 0 in
+                let rng_new = Random.State.make [| seed |]
+                and rng_ref = Random.State.make [| seed |] in
+                List.iteri
+                  (fun k en ->
+                    let ctx =
+                      { Ref_daemon.step = k; graph; enabled = en;
+                        rule_name = (fun _ -> "r") }
+                    in
+                    let want = reference.Ref_daemon.select rng_ref ctx in
+                    let got = Helpers.select ~cursor d rng_new graph en in
+                    let where =
+                      Printf.sprintf "%s n=%d %s seed=%d step=%d"
+                        (Daemon.name d) n pname seed k
+                    in
+                    Alcotest.(check (list int)) where want got;
+                    Alcotest.(check int) (where ^ ": rng state")
+                      (Random.State.bits rng_ref) (Random.State.bits rng_new))
+                  steps)
+              daemons
+          done)
+        [ ("clustered", `Clustered); ("sparse", `Sparse);
+          ("empty-blocks", `Empty_blocks) ])
+    [ 1025; 5000; 70_000 ]
+
+let multi_block_tests =
+  [ Alcotest.test_case
+      (Printf.sprintf
+         "Daemon.select ≡ reference across bitset blocks (%d seeds)"
+         multi_block_seeds)
+      `Quick multi_block_select_matches_reference ]
+
 (* ------------------------------- pool ---------------------------------- *)
 
 let jobs_variants = [ 1; 2; 4 ]
@@ -277,4 +373,5 @@ let pool_tests =
 
 let () =
   Alcotest.run "scheduler"
-    [ ("full-vs-incremental", scheduler_tests); ("pool", pool_tests) ]
+    [ ("full-vs-incremental", scheduler_tests);
+      ("multi-block-select", multi_block_tests); ("pool", pool_tests) ]
