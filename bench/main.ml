@@ -176,7 +176,7 @@ let run_experiments ~profile ~ids =
 (* that grows with n shows up directly), from n=64 to n=4096.          *)
 (* ------------------------------------------------------------------ *)
 
-let run_engine_bench ~quick =
+let run_engine_bench () =
   Printf.printf "== engine: classic steps/s, U∘SDR ring, central-random \
                  daemon ==\n%!";
   let sizes = [ 64; 256; 1024; 4096 ] in
@@ -191,7 +191,10 @@ let run_engine_bench ~quick =
         let cfg0 =
           Ssreset_sim.Fault.arbitrary (Random.State.make [| 3; n |]) gen graph
         in
-        let max_steps = if quick then 2_000 else 20_000 in
+        (* U∘SDR never terminates under this daemon, so every row runs the
+           full count — long enough to resolve a 1.5× change in both
+           profiles. *)
+        let max_steps = 40_000 in
         let r =
           Ssreset_sim.Engine.run ~seed:5 ~max_steps
             ~algorithm:U.Composed.algorithm ~graph
@@ -564,8 +567,7 @@ let run_prof_bench ~quick =
     Ssreset_obs.Prof.timer_total_ns (Ssreset_obs.Prof.timer p ("phase." ^ name))
   in
   let phases =
-    [ "scan"; "select"; "apply"; "refresh"; "neutralize"; "callbacks";
-      "stop" ]
+    [ "scan"; "select"; "apply"; "refresh"; "callbacks"; "stop" ]
   in
   let overhead = if off > 0. then 100. *. (1. -. (on /. off)) else 0. in
   Printf.printf
@@ -1002,7 +1004,7 @@ let () =
     if ids = [] then run_check_v2 ~quick
     else Json.Obj [ ("footprint", Json.List []); ("symmetry", Json.List []) ]
   in
-  let engine = if ids = [] then run_engine_bench ~quick else [] in
+  let engine = if ids = [] then run_engine_bench () else [] in
   let engine_flat =
     if ids = [] then run_flat_bench ~quick
     else

@@ -346,6 +346,10 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
         (system_names ~only:(fun s -> s.Runner.flat <> None) ())
         system.Runner.name
   | _, None -> unknown_daemon daemon_name
+  | _ when parts < 1 -> fail "--parts must be at least 1 (got %d)" parts
+  | _ when Option.fold ~none:false ~some:(fun k -> k <= 0) heartbeat ->
+      fail "--heartbeat must be a positive step count (got %d)"
+        (Option.get heartbeat)
   | Some _, Some _ when parts > 1 && daemon_name <> "synchronous" ->
       fail "--parts > 1 is the partitioned synchronous mode; pass -d synchronous"
   | Some entry, Some daemon -> (
@@ -399,8 +403,7 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
         let result =
           with_prof ~output
             ~extra:
-              [ ("engine", Json.String "flat");
-                ("parts", Json.Int (max 1 parts)) ]
+              [ ("engine", Json.String "flat"); ("parts", Json.Int parts) ]
             ~system:entry.FlatProgs.pname ~family ~n:nn ~m:(Csr.m csrg) ~seed
             ~daemon:daemon_name dispatch
         in

@@ -1,13 +1,13 @@
 (** Execution engine: atomic steps, moves, rounds, stabilization runs.
 
-    Implements the semantics of §2.2–2.4 of the paper: at each step the
-    daemon activates a nonempty subset of the enabled processes; every
-    activated process atomically executes its enabled rule, all of them
-    reading the {e same} (pre-step) configuration — composite atomicity.
-    Moves and rounds are counted exactly per the paper's definitions,
-    including neutralization-based rounds. *)
+    The classic evaluator over the one step core ({!Step}): per-process
+    states are OCaml values, guards are OCaml closures over materialized
+    views ({!Algorithm.view}).  {!Step} implements the semantics of
+    §2.2–2.4 of the paper — the daemon's selection, composite atomicity,
+    the incremental enabled set and neutralization-based rounds — for this
+    engine and for the flat one alike. *)
 
-type outcome =
+type outcome = Step.outcome =
   | Stabilized  (** the [stop] predicate became true *)
   | Terminal  (** no process is enabled (and [stop] was false) *)
   | Step_limit  (** [max_steps] was exhausted first *)
@@ -48,13 +48,14 @@ val run :
     (process, rule-name) pairs and the {e new} configuration.
 
     [run] copies [cfg] once and applies every step to that copy in place:
-    the movers' new states are all computed from the pre-step
-    configuration, then written, so composite atomicity holds and no step
-    copies the array.  The caller's [cfg] is never modified, and
-    [result.final] is the run's own array.  Consequently the array passed
-    to [observer], [on_round] and [stop] is the live configuration, valid
-    only for the duration of the callback: a callback that keeps a
-    configuration must copy it (as {!Trace.record} does).
+    each mover's new state is computed from the pre-step configuration as
+    the daemon selects it, and all are written once the selection is
+    complete, so composite atomicity holds and no step copies the array.
+    The caller's [cfg] is never modified, and [result.final] is the run's
+    own array.  Consequently the array passed to [observer], [on_round]
+    and [stop] is the live configuration, valid only for the duration of
+    the callback: a callback that keeps a configuration must copy it (as
+    {!Trace.record} does).
 
     Observer contract: the movers list [moved] contains every process whose
     state changed in the step (a mover whose action returns its old state
@@ -67,34 +68,14 @@ val run :
     module-level state.  Likewise the {!Daemon.Round_robin} cursor starts
     at 0 in every run, so a run never depends on the runs before it.
 
-    Scheduling: [run] scans every guard once, then after each step
-    re-evaluates only the closed neighborhoods of the movers — a step
-    changes only the movers' states and a guard reads only its process's
-    view, so no other process can change enabled status.  The enabled set
-    is kept as a {!Bits.t} plus its size, which {!Daemon.select} reads
-    directly; the selection is checked (nonempty, every process enabled)
-    on every step in O(movers), and round accounting refills from the
-    bitset, so no per-step cost grows with n at fixed degree.  Test
-    suites check the whole pipeline against a full-rescan reference.
+    Scheduling, round accounting and [prof] are {!Step}'s: one guard scan,
+    then a refresh of the movers' closed neighborhoods per step; results
+    are bit-identical with or without a profiler (asserted over the whole
+    zoo by the test suite).  A rule is identified by its name: two rules
+    sharing one count as one in [moves_per_rule], [moves.R] and the
+    scheduler's flip count.
 
-    [prof] attaches a {!Ssreset_obs.Prof} profiler.  The refresh always
-    keeps its exact scheduler counts; a profiler adds only its clock laps,
-    histogram records and the publishing of those counts, and results are
-    bit-identical either way (asserted over the whole zoo by the test
-    suite).  With it present the run attributes wall time to the
-    [phase.scan] / [phase.select] / [phase.apply] / [phase.refresh] /
-    [phase.neutralize] / [phase.callbacks] / [phase.stop] timers (lap-based:
-    consecutive laps tile the loop, so the phase totals sum to the loop's
-    wall time), attributes the apply phase to per-rule [rule.R] timers and
-    [moves.R] counters, counts scheduler internals ([sched.touched] /
-    [sched.evals] / [sched.dedup_hits] / [sched.table_flips], plus the
-    per-step [sched.refresh_size] histogram), adds [Gc.quick_stat] deltas
-    to the [gc.*] counters, accumulates the run's wall clock into the
-    [engine.wall_s] gauge, and calls {!Ssreset_obs.Prof.tick} per step so
-    windowed streaming works.  Instruments accumulate when several runs
-    share one profiler.
-
-    Telemetry hooks (both default to off, with zero per-step cost then):
+    Telemetry hooks (both default to off, with one [match] per step then):
     [on_step] receives, after each step, the sizes of the enabled and the
     activated sets — the raw material for scheduling-pressure metrics;
     [on_round] fires once per {e completed} round with cumulative step and
@@ -102,12 +83,13 @@ val run :
     [observer] has seen the step, so observer-fed probes are consistent with
     the snapshot.
 
-    [check_overlap] (default off) asserts on every step, via
-    {!Algorithm.exclusive_rules}, that at most one guard fires per enabled
-    process; a violation raises [Invalid_argument] naming the process and
-    the overlapping rules.  Rule overlap makes the rule-list priority order
-    load-bearing (Lemma 5 assumes pairwise exclusion), so traced or debugged
-    runs should enable this. *)
+    [check_overlap] (default off) asserts, via {!Algorithm.exclusive_rules},
+    that at most one guard fires on every view the run evaluates — so on
+    every enabled process of every reached configuration; a violation
+    raises [Invalid_argument] naming the process and the overlapping rules.
+    Rule overlap makes the rule-list priority order load-bearing (Lemma 5
+    assumes pairwise exclusion), so traced or debugged runs should enable
+    this. *)
 
 val step :
   ?rng:Random.State.t ->

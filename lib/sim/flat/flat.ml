@@ -1,13 +1,13 @@
 module Sym = Ssreset_check.Sym
 module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
+module Step = Ssreset_sim.Step
 module Daemon = Ssreset_sim.Daemon
 module Pool = Ssreset_sim.Pool
 module Bits = Ssreset_sim.Bits
 module Prof = Ssreset_obs.Prof
 module Metrics = Ssreset_obs.Metrics
 module Histogram = Ssreset_obs.Histogram
-module Monitor = Ssreset_obs.Monitor
 
 type kind = KInt | KBool | KEnum of string array
 
@@ -387,14 +387,99 @@ type result = {
   wall_s : float;
 }
 
-let rule_list p counts =
-  let acc = ref [] in
-  for r = Array.length counts - 1 downto 0 do
-    if counts.(r) > 0 then acc := (p.rule_names.(r), counts.(r)) :: !acc
-  done;
-  List.sort compare !acc
+type beat = Step.beat = {
+  hb_steps : int;
+  hb_moves : int;
+  hb_enabled : int;
+  hb_legit : int;
+  hb_availability : float;
+  hb_moves_per_s : float;
+}
 
-(* Growable per-step mover buffers, reset (not shrunk) every step. *)
+(* ---------------------------- sequential run --------------------------- *)
+
+(* The compiled-IR evaluator over the step core.  Legitimacy rides on
+   [eval]: the core re-evaluates exactly the processes whose views
+   changed, which are the only ones whose legitimacy can change.  Posts
+   are staged into growable rows, one slot per field, and committed into
+   the state arrays. *)
+let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
+    ?on_step ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat ~daemon p =
+  let rng =
+    match rng with Some r -> r | None -> Random.State.make [| seed |]
+  in
+  let nf = p.nf in
+  let ev = make_ev p in
+  let illegit = ref 0 in
+  let eval =
+    match ev.legit with
+    | None -> fun v -> first_enabled ev v
+    | Some clo ->
+        let la = Array.make (Csr.n p.csr) true in
+        fun v ->
+          let r = first_enabled ev v in
+          let lg = clo () in
+          if lg <> la.(v) then begin
+            la.(v) <- lg;
+            illegit := !illegit + if lg then -1 else 1
+          end;
+          r
+  in
+  let mp = ref (Array.make (256 * nf) 0) in
+  let stage k u r =
+    if (k + 1) * nf > Array.length !mp then begin
+      let b = Array.make (2 * Array.length !mp) 0 in
+      Array.blit !mp 0 b 0 (k * nf);
+      mp := b
+    end;
+    ev.cell.u <- u;
+    compute_post p ev r ~dst:!mp ~off:(k * nf)
+  in
+  let commit k u =
+    let mp = !mp in
+    for f = 0 to nf - 1 do
+      p.state.(f).(u) <- mp.((k * nf) + f)
+    done
+  in
+  let t =
+    Step.create ~prof ~daemon ~rng ~csr:p.csr ~rules:p.rule_names ~eval ~stage
+      ~commit
+  in
+  let tracked = Option.map (fun _ () -> !illegit) ev.legit in
+  let outcome =
+    Step.run t
+      {
+        Step.after_step =
+          Option.map
+            (fun f () -> f ~step:(Step.steps t - 1) ~moved:(Step.moved t))
+            on_step;
+        on_round = None;
+        stop =
+          (if stop_on_legitimate && tracked <> None then
+             Some (fun () -> !illegit = 0)
+           else None);
+        illegit = tracked;
+        monitor;
+        rounds_bound;
+        moves_bound;
+        heartbeat;
+      }
+      ~max_steps
+  in
+  {
+    outcome;
+    steps = Step.steps t;
+    moves = Step.moves t;
+    moves_per_process = Step.moves_per_process t;
+    moves_per_rule = Step.moves_per_rule t;
+    rounds = Step.rounds t;
+    legitimate = !illegit = 0;
+    wall_s = Step.wall_s t;
+  }
+
+(* --------------------------- partitioned run --------------------------- *)
+
+(* Growable per-worker mover buffers, reset (not shrunk) every step. *)
 type movers = {
   mutable mu : int array;  (* mover node *)
   mutable mr : int array;  (* mover rule *)
@@ -407,418 +492,29 @@ let movers_make nf =
 
 let movers_push b nf u r =
   if b.len = Array.length b.mu then begin
-    let cap = 2 * b.len in
-    let mu = Array.make cap 0 and mr = Array.make cap 0 in
-    let mp = Array.make (cap * nf) 0 in
-    Array.blit b.mu 0 mu 0 b.len;
-    Array.blit b.mr 0 mr 0 b.len;
-    Array.blit b.mp 0 mp 0 (b.len * nf);
-    b.mu <- mu;
-    b.mr <- mr;
-    b.mp <- mp
+    let grow a k =
+      let c = Array.make (2 * b.len * k) 0 in
+      Array.blit a 0 c 0 (b.len * k);
+      c
+    in
+    b.mu <- grow b.mu 1;
+    b.mr <- grow b.mr 1;
+    b.mp <- grow b.mp nf
   end;
   b.mu.(b.len) <- u;
   b.mr.(b.len) <- r;
   b.len <- b.len + 1
 
-(* ----------------------------- profiling ------------------------------- *)
-
-(* Pre-resolved instruments for the flat hot loop, mirroring the classic
-   engine's lap discipline: [mark] is the last phase boundary; closing a
-   phase is one clock read, one histogram record and one mutation.  Rule
-   timers and move counters are dense arrays indexed by rule id — the flat
-   path never looks an instrument up by name.  The [moves.R] / [rule.R] /
-   [phase.X] naming matches the classic engine, so `prof report`, windows
-   and the Proffile validator work unchanged on flat streams. *)
-type prof_ctx = {
-  p : Prof.t;
-  scan : Prof.timer;  (* initial full scan + per-round pending refills *)
-  select : Prof.timer;  (* daemon selection + post-row buffering *)
-  apply : Prof.timer;  (* write-back (derived from the rule-span chain) *)
-  refresh : Prof.timer;  (* fused touch over the movers' neighborhoods *)
-  callbacks : Prof.timer;  (* on_step / heartbeat / window tick *)
-  rule_timers : Prof.timer array;
-  rule_counters : Metrics.counter array;
-  c_touched : Metrics.counter;  (* touch attempts *)
-  c_evals : Metrics.counter;  (* guard re-evaluations actually done *)
-  c_dedup : Metrics.counter;  (* touches skipped by the stamp *)
-  c_flips : Metrics.counter;  (* enabled-rule entries that changed *)
-  h_refresh : Histogram.t;  (* per-step refresh size (evals) *)
-  c_legit_steps : Metrics.counter;  (* steps spent legitimate (availability) *)
-  mutable mark : int;
-}
-
-let make_prof_ctx pr rule_names =
-  let m = Prof.metrics pr in
-  (* Bind every instrument before the record literal: registration order is
-     what the profile summary displays — it must follow the pipeline. *)
-  let scan = Prof.timer pr "phase.scan" in
-  let select = Prof.timer pr "phase.select" in
-  let apply = Prof.timer pr "phase.apply" in
-  let refresh = Prof.timer pr "phase.refresh" in
-  let callbacks = Prof.timer pr "phase.callbacks" in
-  let rule_timers =
-    Array.map (fun r -> Prof.timer pr ("rule." ^ r)) rule_names
-  in
-  let rule_counters =
-    Array.map (fun r -> Metrics.counter m ("moves." ^ r)) rule_names
-  in
-  let c_touched = Metrics.counter m "sched.touched" in
-  let c_evals = Metrics.counter m "sched.evals" in
-  let c_dedup = Metrics.counter m "sched.dedup_hits" in
-  let c_flips = Metrics.counter m "sched.table_flips" in
-  let h_refresh = Prof.histogram pr "sched.refresh_size" in
-  let c_legit_steps = Metrics.counter m "obs.legit_steps" in
-  {
-    p = pr;
-    scan;
-    select;
-    apply;
-    refresh;
-    callbacks;
-    rule_timers;
-    rule_counters;
-    c_touched;
-    c_evals;
-    c_dedup;
-    c_flips;
-    h_refresh;
-    c_legit_steps;
-    mark = Prof.now_ns ();
-  }
-
-let lap pc tm =
-  let now = Prof.now_ns () in
-  Prof.record_span tm (now - pc.mark);
-  pc.mark <- now
-
-let finish_prof pr wall_s =
-  Prof.gc_collect pr;
-  let g = Metrics.gauge (Prof.metrics pr) "engine.wall_s" in
-  Metrics.set g (Metrics.gauge_value g +. wall_s)
-
-(* Heartbeat: a cheap progress observation emitted every [interval] steps —
-   enough for a `--heartbeat` progress line on multi-minute runs without
-   touching the hot loop otherwise. *)
-type beat = {
-  hb_steps : int;
-  hb_moves : int;
-  hb_enabled : int;  (* enabled-set size after the step *)
-  hb_legit : int;  (* legitimate processes; -1 when not tracked *)
-  hb_availability : float;  (* fraction of steps legitimate; -1. untracked *)
-  hb_moves_per_s : float;  (* over the last heartbeat interval *)
-}
-
-(* One heartbeat of either run.  [last] holds the wall clock and move count
-   of the previous beat, so the rate covers one interval; [legit_steps] is
-   [None] when availability is not sampled. *)
-let beat last ~steps ~moves ~enabled ~legit ~legit_steps =
-  let now = Unix.gettimeofday () in
-  let t, m = !last in
-  last := (now, moves);
-  {
-    hb_steps = steps;
-    hb_moves = moves;
-    hb_enabled = enabled;
-    hb_legit = legit;
-    hb_availability =
-      (match legit_steps with
-      | Some k when steps > 0 -> float_of_int k /. float_of_int steps
-      | _ -> -1.);
-    hb_moves_per_s =
-      (if now -. t > 0. then float_of_int (moves - m) /. (now -. t) else 0.);
-  }
-
-(* Latch the paper's complexity bounds from the flat counters: the 3n round
-   bound and the D·n² move bound of U∘SDR trip a named anomaly at most once
-   per run, like the classic runners' monitors. *)
-let trip_moves monitor ~moves_bound ~steps ~moves =
-  match (monitor, moves_bound) with
-  | Some m, Some bound when moves > bound ->
-      Monitor.trip m ~monitor:"moves-bound" ~step:steps ~value:moves ~bound ()
-  | _ -> ()
-
-let trip_rounds monitor ~rounds_bound ~steps ~rounds =
-  match (monitor, rounds_bound) with
-  | Some m, Some bound when rounds > bound ->
-      Monitor.trip m ~monitor:"rounds-bound" ~step:steps ~value:rounds ~bound
-        ()
-  | _ -> ()
-
-(* ---------------------------- sequential run --------------------------- *)
-
-let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
-    ?on_step ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat ~daemon p =
-  let rng =
-    match rng with Some r -> r | None -> Random.State.make [| seed |]
-  in
-  let t0 = Unix.gettimeofday () in
-  let prof_ctx =
-    Option.map
-      (fun pr ->
-        Prof.gc_mark pr;
-        make_prof_ctx pr p.rule_names)
-      prof
-  in
-  let nn = Csr.n p.csr in
-  let nf = p.nf in
-  let ev = make_ev p in
-  let nr = Array.length p.rule_names in
-  let rule_of = Array.make nn (-1) in
-  let enabled = Bits.create nn in
-  let en_count = ref 0 in
-  for u = 0 to nn - 1 do
-    let r = first_enabled ev u in
-    rule_of.(u) <- r;
-    if r >= 0 then begin
-      ignore (Bits.add enabled u);
-      incr en_count
-    end
-  done;
-  let legit_of = Option.map (fun _ -> Array.make nn false) ev.legit in
-  let illegit = ref 0 in
-  (match (ev.legit, legit_of) with
-  | Some clo, Some la ->
-      for u = 0 to nn - 1 do
-        ev.cell.u <- u;
-        let lg = clo () in
-        la.(u) <- lg;
-        if not lg then incr illegit
-      done
-  | _ -> ());
-  let stopping = stop_on_legitimate && legit_of <> None in
-  let moves_per_process = Array.make nn 0 in
-  let rule_moves = Array.make nr 0 in
-  (* §2.4 pending set as stamp + generation + count: refill touches only
-     the enabled members, never all n (the classic engine's Hashtbl refill
-     is O(n) per round — fatal at n = 10⁶). *)
-  let pend_stamp = Array.make nn 0 in
-  let pend_gen = ref 0 in
-  let pend_count = ref 0 in
-  let refill_pending () =
-    incr pend_gen;
-    let g = !pend_gen in
-    pend_count := !en_count;
-    Bits.iter enabled (fun u -> pend_stamp.(u) <- g)
-  in
-  refill_pending ();
-  let stamp = Array.make nn 0 in
-  let gen = ref 0 in
-  (* The refresh's exact running counts: touch attempts, guard
-     re-evaluations (a touch the stamp skips is a dedup hit) and rule
-     changes.  A profiler only publishes them. *)
-  let touched = ref 0 and evals = ref 0 and flips = ref 0 in
-  let cursor = ref 0 in
-  let rule_name u = p.rule_names.(rule_of.(u)) in
-  let for_all_neighbors u f =
-    let offsets = p.csr.Csr.offsets and nbrs = p.csr.Csr.nbrs in
-    let free = ref true in
-    let i = ref offsets.(u) in
-    while !free && !i < offsets.(u + 1) do
-      if not (f nbrs.(!i)) then free := false;
-      incr i
-    done;
-    !free
-  in
-  let mv = movers_make nf in
-  (* Buffer every mover's post row from the pre-state, then write: movers
-     act on the pre-state even when they are neighbors. *)
-  let push u =
-    let r = rule_of.(u) in
-    movers_push mv nf u r;
-    ev.cell.u <- u;
-    compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
-  in
-  let completed_rounds = ref 0 in
-  let steps_in_round = ref 0 in
-  let steps = ref 0 in
-  let total_moves = ref 0 in
-  (* Availability sampling rides on the incremental legitimate-node count
-     the run already maintains; the per-step cost (one compare) is only
-     paid when someone is observing. *)
-  let count_legit =
-    legit_of <> None
-    && (prof_ctx <> None || heartbeat <> None || monitor <> None)
-  in
-  let legit_steps = ref 0 in
-  let hb_last = ref (t0, 0) in
-  let outcome = ref Engine.Step_limit in
-  (* Everything since [run] began — evaluator compilation, the initial
-     enabled/legitimacy scan, the first pending refill — is scan work. *)
-  (match prof_ctx with Some pc -> lap pc pc.scan | None -> ());
-  (try
-     if stopping && !illegit = 0 then begin
-       outcome := Engine.Stabilized;
-       raise Exit
-     end;
-     while !steps < max_steps do
-       if !en_count = 0 then begin
-         outcome := Engine.Terminal;
-         raise Exit
-       end;
-       mv.len <- 0;
-       Daemon.select daemon rng ~cursor ~enabled ~count:!en_count ~rule_name
-         ~for_all_neighbors push;
-       (* Per-rule attribution without extra clock reads: movers chain laps,
-          so their spans tile the apply phase exactly; the phase total is
-          derived from the chain, not measured again. *)
-       let apply_start =
-         match prof_ctx with
-         | Some pc ->
-             lap pc pc.select;
-             pc.mark
-         | None -> 0
-       in
-       for k = 0 to mv.len - 1 do
-         let u = mv.mu.(k) in
-         for f = 0 to nf - 1 do
-           p.state.(f).(u) <- mv.mp.((k * nf) + f)
-         done;
-         match prof_ctx with
-         | Some pc ->
-             lap pc pc.rule_timers.(mv.mr.(k));
-             Metrics.incr pc.rule_counters.(mv.mr.(k))
-         | None -> ()
-       done;
-       (match prof_ctx with
-       | Some pc -> Prof.record_span pc.apply (pc.mark - apply_start)
-       | None -> ());
-       incr steps;
-       incr steps_in_round;
-       for k = 0 to mv.len - 1 do
-         let u = mv.mu.(k) in
-         incr total_moves;
-         moves_per_process.(u) <- moves_per_process.(u) + 1;
-         rule_moves.(mv.mr.(k)) <- rule_moves.(mv.mr.(k)) + 1;
-         if pend_stamp.(u) = !pend_gen then begin
-           pend_stamp.(u) <- 0;
-           decr pend_count
-         end
-       done;
-       (* Fused refresh + neutralization + legitimacy over the movers'
-          closed neighborhoods — the only processes whose views changed.
-          Stamp-dedup'd like the classic incremental scheduler. *)
-       incr gen;
-       let g = !gen in
-       let offsets = p.csr.Csr.offsets in
-       let nbrs = p.csr.Csr.nbrs in
-       let touched0 = !touched and evals0 = !evals and flips0 = !flips in
-       let touch v =
-         incr touched;
-         if stamp.(v) <> g then begin
-           stamp.(v) <- g;
-           incr evals;
-           let r = first_enabled ev v in
-           if r <> rule_of.(v) then incr flips;
-           rule_of.(v) <- r;
-           if r >= 0 then begin
-             if Bits.add enabled v then incr en_count
-           end
-           else begin
-             if Bits.remove enabled v then decr en_count;
-             if pend_stamp.(v) = !pend_gen then begin
-               pend_stamp.(v) <- 0;
-               decr pend_count
-             end
-           end;
-           match (ev.legit, legit_of) with
-           | Some clo, Some la ->
-               let lg = clo () in
-               if lg <> la.(v) then begin
-                 la.(v) <- lg;
-                 illegit := !illegit + if lg then -1 else 1
-               end
-           | _ -> ()
-         end
-       in
-       for k = 0 to mv.len - 1 do
-         let u = mv.mu.(k) in
-         touch u;
-         for i = offsets.(u) to offsets.(u + 1) - 1 do
-           touch nbrs.(i)
-         done
-       done;
-       (match prof_ctx with
-       | Some pc ->
-           let dt = !touched - touched0 and de = !evals - evals0 in
-           Metrics.add pc.c_touched dt;
-           Metrics.add pc.c_evals de;
-           Metrics.add pc.c_dedup (dt - de);
-           Metrics.add pc.c_flips (!flips - flips0);
-           Histogram.record pc.h_refresh de;
-           lap pc pc.refresh
-       | None -> ());
-       if count_legit && !illegit = 0 then incr legit_steps;
-       (match on_step with
-       | Some f ->
-           let moved = ref [] in
-           for k = mv.len - 1 downto 0 do
-             moved := (mv.mu.(k), p.rule_names.(mv.mr.(k))) :: !moved
-           done;
-           f ~step:(!steps - 1) ~moved:!moved
-       | None -> ());
-       (match prof_ctx with
-       | Some pc ->
-           if count_legit && !illegit = 0 then
-             Metrics.incr pc.c_legit_steps;
-           Prof.tick pc.p ~moves:mv.len;
-           lap pc pc.callbacks
-       | None -> ());
-       (match heartbeat with
-       | Some (every, f) when every > 0 && !steps mod every = 0 ->
-           f
-             (beat hb_last ~steps:!steps ~moves:!total_moves
-                ~enabled:!en_count
-                ~legit:
-                  (match legit_of with None -> -1 | Some _ -> nn - !illegit)
-                ~legit_steps:(if count_legit then Some !legit_steps else None))
-       | _ -> ());
-       trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
-       if !pend_count = 0 then begin
-         incr completed_rounds;
-         steps_in_round := 0;
-         refill_pending ();
-         (* The refill walks the enabled set — scan work, like the initial
-            table build. *)
-         (match prof_ctx with Some pc -> lap pc pc.scan | None -> ());
-         trip_rounds monitor ~rounds_bound ~steps:!steps
-           ~rounds:!completed_rounds
-       end;
-       if stopping && !illegit = 0 then begin
-         outcome := Engine.Stabilized;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  (match prof_ctx with
-  | Some pc -> finish_prof pc.p (Unix.gettimeofday () -. t0)
-  | None -> ());
-  {
-    outcome = !outcome;
-    steps = !steps;
-    moves = !total_moves;
-    moves_per_process;
-    moves_per_rule = rule_list p rule_moves;
-    rounds = (!completed_rounds + if !steps_in_round > 0 then 1 else 0);
-    legitimate = (match legit_of with None -> true | Some _ -> !illegit = 0);
-    wall_s = Unix.gettimeofday () -. t0;
-  }
-
-(* --------------------------- partitioned run --------------------------- *)
-
 (* Worker-private instrumentation slots for the partitioned path: each
    domain accumulates its own phase nanoseconds, duration histograms and
-   GC baselines — separate heap blocks, no sharing — and everything is
+   GC word deltas — separate heap blocks, no sharing — and everything is
    merged, with the run's scheduler counts, into the single profiler on
    the calling domain after the team shuts down ({!Prof.merge_spans} /
    {!Histogram.merge_into} are lossless, so the merged stream is exact). *)
 type wslots = {
   ws_ns : int array;  (* per worker phase, indexed like [worker_phases] *)
   ws_hist : Histogram.t array;
-  mutable ws_minor0 : float;
-  mutable ws_major0 : float;
-  mutable ws_minor : float;
-  mutable ws_major : float;
+  ws_gc : float array;  (* minor, major words allocated on the worker *)
 }
 
 (* Caller-side context for the partitioned profile: merged phase timers
@@ -857,10 +553,7 @@ let make_part_prof pr ~nparts rule_names =
           {
             ws_ns = Array.make (Array.length worker_phases) 0;
             ws_hist = Array.map (fun _ -> Histogram.create ()) worker_phases;
-            ws_minor0 = 0.;
-            ws_major0 = 0.;
-            ws_minor = 0.;
-            ws_major = 0.;
+            ws_gc = [| 0.; 0. |];
           });
     t_phases;
     t_replay;
@@ -870,6 +563,17 @@ let make_part_prof pr ~nparts rule_names =
     c_replays = Metrics.counter m "flat.frontier_replays";
     pc_legit = Metrics.counter m "obs.legit_steps";
   }
+
+(* Add the calling worker's GC words to its slot with [sign]: -1 at the
+   start, +1 at the end.  OCaml 5 keeps allocation counters per domain, so
+   both samples are taken on the worker itself. *)
+let sample_gc pobs d sign =
+  Option.iter
+    (fun o ->
+      let q = Gc.quick_stat () and gc = o.slots.(d).ws_gc in
+      gc.(0) <- gc.(0) +. (sign *. q.Gc.minor_words);
+      gc.(1) <- gc.(1) +. (sign *. q.Gc.major_words))
+    pobs
 
 (* Merge the per-domain slots into the stream: phase timers get every
    worker's spans (sum ≈ parts × wall together with phase.barrier, which
@@ -890,8 +594,8 @@ let merge_part_prof o ~nparts ~touched ~evals ~flips =
         (fun ph ->
           gset (worker_phases.(ph) ^ "_s") (float_of_int s.ws_ns.(ph) /. 1e9))
         [ ph_compute; ph_write; ph_refresh ];
-      gset "gc_minor_words" (s.ws_minor -. s.ws_minor0);
-      gset "gc_major_words" (s.ws_major -. s.ws_major0))
+      gset "gc_minor_words" s.ws_gc.(0);
+      gset "gc_major_words" s.ws_gc.(1))
     o.slots;
   let touched = Array.fold_left ( + ) 0 touched
   and evals = Array.fold_left ( + ) 0 evals in
@@ -917,6 +621,7 @@ let worker_phase pobs d ph body =
 
 let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat ~parts p =
+  Step.check_heartbeat heartbeat;
   let t0 = Unix.gettimeofday () in
   let nn = Csr.n p.csr in
   let nf = p.nf in
@@ -933,11 +638,13 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let owner v = v / chunk in
   let nr = Array.length p.rule_names in
   let evs = Array.init nparts (fun _ -> make_ev p) in
-  let track_legit = stop_on_legitimate && evs.(0).legit <> None in
+  (* Legitimacy is tracked whenever the spec defines it, as in {!run}. *)
+  let track_legit = evs.(0).legit <> None in
+  let stopping = stop_on_legitimate && track_legit in
   let rule_of = Array.make nn (-1) in
   let enabled = Bits.create nn in
   let en_count = Array.make nparts 0 in
-  let legit_of = if track_legit then Array.make nn false else [||] in
+  let legit_of = if track_legit then Array.make nn true else [||] in
   let illegit = Array.make nparts 0 in
   let bufs = Array.init nparts (fun _ -> movers_make nf) in
   let frontier = Array.make nparts [] in
@@ -988,32 +695,16 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     ~finally:(fun () -> Pool.Team.shutdown team)
     (fun () ->
       Pool.Team.run team (fun d ->
-          (match pobs with
-          | Some o ->
-              (* OCaml 5 GC counters are per-domain: the baseline must be
-                 sampled on the worker itself. *)
-              let q = Gc.quick_stat () in
-              let s = o.slots.(d) in
-              s.ws_minor0 <- q.Gc.minor_words;
-              s.ws_major0 <- q.Gc.major_words
-          | None -> ());
+          sample_gc pobs d (-1.);
+          (* The initial scan is a refresh of the worker's whole range;
+             it changes no table entry, so its flips are not counted. *)
           worker_phase pobs d ph_init (fun () ->
-            let ev = evs.(d) in
-            for u = lo d to hi d - 1 do
-              let r = first_enabled ev u in
-              rule_of.(u) <- r;
-              if r >= 0 then begin
-                ignore (Bits.add enabled u);
-                en_count.(d) <- en_count.(d) + 1
-              end;
-              if track_legit then begin
-                let lg = (Option.get ev.legit) () in
-                legit_of.(u) <- lg;
-                if not lg then illegit.(d) <- illegit.(d) + 1
-              end
-            done));
+              for u = lo d to hi d - 1 do
+                recompute evs.(d) d u
+              done;
+              w_flips.(d) <- 0));
       (try
-         if track_legit && sum illegit = 0 then begin
+         if stopping && sum illegit = 0 then begin
            outcome := Engine.Stabilized;
            raise Exit
          end;
@@ -1061,24 +752,20 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
                 frontier.(d) <- [];
                 let l = lo d and h = hi d in
                 let touched = ref 0 and evals = ref 0 in
+                let touch v =
+                  incr touched;
+                  if stamp.(v) <> g then begin
+                    stamp.(v) <- g;
+                    incr evals;
+                    recompute ev d v
+                  end
+                in
                 for k = 0 to b.len - 1 do
                   let u = b.mu.(k) in
-                  incr touched;
-                  if stamp.(u) <> g then begin
-                    stamp.(u) <- g;
-                    incr evals;
-                    recompute ev d u
-                  end;
+                  touch u;
                   for i = offsets.(u) to offsets.(u + 1) - 1 do
                     let v = nbrs.(i) in
-                    if v >= l && v < h then begin
-                      incr touched;
-                      if stamp.(v) <> g then begin
-                        stamp.(v) <- g;
-                        incr evals;
-                        recompute ev d v
-                      end
-                    end
+                    if v >= l && v < h then touch v
                     else frontier.(d) <- v :: frontier.(d)
                   done
                 done;
@@ -1089,91 +776,61 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           let t_r = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
           let handed = ref 0 and replayed = ref 0 in
           Array.iter
-            (fun fr ->
-              List.iter
-                (fun v ->
-                  incr handed;
-                  if stamp.(v) <> g then begin
-                    stamp.(v) <- g;
-                    incr replayed;
-                    recompute evs.(0) (owner v) v
-                  end)
-                fr)
+            (List.iter (fun v ->
+                 incr handed;
+                 if stamp.(v) <> g then begin
+                   stamp.(v) <- g;
+                   incr replayed;
+                   recompute evs.(0) (owner v) v
+                 end))
             frontier;
+          let moved = Array.fold_left (fun acc b -> acc + b.len) 0 bufs in
+          incr steps;
+          total_moves := !total_moves + moved;
+          let legit = count_legit && sum illegit = 0 in
+          if legit then incr legit_steps;
           (match pobs with
           | Some o ->
               Metrics.add o.c_frontier !handed;
               Metrics.add o.c_replays !replayed;
-              Prof.record_span o.t_replay (Prof.now_ns () - t_r)
-          | None -> ());
-          incr steps;
-          Array.iter (fun b -> total_moves := !total_moves + b.len) bufs;
-          (match pobs with
-          | Some o ->
               let t_c = Prof.now_ns () in
-              let sm = ref 0 in
+              Prof.record_span o.t_replay (t_c - t_r);
               Array.iter
                 (fun b ->
                   for k = 0 to b.len - 1 do
                     Metrics.incr o.prc.(b.mr.(k))
-                  done;
-                  sm := !sm + b.len)
+                  done)
                 bufs;
-              if count_legit && sum illegit = 0 then
-                Metrics.incr o.pc_legit;
-              Prof.tick o.pp ~moves:!sm;
+              if legit then Metrics.incr o.pc_legit;
+              Prof.tick o.pp ~moves:moved;
               Prof.record_span o.t_callbacks (Prof.now_ns () - t_c)
           | None -> ());
-          if count_legit && sum illegit = 0 then incr legit_steps;
           (match heartbeat with
-          | Some (every, f) when every > 0 && !steps mod every = 0 ->
-              let legit =
-                if track_legit then nn - sum illegit
-                else
-                  match evs.(0).legit with
-                  | None -> -1
-                  | Some clo ->
-                      (* Legitimacy is not tracked incrementally on this
-                         run: full rescan at the observation boundary
-                         (amortized over the heartbeat interval). *)
-                      let ev = evs.(0) in
-                      let c = ref 0 in
-                      for u = 0 to nn - 1 do
-                        ev.cell.u <- u;
-                        if clo () then incr c
-                      done;
-                      !c
-              in
+          | Some (every, f) when !steps mod every = 0 ->
               f
-                (beat hb_last ~steps:!steps ~moves:!total_moves
-                   ~enabled:(sum en_count) ~legit
+                (Step.beat hb_last ~steps:!steps ~moves:!total_moves
+                   ~enabled:(sum en_count)
+                   ~legit:(if track_legit then nn - sum illegit else -1)
                    ~legit_steps:
                      (if count_legit then Some !legit_steps else None))
           | _ -> ());
-          trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
+          Step.trip monitor "moves-bound" moves_bound ~steps:!steps
+            ~value:!total_moves;
           (* Under the synchronous daemon each step completes one round. *)
-          trip_rounds monitor ~rounds_bound ~steps:!steps ~rounds:!steps;
-          if track_legit && sum illegit = 0 then begin
+          Step.trip monitor "rounds-bound" rounds_bound ~steps:!steps
+            ~value:!steps;
+          if stopping && sum illegit = 0 then begin
             outcome := Engine.Stabilized;
             raise Exit
           end
         done
       with Exit -> ());
-      (* Final per-domain GC samples, on the worker domains themselves
-         (OCaml 5 keeps allocation counters per domain). *)
-      match pobs with
-      | Some o ->
-          Pool.Team.run team (fun d ->
-              let q = Gc.quick_stat () in
-              let s = o.slots.(d) in
-              s.ws_minor <- q.Gc.minor_words -. s.ws_minor0;
-              s.ws_major <- q.Gc.major_words -. s.ws_major0)
-      | None -> ());
+      if pobs <> None then Pool.Team.run team (fun d -> sample_gc pobs d 1.));
   (match pobs with
   | Some o ->
       merge_part_prof o ~nparts ~touched:w_touched ~evals:w_evals
         ~flips:w_flips;
-      finish_prof o.pp (Unix.gettimeofday () -. t0)
+      Step.finish_prof o.pp (Unix.gettimeofday () -. t0)
   | None -> ());
   let rule_totals = Array.make nr 0 in
   Array.iter
@@ -1184,10 +841,10 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     steps = !steps;
     moves = !total_moves;
     moves_per_process;
-    moves_per_rule = rule_list p rule_totals;
+    moves_per_rule = Step.rule_list p.rule_names rule_totals;
     (* Under the synchronous daemon every pending node either moves or is
        neutralized within the step, so each step completes one round. *)
     rounds = !steps;
-    legitimate = (if track_legit then sum illegit = 0 else true);
+    legitimate = sum illegit = 0;
     wall_s = Unix.gettimeofday () -. t0;
   }

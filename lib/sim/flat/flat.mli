@@ -10,13 +10,15 @@
     set in a two-level bitset ({!Ssreset_sim.Bits}) — and obtains the
     rules by compiling the algorithm's IR to OCaml closures over those arrays.
 
-    The compilation is {e semantics-preserving by construction and by
-    test}: the IR itself is differentially validated against the OCaml
-    rules ({!Ssreset_check.Sym.check}), and the flat runs are
-    differentially validated against {!Ssreset_sim.Engine.run} — same
-    per-step movers, same post-states, same step/move/round counts, under
-    every registered daemon (both engines select through the one
-    {!Ssreset_sim.Daemon.select}).
+    This module is an {e evaluator} over the one step core
+    ({!Ssreset_sim.Step}), which the classic engine
+    ({!Ssreset_sim.Engine}) shares: the core schedules, the evaluator only
+    evaluates guards and computes and writes posts.  The compilation is
+    {e semantics-preserving by construction and by test}: the IR is
+    differentially validated against the OCaml rules
+    ({!Ssreset_check.Sym.check}), and the two evaluators against each
+    other — same per-step movers, post-states, counts and profile schema
+    under every registered daemon.
 
     {!run_partitioned} adds intra-run parallelism for the synchronous
     daemon: nodes are split into {!Ssreset_sim.Bits.part_align}-aligned
@@ -95,7 +97,7 @@ type result = {
   wall_s : float;
 }
 
-type beat = {
+type beat = Ssreset_sim.Step.beat = {
   hb_steps : int;
   hb_moves : int;
   hb_enabled : int;  (** enabled-set size after the step *)
@@ -105,10 +107,7 @@ type beat = {
           legitimate; [-1.] when untracked *)
   hb_moves_per_s : float;  (** over the last heartbeat interval *)
 }
-(** One [--heartbeat] progress sample.  [hb_legit] is O(dirty) incremental
-    where the run already tracks legitimacy; otherwise a full rescan at
-    the heartbeat boundary (amortized over the interval), or [-1] when the
-    spec has no legitimacy predicate. *)
+(** One [--heartbeat] progress sample ({!Ssreset_sim.Step.beat}). *)
 
 val run :
   ?rng:Random.State.t ->
@@ -125,32 +124,24 @@ val run :
   prog ->
   result
 (** Sequential run from the current state (the final state stays readable
-    through {!read} afterwards), mirroring {!Ssreset_sim.Engine.run}:
-    the same {!Ssreset_sim.Daemon.select} over the enabled bitset, movers
-    act on the pre-state, incremental
-    dirty-set refresh over the movers' closed neighborhoods, §2.4 round
-    accounting (pending set refilled per round), terminal detection on an
-    empty enabled set.  [stop_on_legitimate] (default [true], no-op
-    without a legitimacy predicate) stops with [Stabilized] as soon as
-    every node satisfies [sp_legitimate] — checked on the initial state
-    too, like the classic engine's [stop].  [on_step] sees the movers of
-    each executed step in selection order.
+    through {!read} afterwards) on {!Ssreset_sim.Step}, like
+    {!Ssreset_sim.Engine.run}.  [stop_on_legitimate] (default [true],
+    no-op without a legitimacy predicate) stops with [Stabilized] as soon
+    as every node satisfies [sp_legitimate] — checked on the initial state
+    too, like the classic engine's [stop]; legitimacy is kept
+    incrementally whenever the spec defines it.  [on_step] sees the movers
+    of each executed step in selection order.
 
-    Observability is pay-as-you-go: the step loop always keeps its exact
-    scheduler counts, [prof] adds only clock laps, records and the
-    publishing of those counts, and the run is bit-identical with or
+    Observability is pay-as-you-go, and the run is bit-identical with or
     without [prof], [monitor] and [heartbeat] (asserted by the test
-    suite).  [prof] attributes wall time to the flat phases
-    ([phase.scan]/[select]/[apply]/[refresh]/[callbacks] — the same
-    lap-timer discipline as the classic engine) plus per-rule [rule.R]
-    timers and [moves.R] counters, scheduler counters ([sched.touched],
-    [sched.evals], [sched.dedup_hits], [sched.table_flips]) and the
-    [sched.refresh_size] histogram; windows stream per the profiler's
-    sink.  [monitor] latches the paper's convergence bounds:
-    [moves_bound] (e.g. D·n²) trips anomaly [moves-bound], [rounds_bound]
-    (e.g. 3n) trips [rounds-bound], each at most once.  [heartbeat]
-    [(every, f)] calls [f] after every [every]-th step with a progress
-    {!beat}. *)
+    suite).  [prof] records the core's phase, rule and scheduler
+    instruments plus the [obs.legit_steps] availability counter; windows
+    stream per the profiler's sink.  [monitor] latches the paper's
+    convergence bounds: [moves_bound] (e.g. D·n²) trips anomaly
+    [moves-bound], [rounds_bound] (e.g. 3n) trips [rounds-bound], each at
+    most once.  [heartbeat] [(every, f)] calls [f] after every [every]-th
+    step with a progress {!beat}.
+    @raise Invalid_argument when [every] is not positive. *)
 
 val run_partitioned :
   ?max_steps:int ->
@@ -168,7 +159,8 @@ val run_partitioned :
     and the final state are identical to [run ~daemon:Synchronous] for
     any [parts ≥ 1] — under the synchronous daemon every pending node
     moves or is neutralized each step, so rounds equal steps and the
-    pending machinery is unnecessary.
+    pending machinery is unnecessary.  It shares {!Ssreset_sim.Step}'s
+    heartbeat, bound trips and profile finish, not its loop.
 
     [prof]/[monitor]/[heartbeat] behave as in {!run}, with per-worker
     attribution instead of per-rule timers: each domain accumulates its

@@ -202,6 +202,23 @@ let counter p name =
 let sched_counters =
   [ "sched.touched"; "sched.evals"; "sched.dedup_hits"; "sched.table_flips" ]
 
+(* The instrument schema a profile registers: its [phase.*] timers in
+   registration order and its [moves.*] counters. *)
+let prof_schema p =
+  let keys path =
+    match
+      List.fold_left
+        (fun j k -> Option.bind j (Ssreset_obs.Json.member k))
+        (Some (Prof.summary_json p)) path
+    with
+    | Some (Ssreset_obs.Json.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.fail "profile summary lacks a section"
+  in
+  ( keys [ "phases" ],
+    List.filter
+      (fun k -> String.length k > 6 && String.sub k 0 6 = "moves.")
+      (keys [ "metrics"; "counters" ]) )
+
 let differential_one ~label inst daemon_name seed =
   let module I = (val inst : Sym.INSTANCE) in
   let g = I.graph in
@@ -238,6 +255,14 @@ let differential_one ~label inst daemon_name seed =
       check_int (label ^ " " ^ name) (counter prof_c name)
         (counter prof_f name))
     sched_counters;
+  (* One core, one schema: both evaluators' profiles register the same
+     phase timers and per-rule move counters. *)
+  let phases_c, moves_c = prof_schema prof_c
+  and phases_f, moves_f = prof_schema prof_f in
+  check (Alcotest.list Alcotest.string) (label ^ " phase timers") phases_c
+    phases_f;
+  check (Alcotest.list Alcotest.string) (label ^ " moves counters")
+    (List.sort compare moves_c) (List.sort compare moves_f);
   check Alcotest.string (label ^ " outcome") (outcome_str res_c.Engine.outcome)
     (outcome_str res_f.Flat.outcome);
   check_int (label ^ " steps") res_c.Engine.steps res_f.Flat.steps;
@@ -547,6 +572,29 @@ let observability_tests =
         let r2 = Flat.run ~daemon:Flat.Synchronous p2 in
         check Alcotest.string "digest unchanged by heartbeat"
           (Progs.digest p2 r2) (Progs.digest p r));
+    test "a non-positive heartbeat interval is rejected" (fun () ->
+        List.iter
+          (fun every ->
+            let p = scale_prog ~n:1024 ~faults:30 () in
+            check_true
+              (Fmt.str "sequential heartbeat %d raises" every)
+              (match
+                 Flat.run ~daemon:Flat.Synchronous
+                   ~heartbeat:(every, fun _ -> ())
+                   p
+               with
+              | exception Invalid_argument _ -> true
+              | _ -> false);
+            check_true
+              (Fmt.str "partitioned heartbeat %d raises" every)
+              (match
+                 Flat.run_partitioned ~parts:2
+                   ~heartbeat:(every, fun _ -> ())
+                   p
+               with
+              | exception Invalid_argument _ -> true
+              | _ -> false))
+          [ 0; -5 ]);
     test "partitioned heartbeat and monitors leave the run unchanged"
       (fun () ->
         let p = scale_prog ~n:2048 ~faults:40 () in
