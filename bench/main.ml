@@ -808,7 +808,9 @@ let run_flat_bench ~quick =
           Array.init n (fun _ ->
               dom.(Random.State.int seed_rng (Array.length dom)))
         in
-        let max_steps = if quick then 2_000 else 20_000 in
+        (* Long enough to resolve a 1.5× change in both profiles, as in
+           the [engine] rows; U∘SDR never terminates here. *)
+        let max_steps = 40_000 in
         let inc =
           Ssreset_sim.Engine.run ~seed:5 ~max_steps
             ~algorithm:I.algorithm ~graph

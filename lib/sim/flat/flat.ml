@@ -145,22 +145,122 @@ let checksum p =
 
 (* ------------------------------ compiler ------------------------------- *)
 
-(* One evaluator = one set of closures over the shared state arrays plus a
-   private cursor cell.  The cell is mutable, so partitioned runs compile
-   one evaluator per worker domain; the state arrays stay shared. *)
-type cell = { mutable u : int; mutable nbr : int }
+(* One evaluator = one set of closures over the shared state arrays.  A
+   term compiles to an [int -> int -> int] and a form to an
+   [int -> int -> bool] of self and the bound neighbor: a neighborhood
+   aggregate passes each neighbor it visits as the second argument (at
+   top level, where a well-formed IR reads no [Nbr] field, it is 0).  A
+   comparison between a field read and a constant, or between two field
+   reads, is one closure over the field arrays.
 
+   A neighborhood quantifier ([Forall_nbr]/[Exists_nbr]) that occurs two
+   or more times, up to structural equality, across the guards,
+   assignments and legitimacy predicate is compiled once, behind a memo
+   that is valid for one evaluation epoch.  A quantifier's value depends
+   only on self and the state (its body binds its own neighbor), and
+   neither changes within one evaluation, so every [first_enabled] and
+   every [compute_post] starts a new epoch and the repeated occurrences
+   then scan the neighborhood once.  The memos and the [Mex_nbr] scratch
+   arrays are mutable, so partitioned runs compile one evaluator per
+   worker domain; the state arrays stay shared. *)
 type ev = {
-  cell : cell;
-  guards : (unit -> bool) array;
-  assigns : (int * (unit -> int)) array array;  (* per rule *)
-  legit : (unit -> bool) option;
+  epoch : int ref;
+  guards : (int -> int -> bool) array;
+  assigns : (int * (int -> int -> int)) array array;  (* per rule *)
+  legit : (int -> int -> bool) option;
 }
 
+(* Operators of the fused comparisons; [Ge] and [Gt] come from moving the
+   constant of [k <= x] / [k < x] to the right. *)
+type cmp = Eq | Le | Lt | Ge | Gt
+
+let flip = function Eq -> Eq | Le -> Ge | Lt -> Gt | Ge -> Le | Gt -> Lt
+
+let field_const op (site : Sym.site) (x : int array) (k : int) :
+    int -> int -> bool =
+  match (op, site) with
+  | Eq, Sym.Self -> fun u _ -> x.(u) = k
+  | Eq, Sym.Nbr -> fun _ v -> x.(v) = k
+  | Le, Sym.Self -> fun u _ -> x.(u) <= k
+  | Le, Sym.Nbr -> fun _ v -> x.(v) <= k
+  | Lt, Sym.Self -> fun u _ -> x.(u) < k
+  | Lt, Sym.Nbr -> fun _ v -> x.(v) < k
+  | Ge, Sym.Self -> fun u _ -> x.(u) >= k
+  | Ge, Sym.Nbr -> fun _ v -> x.(v) >= k
+  | Gt, Sym.Self -> fun u _ -> x.(u) > k
+  | Gt, Sym.Nbr -> fun _ v -> x.(v) > k
+
+let rec field_field op (s : Sym.site) (x : int array) (t : Sym.site)
+    (y : int array) : int -> int -> bool =
+  match (op, s, t) with
+  | Eq, Sym.Self, Sym.Self -> fun u _ -> x.(u) = y.(u)
+  | Eq, Sym.Self, Sym.Nbr -> fun u v -> x.(u) = y.(v)
+  | Eq, Sym.Nbr, Sym.Self -> fun u v -> x.(v) = y.(u)
+  | Eq, Sym.Nbr, Sym.Nbr -> fun _ v -> x.(v) = y.(v)
+  | Le, Sym.Self, Sym.Self -> fun u _ -> x.(u) <= y.(u)
+  | Le, Sym.Self, Sym.Nbr -> fun u v -> x.(u) <= y.(v)
+  | Le, Sym.Nbr, Sym.Self -> fun u v -> x.(v) <= y.(u)
+  | Le, Sym.Nbr, Sym.Nbr -> fun _ v -> x.(v) <= y.(v)
+  | Lt, Sym.Self, Sym.Self -> fun u _ -> x.(u) < y.(u)
+  | Lt, Sym.Self, Sym.Nbr -> fun u v -> x.(u) < y.(v)
+  | Lt, Sym.Nbr, Sym.Self -> fun u v -> x.(v) < y.(u)
+  | Lt, Sym.Nbr, Sym.Nbr -> fun _ v -> x.(v) < y.(v)
+  | Ge, _, _ -> field_field Le t y s x
+  | Gt, _, _ -> field_field Lt t y s x
+
+let compare_terms op (a : int -> int -> int) (b : int -> int -> int) :
+    int -> int -> bool =
+  match op with
+  | Eq -> fun u v -> a u v = b u v
+  | Le -> fun u v -> a u v <= b u v
+  | Lt -> fun u v -> a u v < b u v
+  | Ge -> fun u v -> a u v >= b u v
+  | Gt -> fun u v -> a u v > b u v
+
+(* Occurrences of every [Forall_nbr]/[Exists_nbr] node, nested ones
+   included, in the forms [fs] and the terms [ts]. *)
+let quantifier_counts fs ts =
+  let counts = Hashtbl.create 16 in
+  let rec term (t : Sym.term) =
+    match t with
+    | Sym.Num _ | Sym.Bool _ | Sym.Param _ | Sym.Var _ | Sym.Ctor _ -> ()
+    | Sym.Add (a, b) | Sym.Sub (a, b) ->
+        term a;
+        term b
+    | Sym.Neg a -> term a
+    | Sym.Ite (c, a, b) | Sym.Min_nbr (c, a, b) ->
+        form c;
+        term a;
+        term b
+    | Sym.Mex_nbr (c, a) ->
+        form c;
+        term a
+    | Sym.Count_nbr c -> form c
+  and form (f : Sym.form) =
+    match f with
+    | Sym.Const _ -> ()
+    | Sym.Not g -> form g
+    | Sym.And gs | Sym.Or gs -> List.iter form gs
+    | Sym.Imp (a, b) ->
+        form a;
+        form b
+    | Sym.Eq (a, b) | Sym.Le (a, b) | Sym.Lt (a, b) ->
+        term a;
+        term b
+    | Sym.Forall_nbr body | Sym.Exists_nbr body ->
+        let k = Option.value ~default:0 (Hashtbl.find_opt counts f) in
+        Hashtbl.replace counts f (k + 1);
+        form body
+  in
+  List.iter form fs;
+  List.iter term ts;
+  counts
+
 let make_ev p =
-  let cell = { u = 0; nbr = 0 } in
+  let epoch = ref 0 in
   let offsets = p.csr.Csr.offsets in
   let nbrs = p.csr.Csr.nbrs in
+  let field f = p.state.(field_index p f) in
   let param_val name =
     match List.assoc_opt name p.params with
     | Some v -> v
@@ -171,195 +271,238 @@ let make_ev p =
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "Flat: unknown constructor %s" c)
   in
-  let rec cterm (t : Sym.term) : unit -> int =
+  (* The value of a closed term over literals and parameters. *)
+  let rec closed (t : Sym.term) =
     match t with
-    | Sym.Num k -> fun () -> k
-    | Sym.Bool b ->
-        let k = if b then 1 else 0 in
-        fun () -> k
-    | Sym.Param name ->
-        let v = param_val name in
-        fun () -> v
-    | Sym.Var (Sym.Self, f) ->
-        let a = p.state.(field_index p f) in
-        fun () -> a.(cell.u)
-    | Sym.Var (Sym.Nbr, f) ->
-        let a = p.state.(field_index p f) in
-        fun () -> a.(cell.nbr)
+    | Sym.Num k -> Some k
+    | Sym.Bool b -> Some (if b then 1 else 0)
+    | Sym.Param name -> Some (param_val name)
+    | Sym.Ctor c -> Some (ctor c)
     | Sym.Add (a, b) ->
-        let ca = cterm a and cb = cterm b in
-        fun () -> ca () + cb ()
+        Option.bind (closed a) (fun x -> Option.map (( + ) x) (closed b))
     | Sym.Sub (a, b) ->
-        let ca = cterm a and cb = cterm b in
-        fun () -> ca () - cb ()
-    | Sym.Neg a ->
-        let ca = cterm a in
-        fun () -> -ca ()
+        Option.bind (closed a) (fun x -> Option.map (( - ) x) (closed b))
+    | Sym.Neg a -> Option.map ( ~- ) (closed a)
+    | Sym.Var _ | Sym.Ite _ | Sym.Min_nbr _ | Sym.Mex_nbr _ | Sym.Count_nbr _
+      ->
+        None
+  in
+  let rules = Array.of_list p.spec.Sym.sp_ir.Sym.rules in
+  let counts =
+    quantifier_counts
+      (Option.to_list p.spec.Sym.sp_legitimate
+      @ Array.to_list (Array.map (fun r -> r.Sym.guard) rules))
+      (List.concat_map (fun r -> List.map snd r.Sym.assigns)
+         (Array.to_list rules))
+  in
+  let memos = Hashtbl.create 16 in
+  (* [scan] behind a memo of the current epoch's value. *)
+  let memoize (scan : int -> int -> bool) =
+    let at = ref (-1) and value = ref false in
+    fun u v ->
+      if !at <> !epoch then begin
+        value := scan u v;
+        at := !epoch
+      end;
+      !value
+  in
+  let rec cterm (t : Sym.term) : int -> int -> int =
+    match t with
+    | Sym.Num _ | Sym.Bool _ | Sym.Param _ | Sym.Ctor _ ->
+        let k = Option.get (closed t) in
+        fun _ _ -> k
+    | Sym.Var (Sym.Self, f) ->
+        let a = field f in
+        fun u _ -> a.(u)
+    | Sym.Var (Sym.Nbr, f) ->
+        let a = field f in
+        fun _ v -> a.(v)
+    | Sym.Add (a, b) -> (
+        match closed t with
+        | Some k -> fun _ _ -> k
+        | None ->
+            let ca = cterm a and cb = cterm b in
+            fun u v -> ca u v + cb u v)
+    | Sym.Sub (a, b) -> (
+        match closed t with
+        | Some k -> fun _ _ -> k
+        | None ->
+            let ca = cterm a and cb = cterm b in
+            fun u v -> ca u v - cb u v)
+    | Sym.Neg a -> (
+        match closed t with
+        | Some k -> fun _ _ -> k
+        | None ->
+            let ca = cterm a in
+            fun u v -> -ca u v)
     | Sym.Ite (c, a, b) ->
         let cc = cform c and ca = cterm a and cb = cterm b in
-        fun () -> if cc () then ca () else cb ()
-    | Sym.Ctor c ->
-        let k = ctor c in
-        fun () -> k
+        fun u v -> if cc u v then ca u v else cb u v
     | Sym.Min_nbr (filt, body, dflt) ->
         let cf = cform filt and cb = cterm body and cd = cterm dflt in
-        fun () ->
-          let saved = cell.nbr in
+        fun u v ->
           let best = ref max_int and found = ref false in
-          let u = cell.u in
           for i = offsets.(u) to offsets.(u + 1) - 1 do
-            cell.nbr <- nbrs.(i);
-            if cf () then begin
+            let w = nbrs.(i) in
+            if cf u w then begin
               found := true;
-              let v = cb () in
-              if v < !best then best := v
+              let x = cb u w in
+              if x < !best then best := x
             end
           done;
-          cell.nbr <- saved;
-          if !found then !best else cd ()
+          if !found then !best else cd u v
     | Sym.Mex_nbr (filt, body) ->
         let cf = cform filt and cb = cterm body in
-        fun () ->
-          let saved = cell.nbr in
-          let u = cell.u in
+        (* mex <= deg, so a degree-sized seen-bitmap suffices; values
+           outside [0, deg] can never be the answer.  Sized once for the
+           largest degree and cleared after each use. *)
+        let seen = Array.make (Csr.max_degree p.csr + 1) false in
+        fun u _ ->
           let lo = offsets.(u) and hi = offsets.(u + 1) in
-          (* mex <= deg, so a degree-sized seen-bitmap suffices; values
-             outside [0, deg] can never be the answer. *)
           let deg = hi - lo in
-          let seen = Array.make (deg + 1) false in
           for i = lo to hi - 1 do
-            cell.nbr <- nbrs.(i);
-            if cf () then begin
-              let v = cb () in
-              if v >= 0 && v <= deg then seen.(v) <- true
+            let w = nbrs.(i) in
+            if cf u w then begin
+              let x = cb u w in
+              if x >= 0 && x <= deg then seen.(x) <- true
             end
           done;
-          cell.nbr <- saved;
           let c = ref 0 in
           while seen.(!c) do
             incr c
           done;
+          Array.fill seen 0 (deg + 1) false;
           !c
     | Sym.Count_nbr filt ->
         let cf = cform filt in
-        fun () ->
-          let saved = cell.nbr in
-          let u = cell.u in
+        fun u _ ->
           let k = ref 0 in
           for i = offsets.(u) to offsets.(u + 1) - 1 do
-            cell.nbr <- nbrs.(i);
-            if cf () then incr k
+            if cf u nbrs.(i) then incr k
           done;
-          cell.nbr <- saved;
           !k
-  and cform (f : Sym.form) : unit -> bool =
+  and cform (f : Sym.form) : int -> int -> bool =
     match f with
-    | Sym.Const b -> fun () -> b
-    | Sym.Not f ->
-        let cf = cform f in
-        fun () -> not (cf ())
-    | Sym.And fs ->
-        let cs = Array.of_list (List.map cform fs) in
-        fun () ->
-          let ok = ref true in
-          let i = ref 0 in
-          let k = Array.length cs in
-          while !ok && !i < k do
-            if not (cs.(!i) ()) then ok := false;
-            incr i
-          done;
-          !ok
-    | Sym.Or fs ->
-        let cs = Array.of_list (List.map cform fs) in
-        fun () ->
-          let hit = ref false in
-          let i = ref 0 in
-          let k = Array.length cs in
-          while (not !hit) && !i < k do
-            if cs.(!i) () then hit := true;
-            incr i
-          done;
-          !hit
+    | Sym.Const b -> fun _ _ -> b
+    | Sym.Not g ->
+        let cg = cform g in
+        fun u v -> not (cg u v)
+    | Sym.And gs -> (
+        match Array.of_list (List.map cform gs) with
+        | [||] -> fun _ _ -> true
+        | [| a |] -> a
+        | [| a; b |] -> fun u v -> a u v && b u v
+        | [| a; b; c |] -> fun u v -> a u v && b u v && c u v
+        | cs ->
+            let k = Array.length cs in
+            fun u v ->
+              let i = ref 0 in
+              while !i < k && cs.(!i) u v do
+                incr i
+              done;
+              !i = k)
+    | Sym.Or gs -> (
+        match Array.of_list (List.map cform gs) with
+        | [||] -> fun _ _ -> false
+        | [| a |] -> a
+        | [| a; b |] -> fun u v -> a u v || b u v
+        | [| a; b; c |] -> fun u v -> a u v || b u v || c u v
+        | cs ->
+            let k = Array.length cs in
+            fun u v ->
+              let i = ref 0 in
+              while !i < k && not (cs.(!i) u v) do
+                incr i
+              done;
+              !i < k)
     | Sym.Imp (a, b) ->
         let ca = cform a and cb = cform b in
-        fun () -> (not (ca ())) || cb ()
-    | Sym.Eq (a, b) ->
-        let ca = cterm a and cb = cterm b in
-        fun () -> ca () = cb ()
-    | Sym.Le (a, b) ->
-        let ca = cterm a and cb = cterm b in
-        fun () -> ca () <= cb ()
-    | Sym.Lt (a, b) ->
-        let ca = cterm a and cb = cterm b in
-        fun () -> ca () < cb ()
+        fun u v -> (not (ca u v)) || cb u v
+    | Sym.Eq (a, b) -> ccmp Eq a b
+    | Sym.Le (a, b) -> ccmp Le a b
+    | Sym.Lt (a, b) -> ccmp Lt a b
     | Sym.Forall_nbr body ->
-        let cb = cform body in
-        fun () ->
-          let saved = cell.nbr in
-          let ok = ref true in
-          let u = cell.u in
-          let i = ref offsets.(u) in
-          let stop = offsets.(u + 1) in
-          while !ok && !i < stop do
-            cell.nbr <- nbrs.(!i);
-            if not (cb ()) then ok := false;
-            incr i
-          done;
-          cell.nbr <- saved;
-          !ok
+        shared f (fun () ->
+            let cb = cform body in
+            fun u _ ->
+              let stop = offsets.(u + 1) in
+              let i = ref offsets.(u) in
+              while !i < stop && cb u nbrs.(!i) do
+                incr i
+              done;
+              !i = stop)
     | Sym.Exists_nbr body ->
-        let cb = cform body in
-        fun () ->
-          let saved = cell.nbr in
-          let hit = ref false in
-          let u = cell.u in
-          let i = ref offsets.(u) in
-          let stop = offsets.(u + 1) in
-          while (not !hit) && !i < stop do
-            cell.nbr <- nbrs.(!i);
-            if cb () then hit := true;
-            incr i
-          done;
-          cell.nbr <- saved;
-          !hit
+        shared f (fun () ->
+            let cb = cform body in
+            fun u _ ->
+              let stop = offsets.(u + 1) in
+              let i = ref offsets.(u) in
+              while !i < stop && not (cb u nbrs.(!i)) do
+                incr i
+              done;
+              !i < stop)
+  and ccmp op a b =
+    let operand (t : Sym.term) =
+      match t with
+      | Sym.Var (site, f) -> `Field (site, field f)
+      | _ -> ( match closed t with Some k -> `Const k | None -> `Term)
+    in
+    match (operand a, operand b) with
+    | `Field (s, x), `Const k -> field_const op s x k
+    | `Const k, `Field (s, x) -> field_const (flip op) s x k
+    | `Field (s, x), `Field (t, y) -> field_field op s x t y
+    | _ -> compare_terms op (cterm a) (cterm b)
+  (* Quantifier [q], compiled by [scan]: once and memoized when it
+     repeats, afresh otherwise. *)
+  and shared q scan =
+    if Hashtbl.find counts q < 2 then scan ()
+    else
+      match Hashtbl.find_opt memos q with
+      | Some c -> c
+      | None ->
+          let c = memoize (scan ()) in
+          Hashtbl.add memos q c;
+          c
   in
-  let rules = Array.of_list p.spec.Sym.sp_ir.Sym.rules in
   {
-    cell;
+    epoch;
     guards = Array.map (fun r -> cform r.Sym.guard) rules;
     assigns =
       Array.map
         (fun r ->
           Array.of_list
-            (List.map
-               (fun (f, t) -> (field_index p f, cterm t))
-               r.Sym.assigns))
+            (List.map (fun (f, t) -> (field_index p f, cterm t)) r.Sym.assigns))
         rules;
     legit = Option.map cform p.spec.Sym.sp_legitimate;
   }
 
 (* First enabled rule of [u], or -1 — the flat twin of the classic
-   engine's enabled table entry.  Leaves [ev.cell.u = u]. *)
+   engine's enabled table entry.  Starts an evaluation epoch: a [legit]
+   call on the same [u] right after it shares the quantifier memos. *)
 let first_enabled ev u =
-  ev.cell.u <- u;
-  let k = Array.length ev.guards in
-  let r = ref (-1) in
+  incr ev.epoch;
+  let gs = ev.guards in
+  let k = Array.length gs in
   let i = ref 0 in
-  while !r < 0 && !i < k do
-    if ev.guards.(!i) () then r := !i;
+  while !i < k && not (gs.(!i) u 0) do
     incr i
   done;
-  !r
+  if !i < k then !i else -1
 
-(* Post-values of rule [r] at [ev.cell.u], buffered into [dst] at [off]
-   (row layout: one slot per field).  Assignment terms read the pre-state
-   arrays, never [dst], so buffering preserves act-on-pre-state. *)
-let compute_post p ev r ~dst ~off =
-  let u = ev.cell.u in
+(* Post-values of rule [r] at [u], buffered into [dst] at [off] (row
+   layout: one slot per field), in an epoch of their own.  Assignment
+   terms read the pre-state arrays, never [dst], so buffering preserves
+   act-on-pre-state. *)
+let compute_post p ev r u ~dst ~off =
+  incr ev.epoch;
   for f = 0 to p.nf - 1 do
     dst.(off + f) <- p.state.(f).(u)
   done;
-  Array.iter (fun (f, clo) -> dst.(off + f) <- clo ()) ev.assigns.(r)
+  let a = ev.assigns.(r) in
+  for j = 0 to Array.length a - 1 do
+    let f, clo = a.(j) in
+    dst.(off + f) <- clo u 0
+  done
 
 (* ------------------------------- daemons ------------------------------- *)
 
@@ -418,22 +561,26 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
         let la = Array.make (Csr.n p.csr) true in
         fun v ->
           let r = first_enabled ev v in
-          let lg = clo () in
+          let lg = clo v 0 in
           if lg <> la.(v) then begin
             la.(v) <- lg;
             illegit := !illegit + if lg then -1 else 1
           end;
           r
   in
-  let mp = ref (Array.make (256 * nf) 0) in
+  (* Sized like the core's mover buffers: full size under the synchronous
+     daemon, which moves every enabled process. *)
+  let cap =
+    match daemon with Synchronous -> max 256 (Csr.n p.csr) | _ -> 256
+  in
+  let mp = ref (Array.make (cap * nf) 0) in
   let stage k u r =
     if (k + 1) * nf > Array.length !mp then begin
       let b = Array.make (2 * Array.length !mp) 0 in
       Array.blit !mp 0 b 0 (k * nf);
       mp := b
     end;
-    ev.cell.u <- u;
-    compute_post p ev r ~dst:!mp ~off:(k * nf)
+    compute_post p ev r u ~dst:!mp ~off:(k * nf)
   in
   let commit k u =
     let mp = !mp in
@@ -479,31 +626,22 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
 
 (* --------------------------- partitioned run --------------------------- *)
 
-(* Growable per-worker mover buffers, reset (not shrunk) every step. *)
+(* Per-worker mover buffers, sized to the worker's range (the most the
+   synchronous daemon can move there in one step) and reset every step. *)
 type movers = {
-  mutable mu : int array;  (* mover node *)
-  mutable mr : int array;  (* mover rule *)
-  mutable mp : int array;  (* post rows, nf slots per mover *)
+  mu : int array;  (* mover node *)
+  mr : int array;  (* mover rule *)
+  mp : int array;  (* post rows, nf slots per mover *)
   mutable len : int;
 }
 
-let movers_make nf =
-  { mu = Array.make 256 0; mr = Array.make 256 0; mp = Array.make (256 * nf) 0; len = 0 }
-
-let movers_push b nf u r =
-  if b.len = Array.length b.mu then begin
-    let grow a k =
-      let c = Array.make (2 * b.len * k) 0 in
-      Array.blit a 0 c 0 (b.len * k);
-      c
-    in
-    b.mu <- grow b.mu 1;
-    b.mr <- grow b.mr 1;
-    b.mp <- grow b.mp nf
-  end;
-  b.mu.(b.len) <- u;
-  b.mr.(b.len) <- r;
-  b.len <- b.len + 1
+let movers_make nf size =
+  {
+    mu = Array.make size 0;
+    mr = Array.make size 0;
+    mp = Array.make (size * nf) 0;
+    len = 0;
+  }
 
 (* Worker-private instrumentation slots for the partitioned path: each
    domain accumulates its own phase nanoseconds, duration histograms and
@@ -646,7 +784,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let en_count = Array.make nparts 0 in
   let legit_of = if track_legit then Array.make nn true else [||] in
   let illegit = Array.make nparts 0 in
-  let bufs = Array.init nparts (fun _ -> movers_make nf) in
+  let bufs = Array.init nparts (fun d -> movers_make nf (hi d - lo d)) in
   let frontier = Array.make nparts [] in
   let moves_per_process = Array.make nn 0 in
   let rule_moves = Array.make_matrix nparts nr 0 in
@@ -673,7 +811,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     end
     else if Bits.remove enabled v then en_count.(d) <- en_count.(d) - 1;
     if track_legit then begin
-      let lg = (Option.get ev.legit) () in
+      let lg = (Option.get ev.legit) v 0 in
       if lg <> legit_of.(v) then begin
         legit_of.(v) <- lg;
         illegit.(d) <- illegit.(d) + (if lg then -1 else 1)
@@ -721,10 +859,11 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
                 let b = bufs.(d) in
                 b.len <- 0;
                 Bits.iter_range enabled (lo d) (hi d) (fun u ->
-                    let r = rule_of.(u) in
-                    movers_push b nf u r;
-                    ev.cell.u <- u;
-                    compute_post p ev r ~dst:b.mp ~off:((b.len - 1) * nf))));
+                    let k = b.len and r = rule_of.(u) in
+                    b.mu.(k) <- u;
+                    b.mr.(k) <- r;
+                    b.len <- k + 1;
+                    compute_post p ev r u ~dst:b.mp ~off:(k * nf))));
           (* Phase B — write back own-range movers and account them. *)
           Pool.Team.run team (fun d ->
               worker_phase pobs d ph_write (fun () ->

@@ -9,6 +9,14 @@
     as 0/1), adjacency in CSR form ({!Ssreset_graph.Csr}) and the enabled
     set in a two-level bitset ({!Ssreset_sim.Bits}) — and obtains the
     rules by compiling the algorithm's IR to OCaml closures over those arrays.
+    The closures take self and the bound neighbor as arguments (a
+    neighborhood aggregate passes each neighbor it visits), and a
+    neighborhood quantifier that occurs more than once across the guards,
+    assignments and legitimacy predicate is scanned once per evaluation:
+    its occurrences share one closure whose memo lives for one evaluation
+    epoch — one node's guard scan, or one post — since within an
+    evaluation neither self nor the state changes.  An evaluator allocates
+    nothing per evaluation.
 
     This module is an {e evaluator} over the one step core
     ({!Ssreset_sim.Step}), which the classic engine

@@ -265,6 +265,8 @@ module Team = struct
           raise exn
     end
     else begin
+      (* Waking the helpers is the caller's share of the barrier. *)
+      let td = match t.obs with Some _ -> Prof.now_ns () | None -> 0 in
       Mutex.lock t.mutex;
       t.job <- Some fn;
       t.finished <- 0;
@@ -272,6 +274,7 @@ module Team = struct
       t.epoch <- t.epoch + 1;
       Condition.broadcast t.cond;
       Mutex.unlock t.mutex;
+      record_wait t 0 td;
       let tb = match t.obs with Some _ -> Prof.now_ns () | None -> 0 in
       let own =
         match fn 0 with

@@ -235,6 +235,9 @@ let create ~prof ~daemon ~rng ~(csr : Csr.t) ~rules ~eval ~stage ~commit =
       prof
   in
   let n = Csr.n csr in
+  (* The synchronous daemon moves every enabled process, so its mover
+     buffers start at full size instead of doubling up to it. *)
+  let cap = match daemon with Daemon.Synchronous -> max 256 n | _ -> 256 in
   let t =
     {
       offsets = csr.Csr.offsets;
@@ -247,8 +250,8 @@ let create ~prof ~daemon ~rng ~(csr : Csr.t) ~rules ~eval ~stage ~commit =
       count = 0;
       pre_count = 0;
       select = ignore;
-      mu = Array.make 256 0;
-      mr = Array.make 256 0;
+      mu = Array.make cap 0;
+      mr = Array.make cap 0;
       len = 0;
       index = 0;
       stamp = Array.make n 0;

@@ -406,6 +406,178 @@ let composed_ir_tests =
           [ Gen.ring 5; Gen.path 4; Gen.star 4 ]);
   ]
 
+(* ---------------------------- quantifier memo --------------------------- *)
+
+(* The probe's quantifier [ahead] (some neighbor's x is above self's)
+   occurs in both guards, in chase's assignment and in legitimacy, so the
+   compiler shares one memoized closure among all four.  Evaluated afresh,
+   chase always writes x + 1; a memo that outlives one evaluation shows up
+   as a wrong enabled rule or a wrong post. *)
+let probe_spec =
+  let x_s = Sym.Var (Sym.Self, "x") and x_b = Sym.Var (Sym.Nbr, "x") in
+  let ahead = Sym.Exists_nbr (Sym.Lt (x_s, x_b)) in
+  {
+    (Sym.spec_of_ir
+       {
+         Sym.ir_name = "memo-probe";
+         fields = [ ("x", Sym.TInt) ];
+         params = [];
+         ranges = [ ("x", Sym.Num 0, Sym.Num 4) ];
+         rules =
+           [
+             {
+               Sym.rule = "chase";
+               guard = ahead;
+               assigns =
+                 [
+                   ( "x",
+                     Sym.Ite (ahead, Sym.Add (x_s, Sym.Num 1), Sym.Num 0) );
+                 ];
+             };
+             {
+               Sym.rule = "drop";
+               guard = Sym.And [ Sym.Not ahead; Sym.Lt (Sym.Num 0, x_s) ];
+               assigns = [ ("x", Sym.Sub (x_s, Sym.Num 1)) ];
+             };
+           ];
+       })
+    with
+    Sym.sp_legitimate = Some (Sym.Not ahead);
+  }
+
+(* [spec] with every quantifier occurrence made structurally distinct
+   (the k-th one's body gets k [Const true] conjuncts), so the compiler
+   shares and memoizes nothing. *)
+let unshare (spec : Sym.spec) =
+  let k = ref 0 in
+  let rec term (t : Sym.term) : Sym.term =
+    match t with
+    | Sym.Num _ | Sym.Bool _ | Sym.Param _ | Sym.Var _ | Sym.Ctor _ -> t
+    | Sym.Add (a, b) -> Sym.Add (term a, term b)
+    | Sym.Sub (a, b) -> Sym.Sub (term a, term b)
+    | Sym.Neg a -> Sym.Neg (term a)
+    | Sym.Ite (c, a, b) -> Sym.Ite (form c, term a, term b)
+    | Sym.Min_nbr (c, a, b) -> Sym.Min_nbr (form c, term a, term b)
+    | Sym.Mex_nbr (c, a) -> Sym.Mex_nbr (form c, term a)
+    | Sym.Count_nbr c -> Sym.Count_nbr (form c)
+  and form (f : Sym.form) : Sym.form =
+    match f with
+    | Sym.Const _ -> f
+    | Sym.Not g -> Sym.Not (form g)
+    | Sym.And gs -> Sym.And (List.map form gs)
+    | Sym.Or gs -> Sym.Or (List.map form gs)
+    | Sym.Imp (a, b) -> Sym.Imp (form a, form b)
+    | Sym.Eq (a, b) -> Sym.Eq (term a, term b)
+    | Sym.Le (a, b) -> Sym.Le (term a, term b)
+    | Sym.Lt (a, b) -> Sym.Lt (term a, term b)
+    | Sym.Forall_nbr body -> Sym.Forall_nbr (distinct body)
+    | Sym.Exists_nbr body -> Sym.Exists_nbr (distinct body)
+  and distinct body =
+    incr k;
+    let pad = List.init !k (fun _ -> Sym.Const true) in
+    Sym.And (form body :: pad)
+  in
+  let ir = spec.Sym.sp_ir in
+  let rule (r : Sym.rule) =
+    {
+      r with
+      Sym.guard = form r.Sym.guard;
+      assigns = List.map (fun (f, t) -> (f, term t)) r.Sym.assigns;
+    }
+  in
+  {
+    spec with
+    Sym.sp_ir = { ir with Sym.rules = List.map rule ir.Sym.rules };
+    sp_legitimate = Option.map form spec.Sym.sp_legitimate;
+  }
+
+(* The probe on a two-node path loaded with [xs], run for [steps] steps;
+   returns the per-step movers and the final x values. *)
+let probe_pair xs daemon steps =
+  let csr = Csr.make ~n:2 ~offsets:[| 0; 1; 2 |] ~nbrs:[| 1; 0 |] in
+  let p = Flat.compile ~csr ~params:[] probe_spec in
+  Array.iteri (fun u x -> Flat.load p u [ ("x", Sym.VInt x) ]) xs;
+  let moved = ref [] in
+  ignore
+    (Flat.run ~max_steps:steps ~stop_on_legitimate:false ~daemon
+       ~on_step:(fun ~step:_ ~moved:m -> moved := m :: !moved)
+       p);
+  let x u =
+    match Flat.read p u with
+    | [ ("x", Sym.VInt x) ] -> x
+    | _ -> Alcotest.fail "probe state"
+  in
+  (List.rev !moved, [ x 0; x 1 ])
+
+let check_movers =
+  check Alcotest.(list (list (pair int string)))
+
+(* Memoized vs unshared compilation of [spec] from the same random
+   configuration: same per-step movers, same digest, same legitimacy. *)
+let memo_differential ~label spec params g daemon_name seed =
+  let csr = Csr.of_graph g in
+  let go spec =
+    let p = Flat.compile ~csr ~params:(params (Csr.n csr)) spec in
+    Progs.init_random p ~rng:(rng (0x5EED + seed));
+    let moved = ref [] in
+    let r =
+      Flat.run ~rng:(rng seed) ~max_steps:80 ~stop_on_legitimate:false
+        ~daemon:(Option.get (Daemon.by_name daemon_name))
+        ~on_step:(fun ~step:_ ~moved:m -> moved := m :: !moved)
+        p
+    in
+    (List.rev !moved, Progs.digest p r, r.Flat.legitimate)
+  in
+  let m_memo, d_memo, l_memo = go spec
+  and m_plain, d_plain, l_plain = go (unshare spec) in
+  check_movers (label ^ " per-step movers") m_plain m_memo;
+  check Alcotest.string (label ^ " digest") d_plain d_memo;
+  check_bool (label ^ " legitimate") l_plain l_memo
+
+let memo_tests =
+  [
+    test "a node refreshed right after its own move is evaluated afresh"
+      (fun () ->
+        (* x = [1; 0]: node 1 chases and is the last node scanned, and
+           central-last picks it.  Its move makes x = [1; 1], and its
+           refresh, the very next evaluation, must see that nobody is
+           ahead any more: drop, not chase. *)
+        let moved, xs = probe_pair [| 1; 0 |] Flat.Central_last 2 in
+        check_movers "movers" [ [ (1, "chase") ]; [ (1, "drop") ] ] moved;
+        check (Alcotest.list Alcotest.int) "final x" [ 1; 0 ] xs);
+    test "a post is computed afresh, not from the last node scanned"
+      (fun () ->
+        (* x = [0; 1]: node 1, scanned last, has nobody ahead; node 0,
+           picked by central-first, has.  Its post must read its own
+           [ahead]: x0 = 0 + 1. *)
+        let moved, xs = probe_pair [| 0; 1 |] Flat.Central_first 1 in
+        check_movers "movers" [ [ (0, "chase") ] ] moved;
+        check (Alcotest.list Alcotest.int) "final x" [ 1; 1 ] xs);
+    test "memoized = unshared compilation, every daemon, 5 seeds" (fun () ->
+        let specs =
+          [
+            ("memo-probe", probe_spec, fun _ -> []);
+            ( "unison-sdr-composed",
+              Registry.unison_sdr_composed_spec,
+              Registry.unison_sdr_params_of_n );
+          ]
+        in
+        List.iter
+          (fun (gname, g) ->
+            List.iter
+              (fun (sname, spec, params) ->
+                List.iter
+                  (fun dname ->
+                    for seed = 1 to 5 do
+                      memo_differential
+                        ~label:(Fmt.str "%s/%s/%s/#%d" gname sname dname seed)
+                        spec params g dname seed
+                    done)
+                  Daemon.names)
+              specs)
+          (graph_zoo ()));
+  ]
+
 (* ----------------------- observability transparency --------------------- *)
 
 module Monitor = Ssreset_obs.Monitor
@@ -634,5 +806,6 @@ let () =
       ("partitioned", partition_tests);
       ("observability", observability_tests);
       ("composed-ir", composed_ir_tests);
+      ("memo", memo_tests);
       ("scale", scale_tests);
     ]

@@ -40,6 +40,8 @@ let required =
        synchronous --parts 2 --digest" );
     ( "partitioned digest byte-comparison",
       "cmp smoke-scale-p1.txt smoke-scale-p2.txt" );
+    ( "scale digest against the committed golden",
+      "cmp smoke-scale-p1.txt bin/cli-flat-scale.expected" );
     ( "flat scale smoke, observability attached",
       "--parts 2 --prof-out smoke-scale-prof.jsonl --prof-window 50 \
        --monitors --heartbeat 100 --digest" );
