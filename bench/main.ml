@@ -25,8 +25,7 @@ module Expt = Ssreset_expt
 module Table = Ssreset_expt.Table
 module Json = Ssreset_obs.Json
 
-let available =
-  [ "E1-E3"; "E4-E5"; "E6"; "E7"; "E8"; "E9-E10"; "E11"; "E12"; "E13"; "E14"; "E15"; "E16" ]
+let available = Expt.Experiments.ids
 
 let parse_args () =
   let quick = ref false in
@@ -67,13 +66,6 @@ let parse_args () =
     incr i
   done;
   (!quick, !timing, !out, !jobs, List.rev !ids)
-
-(* A table passes when its last column is all "ok". *)
-let table_ok table =
-  let cols = List.length table.Table.headers in
-  match List.nth_opt table.Table.headers (cols - 1) with
-  | Some "ok" -> Table.all_ok table ~col:(cols - 1)
-  | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Bound margins.                                                      *)
@@ -149,7 +141,7 @@ let run_experiments ~profile ~ids =
       List.iter
         (fun table ->
           Table.print table;
-          if not (table_ok table) then begin
+          if not (Table.ok table) then begin
             incr failures;
             ok := false;
             Printf.printf "  *** BOUND VIOLATED in this table ***\n"
@@ -603,7 +595,6 @@ let run_prof_bench ~quick =
 
 module CSym = Ssreset_check.Sym
 module CObligation = Ssreset_check.Obligation
-module CSmt = Ssreset_check.Smt
 
 let run_smt_bench ~quick =
   Printf.printf "== smt: check-v4 obligation compilation + symbolic \
@@ -624,19 +615,12 @@ let run_smt_bench ~quick =
         let obs = CObligation.compile_all ~algo:name spec in
         List.iter
           (fun (ob : CObligation.t) ->
-            match
-              CSmt.parse_string (CSmt.to_string ob.CObligation.ob_script)
-            with
-            | Error msg ->
-                Printf.printf "  COMPILE FAILURE %s: %s\n%!"
-                  (CObligation.filename ob) msg;
-                exit 1
-            | Ok cmds ->
-                if CSmt.lint_script cmds <> [] then begin
-                  Printf.printf "  LINT FAILURE %s\n%!"
-                    (CObligation.filename ob);
-                  exit 1
-                end)
+            match CObligation.lint ob with
+            | [] -> ()
+            | finding :: _ ->
+                Printf.printf "  LINT FAILURE %s: %s\n%!"
+                  (CObligation.filename ob) finding;
+                exit 1)
           obs;
         per_rep := !per_rep + List.length obs)
       specs
@@ -653,34 +637,26 @@ let run_smt_bench ~quick =
   (* ranking family alone: rank obligations from every spec that carries a
      sp_rank, plus the comp.* composition family from every comp_spec —
      the v4 global-convergence measures the z3 CI job certifies. *)
-  let comp_specs =
-    List.filter_map
-      (fun (e : CRegistry.entry) ->
-        Option.map (fun s -> (e.CRegistry.name, s)) e.CRegistry.comp_spec)
-      CRegistry.entries
+  let n_comp_specs =
+    List.length
+      (List.filter
+         (fun (e : CRegistry.entry) -> Option.is_some e.CRegistry.comp_spec)
+         CRegistry.entries)
   in
   let t0 = Unix.gettimeofday () in
   let rank_per_rep = ref 0 in
   for _ = 1 to reps do
     rank_per_rep := 0;
     List.iter
-      (fun (name, spec) ->
-        let obs =
-          List.filter
-            (fun (ob : CObligation.t) ->
-              match ob.CObligation.ob_kind with
-              | CObligation.Rank _ -> true
-              | _ -> false)
-            (CObligation.compile_all ~algo:name spec)
-        in
-        rank_per_rep := !rank_per_rep + List.length obs)
-      specs;
-    List.iter
-      (fun (name, spec) ->
-        rank_per_rep :=
-          !rank_per_rep
-          + List.length (CObligation.compile_composition_all ~algo:name spec))
-      comp_specs
+      (fun e ->
+        List.iter
+          (fun (ob : CObligation.t) ->
+            match ob.CObligation.ob_kind with
+            | CObligation.Rank _ | CObligation.Composition _ ->
+                incr rank_per_rep
+            | _ -> ())
+          (CRegistry.obligations e))
+      CRegistry.entries
   done;
   let rank_wall = Unix.gettimeofday () -. t0 in
   let total_rank = reps * !rank_per_rep in
@@ -690,7 +666,7 @@ let run_smt_bench ~quick =
   Printf.printf
     "  ranking   %3d specs ×%4d reps %8d obligations %6.2fs %10.0f \
      obligations/s\n%!"
-    (List.length specs + List.length comp_specs)
+    (List.length specs + n_comp_specs)
     reps total_rank rank_wall rank_per_s;
   let diff_n = if quick then 4 else 5 in
   let e =
@@ -758,7 +734,7 @@ let run_smt_bench ~quick =
             ("views_per_s", Json.Float views_per_s) ] );
       ( "ranking",
         Json.Obj
-          [ ("specs", Json.Int (List.length specs + List.length comp_specs));
+          [ ("specs", Json.Int (List.length specs + n_comp_specs));
             ("reps", Json.Int reps);
             ("obligations", Json.Int total_rank);
             ("wall_s", Json.Float rank_wall);

@@ -18,9 +18,9 @@ module Json = Ssreset_obs.Json
 module Sink = Ssreset_obs.Sink
 module Prof = Ssreset_obs.Prof
 module Proffile = Ssreset_obs.Proffile
-module Span = Ssreset_obs.Span
+module Profview = Ssreset_obs.Profview
 module Tracefile = Ssreset_obs.Tracefile
-module Causality = Ssreset_obs.Causality
+module Traceview = Ssreset_obs.Traceview
 module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
 module Csr = Ssreset_graph.Csr
@@ -29,6 +29,8 @@ module Flat = Ssreset_flat.Flat
 module FlatProgs = Ssreset_flat.Progs
 
 (* ---------------------------- common options ---------------------------- *)
+
+let switch name ~doc = Arg.(value & flag & info [ name ] ~doc)
 
 let family_conv =
   let families =
@@ -118,12 +120,10 @@ type output = {
 
 let output_term =
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the observation as a single JSON object on stdout instead \
-             of the text report.")
+    switch "json"
+      ~doc:
+        "Emit the observation as a single JSON object on stdout instead \
+         of the text report."
   in
   let trace_out =
     Arg.(
@@ -135,14 +135,12 @@ let output_term =
              record per completed round, one final summary record.")
   in
   let trace_steps =
-    Arg.(
-      value & flag
-      & info [ "trace-steps" ]
-          ~doc:
-            "With $(b,--trace-out): also record one step record per engine \
-             step (movers tagged with their reset-wave events for composed \
-             systems) — the full ssreset-trace-v1 stream that $(b,ssreset \
-             trace) analyzes.")
+    switch "trace-steps"
+      ~doc:
+        "With $(b,--trace-out): also record one step record per engine \
+         step (movers tagged with their reset-wave events for composed \
+         systems) — the full ssreset-trace-v1 stream that $(b,ssreset \
+         trace) analyzes."
   in
   let prof_out =
     Arg.(
@@ -173,28 +171,7 @@ let output_term =
 
 let report ~json name (obs : Runner.obs) =
   if json then print_endline (Json.to_string (Runner.obs_json obs))
-  else begin
-    Fmt.pr "%s@." name;
-    Fmt.pr "  outcome ok:        %b@." obs.Runner.outcome_ok;
-    Fmt.pr "  result ok:         %b@." obs.Runner.result_ok;
-    Fmt.pr "  rounds:            %d@." obs.Runner.rounds;
-    Fmt.pr "  steps:             %d@." obs.Runner.steps;
-    Fmt.pr "  moves:             %d@." obs.Runner.moves;
-    Fmt.pr "  wall clock:        %.3fs (%.0f steps/s)@." obs.Runner.wall_s
-      (if obs.Runner.wall_s > 0. then
-         float_of_int obs.Runner.steps /. obs.Runner.wall_s
-       else 0.);
-    Fmt.pr "  workload p50/p90:  %.1f / %.1f moves/proc@."
-      obs.Runner.workload_p50 obs.Runner.workload_p90;
-    (match obs.Runner.segments with
-    | Some segments ->
-        Fmt.pr "  SDR moves:         %d@." obs.Runner.sdr_moves;
-        Fmt.pr "  max SDR moves/proc:%d@." obs.Runner.max_proc_sdr_moves;
-        Fmt.pr "  segments:          %d@." segments
-    | None ->
-        (* bare run: segments / alive roots are not measured *)
-        Fmt.pr "  segments:          -@.")
-  end;
+  else Runner.pp_obs ~name Fmt.stdout obs;
   if obs.Runner.outcome_ok && obs.Runner.result_ok then 0 else 1
 
 (* Every failure of a run command is one `ssreset: …` line on stderr and
@@ -268,21 +245,10 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
             | None -> k ~sink:None ~prof
             | Some path ->
                 let sink = Sink.create path in
-                (* The manifest carries the graph itself (trace_schema +
-                   edges), so offline analyses need no side channel. *)
                 Sink.write sink
-                  (Sink.manifest ~system:name
-                     ~family:family.Workload.family_name ~n:(Graph.n graph)
-                     ~m:(Graph.m graph) ~seed ~daemon:(Daemon.name daemon)
-                     ~extra:
-                       [ ("trace_schema", Json.String Tracefile.schema);
-                         ( "edges",
-                           Json.List
-                             (List.map
-                                (fun (u, v) ->
-                                  Json.List [ Json.Int u; Json.Int v ])
-                                (Graph.edges graph)) ) ]
-                     ());
+                  (Tracefile.manifest ~system:name
+                     ~family:family.Workload.family_name ~seed
+                     ~daemon:(Daemon.name daemon) graph);
                 Fun.protect
                   ~finally:(fun () -> Sink.close sink)
                   (fun () -> k ~sink:(Some sink) ~prof)
@@ -443,9 +409,7 @@ let system_cmds =
         const run $ system $ family $ size $ seed $ daemon_name $ spec
         $ output_term)
   in
-  let bare =
-    Arg.(value & flag & info [ "bare" ] ~doc:"Run FGA alone from γ_init.")
-  in
+  let bare = switch "bare" ~doc:"Run FGA alone from γ_init." in
   List.filter_map
     (fun (s : Runner.system) ->
       match s.Runner.name with
@@ -514,24 +478,20 @@ let run_cmd =
              10⁶-node run then stabilizes in seconds).")
   in
   let digest =
-    Arg.(
-      value & flag
-      & info [ "digest" ]
-          ~doc:
-            "Flat engine only: print one deterministic summary line \
-             (outcome, steps, moves, rounds, state checksum — no \
-             wall-clock) instead of the report; byte-comparable across \
-             $(b,--parts) values.")
+    switch "digest"
+      ~doc:
+        "Flat engine only: print one deterministic summary line \
+         (outcome, steps, moves, rounds, state checksum — no \
+         wall-clock) instead of the report; byte-comparable across \
+         $(b,--parts) values."
   in
   let monitors =
-    Arg.(
-      value & flag
-      & info [ "monitors" ]
-          ~doc:
-            "Flat engine only: latch the paper's convergence bounds online \
-             (3n rounds; D·n² moves, ring diameter ⌊n/2⌋) and report any \
-             violation on stderr.  Results are unchanged; each bound trips \
-             at most once.")
+    switch "monitors"
+      ~doc:
+        "Flat engine only: latch the paper's convergence bounds online \
+         (3n rounds; D·n² moves, ring diameter ⌊n/2⌋) and report any \
+         violation on stderr.  Results are unchanged; each bound trips \
+         at most once."
   in
   let heartbeat =
     Arg.(
@@ -574,7 +534,7 @@ let graph_cmd =
     end;
     0
   in
-  let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz.") in
+  let dot = switch "dot" ~doc:"Emit Graphviz." in
   Cmd.v
     (Cmd.info "graph" ~doc:"Inspect a generated network.")
     Term.(const run $ family $ size $ seed $ dot)
@@ -593,27 +553,15 @@ let check_cmd =
   in
   let entry_caps (e : Registry.entry) =
     let mark b = if b then "yes" else "-" in
-    (* One rank per entry: the spec's rank_spec, which the model checker
-       also evaluates as the instance's certificate. *)
-    let rank =
-      let g = Ssreset_graph.Gen.complete (max 2 e.Registry.min_n) in
-      let module F = (val e.Registry.instance g) in
-      Option.is_some F.certificate
-      || List.exists
-           (fun (s : Ssreset_check.Sym.spec) ->
-             Option.is_some s.Ssreset_check.Sym.sp_rank)
-           (List.filter_map Fun.id [ e.Registry.smt_spec; e.Registry.comp_spec ])
-    in
     Printf.sprintf "%-10s %-7s %-4s %-4s"
       (mark (Option.is_some e.Registry.footprint))
       (mark (Option.is_some e.Registry.sym))
       (mark
          (Option.is_some e.Registry.smt_spec
          || Option.is_some e.Registry.comp_spec))
-      (mark rank)
+      (mark (Registry.has_rank e))
   in
-  let run algo json quick max_n list_only symmetry footprint sym family
-      smt_out =
+  let run algo json quick max_n list_only symmetry footprint sym family =
     if list_only then begin
       Fmt.pr "%-16s %-10s %-7s %-4s %-4s %s@." "NAME" "footprint" "sym-IR"
         "smt" "rank" "DESCRIPTION";
@@ -645,21 +593,6 @@ let check_cmd =
                 Registry.run ~mode ?max_n ~footprint ~sym ?graphs ~options e)
               selected
           in
-          (match smt_out with
-          | None -> ()
-          | Some dir ->
-              let obs =
-                List.concat_map
-                  (fun (r : Report.entry_report) -> r.Report.obligations)
-                  reports
-              in
-              if obs = [] then
-                Fmt.epr "no selected entry carries a symbolic spec; nothing \
-                         to emit@."
-              else
-                let manifest = Ssreset_check.Obligation.write ~dir obs in
-                Fmt.epr "wrote %d obligations + %s@." (List.length obs)
-                  manifest);
           if json then print_endline (Json.to_string (Report.to_json reports))
           else Fmt.pr "%a@." Report.pp reports;
           if Report.ok reports then 0 else 1
@@ -677,18 +610,15 @@ let check_cmd =
              named explicitly.")
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the findings report as one JSON object on stdout.")
+    switch "json"
+      ~doc:
+        "Emit the findings report as one JSON object on stdout."
   in
   let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Use the small graph-size ceilings (the same sweep as `dune \
-             runtest`).")
+    switch "quick"
+      ~doc:
+        "Use the small graph-size ceilings (the same sweep as `dune \
+         runtest`)."
   in
   let max_n =
     Arg.(
@@ -701,27 +631,23 @@ let check_cmd =
              6).")
   in
   let list_only =
-    Arg.(
-      value & flag
-      & info [ "list" ]
-          ~doc:
-            "List registered algorithms and fixtures with their capability \
-             columns: composed footprint target, symbolic rule IR \
-             (differential pass), SMT obligation spec (input-layer or \
-             composed), global ranking function (checked by the model \
-             checker on every move and exported as the rank / comp.rank \
-             obligation families).")
+    switch "list"
+      ~doc:
+        "List registered algorithms and fixtures with their capability \
+         columns: composed footprint target, symbolic rule IR \
+         (differential pass), SMT obligation spec (input-layer or \
+         composed), global ranking function (checked by the model \
+         checker on every move and exported as the rank / comp.rank \
+         obligation families)."
   in
   let symmetry =
-    Arg.(
-      value & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Explore one configuration per graph-automorphism orbit instead \
-             of the full configuration space.  Sound for anonymous \
-             instances (uniform state domains); verdicts and worst cases \
-             are identical to the unreduced run.  Lets exhaustive checking \
-             reach n = 6 on symmetric graphs within the default budget.")
+    switch "symmetry"
+      ~doc:
+        "Explore one configuration per graph-automorphism orbit instead \
+         of the full configuration space.  Sound for anonymous \
+         instances (uniform state domains); verdicts and worst cases \
+         are identical to the unreduced run.  Lets exhaustive checking \
+         reach n = 6 on symmetric graphs within the default budget."
   in
   let footprint =
     Arg.(
@@ -743,17 +669,6 @@ let check_cmd =
              first-order spec must agree with the OCaml rules on the \
              enabled set and post-state, over strided view sweeps and \
              under every registered daemon).  Default: $(b,true).")
-  in
-  let smt_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smt-out" ] ~docv:"DIR"
-          ~doc:
-            "Also compile each selected entry's symbolic spec to SMT-LIB \
-             proof obligations (all four topology families) and write one \
-             $(b,.smt2) per obligation plus $(b,manifest.json) into \
-             $(docv).  See also the $(b,smt) subcommand.")
   in
   let family =
     Arg.(
@@ -779,49 +694,21 @@ let check_cmd =
           violations exist.")
     Term.(
       const run $ algo $ json $ quick $ max_n $ list_only $ symmetry
-      $ footprint $ sym $ family $ smt_out)
+      $ footprint $ sym $ family)
 
 (* ------------------------------ smt export ------------------------------ *)
 
 let smt_cmd =
   let module Obligation = Ssreset_check.Obligation in
   let module Smt = Ssreset_check.Smt in
-  (* Selected entries: every registry entry / fixture carrying a symbolic
-     spec or a composed-system spec, optionally filtered by a name
-     pattern.  The composed spec contributes the comp.* rank family. *)
-  let specs_of pattern =
-    let pool =
-      match pattern with
-      | None -> Registry.entries @ Registry.fixtures
-      | Some p -> Registry.find p
-    in
-    List.filter
-      (fun (e : Registry.entry) ->
-        Option.is_some e.Registry.smt_spec
-        || Option.is_some e.Registry.comp_spec)
-      pool
-  in
+  (* Every obligation of the selected entries (all entries and fixtures,
+     or those matching a name pattern), by the one export rule. *)
   let compile pattern family =
     List.concat_map
-      (fun (e : Registry.entry) ->
-        let name = e.Registry.name in
-        let base =
-          match e.Registry.smt_spec with
-          | None -> []
-          | Some spec -> (
-              match family with
-              | None -> Obligation.compile_all ~algo:name spec
-              | Some fam -> Obligation.compile ~algo:name spec fam)
-        and composed =
-          match e.Registry.comp_spec with
-          | None -> []
-          | Some spec -> (
-              match family with
-              | None -> Obligation.compile_composition_all ~algo:name spec
-              | Some fam -> Obligation.compile_composition ~algo:name spec fam)
-        in
-        base @ composed)
-      (specs_of pattern)
+      (Registry.obligations ?family)
+      (match pattern with
+      | None -> Registry.entries @ Registry.fixtures
+      | Some p -> Registry.find p)
   in
   let pattern_arg =
     Arg.(
@@ -881,10 +768,9 @@ let smt_cmd =
             ~doc:"Output directory (created if missing).  Default: $(b,_smt).")
     in
     let json =
-      Arg.(
-        value & flag
-        & info [ "json" ]
-            ~doc:"Print the manifest object on stdout instead of file names.")
+      switch "json"
+        ~doc:
+          "Print the manifest object on stdout instead of file names."
     in
     Cmd.v
       (Cmd.info "emit"
@@ -905,18 +791,11 @@ let smt_cmd =
           List.iter
             (fun (ob : Obligation.t) ->
               let name = Obligation.filename ob in
-              match Smt.parse_string (Smt.to_string ob.Obligation.ob_script) with
-              | Error msg ->
+              match Obligation.lint ob with
+              | [] -> Fmt.pr "ok   %s@." name
+              | findings ->
                   incr dirty;
-                  Fmt.pr "FAIL %-40s re-parse: %s@." name msg
-              | Ok cmds -> (
-                  match Smt.lint_script cmds with
-                  | [] -> Fmt.pr "ok   %s@." name
-                  | findings ->
-                      incr dirty;
-                      List.iter
-                        (fun f -> Fmt.pr "FAIL %-40s %s@." name f)
-                        findings))
+                  List.iter (fun f -> Fmt.pr "FAIL %-40s %s@." name f) findings)
             obs;
           if !dirty = 0 then begin
             Fmt.pr "%d obligations, all print/parse/lint clean@."
@@ -1057,312 +936,80 @@ let smt_cmd =
 
 (* ----------------------------- trace explorer --------------------------- *)
 
-(* Offline wave reconstruction: replay the recorded wave tags through the
-   same span builder the online tracker feeds. *)
-let span_of_trace (t : Tracefile.t) =
-  let graph = Tracefile.graph_of t in
-  let span = Span.create ~n:t.Tracefile.n in
-  Span.seed_active ~graph span
-    (List.map (fun (p, _, d) -> (p, d)) t.Tracefile.init_active);
-  List.iter
-    (fun (s : Tracefile.step) ->
-      Span.feed_step span ~step:s.Tracefile.index
-        (List.filter_map
-           (fun (m : Tracefile.mover) ->
-             Option.map (fun ev -> (m.Tracefile.p, ev)) m.Tracefile.wave)
-           s.Tracefile.movers))
-    t.Tracefile.steps;
-  span
+(* The explorers' analyses live beside their artifact formats
+   (Traceview, Profview); the commands here load the artifact, pick the
+   rendering and map the outcome to an exit code. *)
+let print s =
+  print_string s;
+  flush stdout
 
-let causality_of_trace ?keep_edges (t : Tracefile.t) =
-  Causality.build ?keep_edges ~graph:(Tracefile.graph_of t)
-    (Tracefile.mover_pairs t)
+let emit ~json to_json to_text v =
+  if json then print_endline (Json.to_string (to_json v)) else print (to_text v)
 
-let require_steps (t : Tracefile.t) k =
-  if t.Tracefile.steps = [] then begin
-    Fmt.epr
-      "ssreset trace: no step records — record the run with --trace-out \
-       FILE --trace-steps@.";
-    2
-  end
-  else k ()
-
-let wave_moves_total (w : Span.wave) =
-  w.Span.r_moves + w.Span.rb_moves + w.Span.rf_moves + w.Span.c_moves
-
-let trace_summary ~json (t : Tracefile.t) =
-  let s = t.Tracefile.summary in
-  let st = Span.stats (span_of_trace t) in
-  let cp =
-    if t.Tracefile.steps = [] then None
-    else Some (Causality.critical_length (causality_of_trace t))
-  in
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            ([ ("system", Json.String t.Tracefile.system);
-               ("family", Json.String t.Tracefile.family);
-               ("n", Json.Int t.Tracefile.n);
-               ("seed", Json.Int t.Tracefile.seed);
-               ("daemon", Json.String t.Tracefile.daemon);
-               ("outcome", Json.String s.Tracefile.outcome);
-               ("rounds", Json.Int s.Tracefile.rounds);
-               ("steps", Json.Int s.Tracefile.steps);
-               ("moves", Json.Int s.Tracefile.moves);
-               ("anomalies", Json.Int (List.length t.Tracefile.anomalies));
-               ("waves", Json.Int st.Span.wave_count);
-               ("waves_completed", Json.Int st.Span.completed);
-               ("max_wave_depth", Json.Int st.Span.max_depth);
-               ("max_wave_members", Json.Int st.Span.max_members);
-               ("max_wave_duration", Json.Int st.Span.max_duration) ]
-            @
-            match cp with
-            | Some cp -> [ ("critical_path", Json.Int cp) ]
-            | None -> [])))
-  else begin
-    Fmt.pr "%s on %s n=%d (seed %d, %s daemon)@." t.Tracefile.system
-      t.Tracefile.family t.Tracefile.n t.Tracefile.seed t.Tracefile.daemon;
-    Fmt.pr "  outcome:       %s@." s.Tracefile.outcome;
-    Fmt.pr "  rounds:        %d@." s.Tracefile.rounds;
-    Fmt.pr "  steps:         %d@." s.Tracefile.steps;
-    Fmt.pr "  moves:         %d@." s.Tracefile.moves;
-    Fmt.pr "  anomalies:     %d@." (List.length t.Tracefile.anomalies);
-    List.iter
-      (fun (a : Tracefile.anomaly) ->
-        Fmt.pr "    %s at step %d: value %d > bound %d%s@."
-          a.Tracefile.monitor a.Tracefile.step a.Tracefile.value
-          a.Tracefile.bound
-          (match a.Tracefile.process with
-          | Some p -> Printf.sprintf " (process %d)" p
-          | None -> ""))
-      t.Tracefile.anomalies;
-    if t.Tracefile.steps <> [] then begin
-      Fmt.pr "  waves:         %d (%d completed, %d preexisting)@."
-        st.Span.wave_count st.Span.completed st.Span.preexisting_count;
-      Fmt.pr "  max depth:     %d@." st.Span.max_depth;
-      Fmt.pr "  max members:   %d@." st.Span.max_members;
-      Fmt.pr "  max duration:  %d steps@." st.Span.max_duration;
-      match cp with
-      | Some cp ->
-          Fmt.pr "  critical path: %d moves (rounds %d)@." cp
-            s.Tracefile.rounds
-      | None -> ()
-    end
-  end;
-  0
-
-let trace_waves ~json ~check (t : Tracefile.t) =
-  require_steps t @@ fun () ->
-  let span = span_of_trace t in
-  let waves = Span.waves span in
-  let st = Span.stats span in
-  (if json then
-     print_endline
-       (Json.to_string
-          (Json.List
-             (List.map
-                (fun (w : Span.wave) ->
-                  Json.Obj
-                    [ ("id", Json.Int w.Span.id);
-                      ("root", Json.Int w.Span.root);
-                      ("preexisting", Json.Bool w.Span.preexisting);
-                      ("members", Json.Int w.Span.members);
-                      ("depth", Json.Int w.Span.depth);
-                      ("r", Json.Int w.Span.r_moves);
-                      ("rb", Json.Int w.Span.rb_moves);
-                      ("rf", Json.Int w.Span.rf_moves);
-                      ("c", Json.Int w.Span.c_moves);
-                      ("first_step", Json.Int w.Span.first_step);
-                      ("last_step", Json.Int w.Span.last_step);
-                      ("completed", Json.Bool (w.Span.active = 0)) ])
-                waves)))
-   else begin
-     Fmt.pr "%d wave(s), %d completed, max depth %d@." st.Span.wave_count
-       st.Span.completed st.Span.max_depth;
-     Fmt.pr "  %4s %5s %7s %5s %5s  %-17s %s@." "id" "root" "members" "depth"
-       "moves" "r/rb/rf/c" "steps";
-     List.iter
-       (fun (w : Span.wave) ->
-         Fmt.pr "  %4d %5d %7d %5d %5d  %-17s %d..%d%s%s@." w.Span.id
-           w.Span.root w.Span.members w.Span.depth (wave_moves_total w)
-           (Printf.sprintf "%d/%d/%d/%d" w.Span.r_moves w.Span.rb_moves
-              w.Span.rf_moves w.Span.c_moves)
-           w.Span.first_step w.Span.last_step
-           (if w.Span.preexisting then " (preexisting)" else "")
-           (if w.Span.active > 0 then
-              Printf.sprintf " [active %d]" w.Span.active
-            else ""))
-       waves
-   end);
+(* A [--check] verdict: the OK line on stdout (exit 0) or one line per
+   violation on stderr (exit 1). *)
+let verdict ~check run v =
   if not check then 0
-  else begin
-    let require_complete = t.Tracefile.summary.Tracefile.outcome <> "step-limit" in
-    let errors = ref (Span.check ~require_complete span) in
-    (* Every wave-tagged move must be attributed to exactly one span: the
-       per-wave totals must add up to the per-rule counters of the summary. *)
-    let expect rule total =
-      match
-        List.assoc_opt rule t.Tracefile.summary.Tracefile.moves_per_rule
-      with
-      | Some expected when expected <> total ->
-          errors :=
-            !errors
-            @ [ Printf.sprintf
-                  "%s: %d moves attributed to waves but the summary counted \
-                   %d"
-                  rule total expected ]
-      | _ -> ()
-    in
-    expect "SDR-R" (List.fold_left (fun a w -> a + w.Span.r_moves) 0 waves);
-    expect "SDR-RB" (List.fold_left (fun a w -> a + w.Span.rb_moves) 0 waves);
-    expect "SDR-RF" (List.fold_left (fun a w -> a + w.Span.rf_moves) 0 waves);
-    expect "SDR-C" (List.fold_left (fun a w -> a + w.Span.c_moves) 0 waves);
-    if st.Span.synthetic > 0 then
-      errors :=
-        !errors
-        @ [ Printf.sprintf "%d synthetic wave(s): events without provenance"
-              st.Span.synthetic ];
-    match !errors with
-    | [] ->
-        Fmt.pr "wave check: OK (%d waves, every RB/RF move attributed, \
-                completions balanced)@."
-          st.Span.wave_count;
-        0
-    | errs ->
-        List.iter (fun e -> Fmt.epr "wave check FAIL: %s@." e) errs;
-        1
-  end
-
-let trace_critical_path ~json ~check (t : Tracefile.t) =
-  require_steps t @@ fun () ->
-  let c = causality_of_trace t in
-  let cp = Causality.critical_length c in
-  let s = t.Tracefile.summary in
-  (if json then
-     print_endline
-       (Json.to_string
-          (Json.Obj
-             [ ("critical_path", Json.Int cp);
-               ("moves", Json.Int (Causality.move_count c));
-               ("edges", Json.Int (Causality.edge_count c));
-               ("steps", Json.Int s.Tracefile.steps);
-               ("rounds", Json.Int s.Tracefile.rounds);
-               ( "attribution",
-                 Json.Obj
-                   (List.map
-                      (fun (rule, count) -> (rule, Json.Int count))
-                      (Causality.attribution c)) ) ]))
-   else begin
-     Fmt.pr "critical path: %d move(s) over %d total (%d causal edges)@." cp
-       (Causality.move_count c) (Causality.edge_count c);
-     Fmt.pr "  steps %d, rounds %d — the path explains %d of %d rounds@."
-       s.Tracefile.steps s.Tracefile.rounds (min cp s.Tracefile.rounds)
-       s.Tracefile.rounds;
-     List.iter
-       (fun (rule, count) -> Fmt.pr "  %-12s %d@." rule count)
-       (Causality.attribution c)
-   end);
-  if not check then 0
-  else begin
-    let errors = ref [] in
-    if cp > s.Tracefile.steps then
-      errors :=
-        [ Printf.sprintf "critical path %d exceeds steps %d" cp
-            s.Tracefile.steps ];
-    (* Under the synchronous daemon every move at step k was enabled or
-       rewritten by a step-(k-1) neighborhood move, so the longest chain
-       spans every step exactly. *)
-    if t.Tracefile.daemon = "synchronous" && cp <> s.Tracefile.steps then
-      errors :=
-        !errors
-        @ [ Printf.sprintf
-              "synchronous daemon: critical path %d should equal steps %d" cp
-              s.Tracefile.steps ];
-    match !errors with
-    | [] ->
-        Fmt.pr "critical-path check: OK@.";
-        0
-    | errs ->
-        List.iter (fun e -> Fmt.epr "critical-path check FAIL: %s@." e) errs;
-        1
-  end
-
-let trace_dot ~what ~max_moves (t : Tracefile.t) =
-  require_steps t @@ fun () ->
-  (match what with
-  | `Waves -> print_string (Span.to_dot (span_of_trace t))
-  | `Causal ->
-      print_string
-        (Causality.to_dot ~max_moves (causality_of_trace ~keep_edges:true t)));
-  0
-
-let trace_diff ~json (a : Tracefile.t) (b : Tracefile.t) =
-  let sa = a.Tracefile.summary and sb = b.Tracefile.summary in
-  let sta = Span.stats (span_of_trace a)
-  and stb = Span.stats (span_of_trace b) in
-  let cp (t : Tracefile.t) =
-    if t.Tracefile.steps = [] then 0
-    else Causality.critical_length (causality_of_trace t)
-  in
-  let cpa = cp a and cpb = cp b in
-  let fields =
-    [ ("system", a.Tracefile.system, b.Tracefile.system);
-      ("family", a.Tracefile.family, b.Tracefile.family);
-      ("daemon", a.Tracefile.daemon, b.Tracefile.daemon);
-      ("n", string_of_int a.Tracefile.n, string_of_int b.Tracefile.n);
-      ("seed", string_of_int a.Tracefile.seed, string_of_int b.Tracefile.seed);
-      ("outcome", sa.Tracefile.outcome, sb.Tracefile.outcome);
-      ("rounds", string_of_int sa.Tracefile.rounds,
-       string_of_int sb.Tracefile.rounds);
-      ("steps", string_of_int sa.Tracefile.steps,
-       string_of_int sb.Tracefile.steps);
-      ("moves", string_of_int sa.Tracefile.moves,
-       string_of_int sb.Tracefile.moves);
-      ("waves", string_of_int sta.Span.wave_count,
-       string_of_int stb.Span.wave_count);
-      ("max_wave_depth", string_of_int sta.Span.max_depth,
-       string_of_int stb.Span.max_depth);
-      ("critical_path", string_of_int cpa, string_of_int cpb);
-      ("anomalies", string_of_int (List.length a.Tracefile.anomalies),
-       string_of_int (List.length b.Tracefile.anomalies)) ]
-  in
-  let diffs = List.filter (fun (_, x, y) -> x <> y) fields in
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            (List.map
-               (fun (name, x, y) ->
-                 (name, Json.Obj [ ("a", Json.String x); ("b", Json.String y) ]))
-               diffs)))
-  else if diffs = [] then Fmt.pr "traces agree on every compared field@."
   else
-    List.iter
-      (fun (name, x, y) -> Fmt.pr "%-15s %s | %s@." name x y)
-      diffs;
-  if diffs = [] then 0 else 1
+    match run v with
+    | Ok line ->
+        print_endline line;
+        0
+    | Error lines ->
+        List.iter prerr_endline lines;
+        1
 
 let trace_cmd =
   let run action file file2 json check what max_moves =
+    let fail msg =
+      Fmt.epr "ssreset trace: %s@." msg;
+      2
+    in
     let load path k =
-      match Tracefile.load_file path with
-      | Error msg ->
-          Fmt.epr "ssreset trace: %s@." msg;
-          2
-      | Ok t -> k t
+      match Tracefile.load_file path with Error msg -> fail msg | Ok t -> k t
+    in
+    (* An analysis that needs step records, then its --check. *)
+    let stepped analysis ~to_json ~to_text ~check_with t =
+      match analysis t with
+      | Error msg -> fail msg
+      | Ok v ->
+          emit ~json to_json to_text v;
+          verdict ~check check_with v
     in
     match action with
-    | "summary" -> load file (trace_summary ~json)
-    | "waves" -> load file (trace_waves ~json ~check)
-    | "critical-path" -> load file (trace_critical_path ~json ~check)
-    | "dot" -> load file (trace_dot ~what ~max_moves)
+    | "summary" ->
+        load file (fun t ->
+            emit ~json Traceview.summary_json Traceview.summary_text
+              (Traceview.summary t);
+            0)
+    | "waves" ->
+        load file
+          (stepped Traceview.waves ~to_json:Traceview.waves_json
+             ~to_text:Traceview.waves_text ~check_with:Traceview.waves_check)
+    | "critical-path" ->
+        load file
+          (stepped Traceview.critical_path
+             ~to_json:Traceview.critical_path_json
+             ~to_text:Traceview.critical_path_text
+             ~check_with:Traceview.critical_path_check)
+    | "dot" ->
+        load file (fun t ->
+            match Traceview.dot ~what ~max_moves t with
+            | Error msg -> fail msg
+            | Ok dot ->
+                print dot;
+                0)
     | "diff" -> (
         match file2 with
         | None ->
             Fmt.epr "ssreset trace diff needs two trace files@.";
             2
-        | Some f2 -> load file (fun a -> load f2 (fun b -> trace_diff ~json a b)))
+        | Some f2 ->
+            load file (fun a ->
+                load f2 (fun b ->
+                    let d = Traceview.diff a b in
+                    emit ~json Traceview.diff_json Traceview.diff_text d;
+                    if d = [] then 0 else 1)))
     | other ->
         Fmt.epr
           "unknown trace action %S (summary, waves, critical-path, diff, \
@@ -1393,17 +1040,13 @@ let trace_cmd =
       & pos 2 (some string) None
       & info [] ~docv:"TRACE2" ~doc:"Second trace (for $(b,diff)).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the analysis as JSON.")
-  in
+  let json = switch "json" ~doc:"Emit the analysis as JSON." in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Verify structural invariants (wave balance; critical path ≤ \
-             steps, = steps under the synchronous daemon) and exit 1 on \
-             violation.")
+    switch "check"
+      ~doc:
+        "Verify structural invariants (wave balance; critical path ≤ \
+         steps, = steps under the synchronous daemon) and exit 1 on \
+         violation."
   in
   let what =
     Arg.(
@@ -1431,297 +1074,6 @@ let trace_cmd =
 
 (* ---------------------------- profile explorer --------------------------- *)
 
-let ns_str ns =
-  let f = float_of_int ns in
-  if f >= 1e9 then Printf.sprintf "%.3fs" (f /. 1e9)
-  else if f >= 1e6 then Printf.sprintf "%.2fms" (f /. 1e6)
-  else if f >= 1e3 then Printf.sprintf "%.1fus" (f /. 1e3)
-  else Printf.sprintf "%dns" ns
-
-let fns_str f = ns_str (int_of_float f)
-
-let prof_counter (s : Proffile.summary) name =
-  Option.value ~default:0 (List.assoc_opt name s.Proffile.counters)
-
-let section_json ~total (name, (sec : Proffile.section)) =
-  ( name,
-    Json.Obj
-      [ ("ns", Json.Int sec.Proffile.ns);
-        ( "share",
-          Json.Float
-            (if total > 0 then float_of_int sec.Proffile.ns /. float_of_int total
-             else 0.) );
-        ("count", Json.Int sec.Proffile.count);
-        ("mean_ns", Json.Float sec.Proffile.mean_ns);
-        ("p50_ns", Json.Float sec.Proffile.p50_ns);
-        ("p90_ns", Json.Float sec.Proffile.p90_ns);
-        ("max_ns", Json.Int sec.Proffile.max_ns) ] )
-
-let print_sections ~total sections =
-  Fmt.pr "  %-12s %10s %6s %10s %10s %10s %10s@." "" "total" "share" "count"
-    "mean" "p50" "p90";
-  List.iter
-    (fun (name, (sec : Proffile.section)) ->
-      Fmt.pr "  %-12s %10s %5.1f%% %10d %10s %10s %10s@." name
-        (ns_str sec.Proffile.ns)
-        (if total > 0 then
-           100. *. float_of_int sec.Proffile.ns /. float_of_int total
-         else 0.)
-        sec.Proffile.count
-        (fns_str sec.Proffile.mean_ns)
-        (fns_str sec.Proffile.p50_ns)
-        (fns_str sec.Proffile.p90_ns))
-    sections
-
-(* The acceptance criterion of the profiling layer: the lap-based phase
-   timers tile the engine loop, so their sum must account for (nearly all
-   of) the run's wall clock. *)
-let coverage_band = (0.90, 1.10)
-
-let prof_gauge (s : Proffile.summary) name =
-  match List.assoc_opt name s.Proffile.gauges with Some v -> v | None -> 0.
-
-(* Per-worker attribution of a partitioned flat stream: the engine's
-   per-domain phase laps ([flat.workerN.*]) plus the Team's busy/barrier
-   split ([pool.workerN.*]). *)
-type worker_row = {
-  wr_id : int;
-  wr_compute_s : float;
-  wr_write_s : float;
-  wr_refresh_s : float;
-  wr_busy_s : float;
-  wr_barrier_s : float;
-  wr_gc_minor : float;
-  wr_gc_major : float;
-}
-
-let worker_rows (s : Proffile.summary) ~parts =
-  List.init parts (fun w ->
-      let g name = prof_gauge s (Printf.sprintf "%s%d.%s" "flat.worker" w name) in
-      let pg name =
-        prof_gauge s (Printf.sprintf "%s%d.%s" "pool.worker" w name)
-      in
-      { wr_id = w;
-        wr_compute_s = g "compute_s";
-        wr_write_s = g "write_s";
-        wr_refresh_s = g "refresh_s";
-        wr_busy_s = pg "busy_s";
-        wr_barrier_s = pg "barrier_s";
-        wr_gc_minor = g "gc_minor_words";
-        wr_gc_major = g "gc_major_words" })
-
-let worker_row_json r =
-  Json.Obj
-    [ ("worker", Json.Int r.wr_id);
-      ("compute_s", Json.Float r.wr_compute_s);
-      ("write_s", Json.Float r.wr_write_s);
-      ("refresh_s", Json.Float r.wr_refresh_s);
-      ("busy_s", Json.Float r.wr_busy_s);
-      ("barrier_s", Json.Float r.wr_barrier_s);
-      ("gc_minor_words", Json.Float r.wr_gc_minor);
-      ("gc_major_words", Json.Float r.wr_gc_major) ]
-
-let prof_report ~json ~check (p : Proffile.t) =
-  let s = p.Proffile.summary in
-  let attributed = Proffile.phase_total_ns p in
-  let wall_ns = int_of_float (s.Proffile.wall_s *. 1e9) in
-  (* A partitioned flat stream records [flat.parts]; its per-worker phase
-     laps (plus barrier waits) tile parts × wall, so that is the coverage
-     denominator for multi-worker streams. *)
-  let parts =
-    let v = int_of_float (prof_gauge s "flat.parts") in
-    if v > 0 then v else 1
-  in
-  let wall_total_ns = wall_ns * parts in
-  let coverage =
-    if wall_total_ns > 0 then
-      float_of_int attributed /. float_of_int wall_total_ns
-    else 0.
-  in
-  let touched = prof_counter s "sched.touched" in
-  let dedup = prof_counter s "sched.dedup_hits" in
-  let dedup_rate =
-    if touched > 0 then 100. *. float_of_int dedup /. float_of_int touched
-    else 0.
-  in
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            [ ("system", Json.String p.Proffile.system);
-              ("family", Json.String p.Proffile.family);
-              ("n", Json.Int p.Proffile.n);
-              ("seed", Json.Int p.Proffile.seed);
-              ("daemon", Json.String p.Proffile.daemon);
-              ("steps", Json.Int s.Proffile.steps);
-              ("moves", Json.Int s.Proffile.moves);
-              ("wall_s", Json.Float s.Proffile.wall_s);
-              ("windows", Json.Int s.Proffile.window_count);
-              ("attributed_ns", Json.Int attributed);
-              ("coverage", Json.Float coverage);
-              ("parts", Json.Int parts);
-              ( "workers",
-                if parts > 1 then
-                  Json.List (List.map worker_row_json (worker_rows s ~parts))
-                else Json.List [] );
-              ( "phases",
-                Json.Obj
-                  (List.map (section_json ~total:attributed) s.Proffile.phases)
-              );
-              ( "rules",
-                Json.Obj
-                  (List.map (section_json ~total:attributed) s.Proffile.rules)
-              );
-              ( "counters",
-                Json.Obj
-                  (List.map
-                     (fun (n, v) -> (n, Json.Int v))
-                     s.Proffile.counters) );
-              ( "gauges",
-                Json.Obj
-                  (List.map
-                     (fun (n, v) -> (n, Json.Float v))
-                     s.Proffile.gauges) ) ]))
-  else begin
-    Fmt.pr "%s on %s n=%d (seed %d, %s daemon)@." p.Proffile.system
-      p.Proffile.family p.Proffile.n p.Proffile.seed p.Proffile.daemon;
-    Fmt.pr "  steps: %d  moves: %d  wall: %.3fs  windows: %d@."
-      s.Proffile.steps s.Proffile.moves s.Proffile.wall_s
-      s.Proffile.window_count;
-    Fmt.pr "phases (engine loop attribution):@.";
-    print_sections ~total:attributed s.Proffile.phases;
-    if parts > 1 then
-      Fmt.pr "  attributed %s = %.1f%% of %d workers x wall clock@."
-        (ns_str attributed) (100. *. coverage) parts
-    else
-      Fmt.pr "  attributed %s = %.1f%% of wall clock@." (ns_str attributed)
-        (100. *. coverage);
-    if parts > 1 then begin
-      Fmt.pr "per-worker attribution (%d domains):@." parts;
-      Fmt.pr "  %-7s %10s %10s %10s %10s %10s %12s@." "worker" "compute"
-        "write" "refresh" "busy" "barrier" "gc minor w";
-      List.iter
-        (fun r ->
-          Fmt.pr "  %-7d %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %12.0f@." r.wr_id
-            r.wr_compute_s r.wr_write_s r.wr_refresh_s r.wr_busy_s
-            r.wr_barrier_s r.wr_gc_minor)
-        (worker_rows s ~parts);
-      match List.assoc_opt "barrier" s.Proffile.phases with
-      | Some (sec : Proffile.section) ->
-          Fmt.pr
-            "  barrier waits: %d spans, p50 %s  p90 %s  max %s (%s total)@."
-            sec.Proffile.count
-            (fns_str sec.Proffile.p50_ns)
-            (fns_str sec.Proffile.p90_ns)
-            (ns_str sec.Proffile.max_ns)
-            (ns_str sec.Proffile.ns)
-      | None -> ()
-    end;
-    if touched > 0 || prof_counter s "sched.evals" > 0 then
-      Fmt.pr
-        "scheduler: touched %d  evals %d  dedup hits %d (%.1f%%)  table \
-         flips %d@."
-        touched
-        (prof_counter s "sched.evals")
-        dedup dedup_rate
-        (prof_counter s "sched.table_flips");
-    Fmt.pr "gc: minor %d w  promoted %d w  major %d w  collections %d+%d@."
-      (prof_counter s "gc.minor_words")
-      (prof_counter s "gc.promoted_words")
-      (prof_counter s "gc.major_words")
-      (prof_counter s "gc.minor_collections")
-      (prof_counter s "gc.major_collections")
-  end;
-  if not check then 0
-  else begin
-    let lo, hi = coverage_band in
-    if wall_ns <= 0 then begin
-      Fmt.epr "prof check FAIL: summary wall_s is zero@.";
-      1
-    end
-    else if coverage < lo || coverage > hi then begin
-      Fmt.epr
-        "prof check FAIL: phase attribution covers %.1f%% of %s \
-         (expected %.0f%%..%.0f%%)@."
-        (100. *. coverage)
-        (if parts > 1 then Printf.sprintf "%d workers x wall clock" parts
-         else "wall clock")
-        (100. *. lo) (100. *. hi);
-      1
-    end
-    else begin
-      Fmt.pr "prof check: OK (%.1f%% of %s attributed to phases)@."
-        (100. *. coverage)
-        (if parts > 1 then Printf.sprintf "%d workers x wall clock" parts
-         else "wall clock");
-      0
-    end
-  end
-
-let prof_top ~json (p : Proffile.t) =
-  let s = p.Proffile.summary in
-  let rules =
-    List.sort
-      (fun (_, (a : Proffile.section)) (_, (b : Proffile.section)) ->
-        compare b.Proffile.ns a.Proffile.ns)
-      s.Proffile.rules
-  in
-  let total =
-    List.fold_left
-      (fun a (_, (sec : Proffile.section)) -> a + sec.Proffile.ns)
-      0 rules
-  in
-  if json then
-    print_endline
-      (Json.to_string (Json.Obj (List.map (section_json ~total) rules)))
-  else if rules = [] then
-    Fmt.pr "no rule timers (profile recorded without an attached engine?)@."
-  else begin
-    Fmt.pr "rules by total apply time:@.";
-    print_sections ~total rules
-  end;
-  0
-
-let prof_windows ~json (p : Proffile.t) =
-  let windows = p.Proffile.windows in
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.List
-            (List.map
-               (fun (w : Proffile.window) ->
-                 Json.Obj
-                   [ ("index", Json.Int w.Proffile.index);
-                     ("at_step", Json.Int w.Proffile.at_step);
-                     ("steps", Json.Int w.Proffile.steps);
-                     ("moves", Json.Int w.Proffile.moves);
-                     ("wall_s", Json.Float w.Proffile.wall_s);
-                     ("steps_per_s", Json.Float w.Proffile.steps_per_s);
-                     ("moves_per_s", Json.Float w.Proffile.moves_per_s);
-                     ( "moves_per_rule",
-                       Json.Obj
-                         (List.map
-                            (fun (r, c) -> (r, Json.Int c))
-                            w.Proffile.moves_per_rule) );
-                     ("gc_minor_words", Json.Int w.Proffile.gc_minor_words);
-                     ("gc_major_words", Json.Int w.Proffile.gc_major_words) ])
-               windows)))
-  else if windows = [] then
-    Fmt.pr
-      "no window records — profile the run with --prof-window STEPS > 0@."
-  else begin
-    Fmt.pr "  %5s %9s %7s %7s %11s %11s %11s@." "idx" "at_step" "steps"
-      "moves" "steps/s" "moves/s" "gc minor w";
-    List.iter
-      (fun (w : Proffile.window) ->
-        Fmt.pr "  %5d %9d %7d %7d %11.0f %11.0f %11d@." w.Proffile.index
-          w.Proffile.at_step w.Proffile.steps w.Proffile.moves
-          w.Proffile.steps_per_s w.Proffile.moves_per_s
-          w.Proffile.gc_minor_words)
-      windows
-  end;
-  0
-
 let prof_cmd =
   let run action file json check =
     match Proffile.load_file file with
@@ -1730,9 +1082,17 @@ let prof_cmd =
         2
     | Ok p -> (
         match action with
-        | "report" -> prof_report ~json ~check p
-        | "top" -> prof_top ~json p
-        | "windows" -> prof_windows ~json p
+        | "report" ->
+            let r = Profview.report p in
+            emit ~json Profview.report_json Profview.report_text r;
+            verdict ~check Profview.report_check r
+        | "top" ->
+            emit ~json Profview.top_json Profview.top_text (Profview.top p);
+            0
+        | "windows" ->
+            emit ~json Profview.windows_json Profview.windows_text
+              (Profview.windows p);
+            0
         | other ->
             Fmt.epr "unknown prof action %S (report, top, windows)@." other;
             2)
@@ -1754,16 +1114,12 @@ let prof_cmd =
       & info [] ~docv:"PROFILE"
           ~doc:"JSONL profile recorded with --prof-out.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the analysis as JSON.")
-  in
+  let json = switch "json" ~doc:"Emit the analysis as JSON." in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "For $(b,report): verify the phase timers account for \
-             90%..110% of the run's wall clock and exit 1 otherwise.")
+    switch "check"
+      ~doc:
+        "For $(b,report): verify the phase timers account for \
+         90%..110% of the run's wall clock and exit 1 otherwise."
   in
   Cmd.v
     (Cmd.info "prof"
@@ -1775,36 +1131,41 @@ let prof_cmd =
     Term.(const run $ action $ file $ json $ check)
 
 let experiments_cmd =
+  let module Experiments = Ssreset_expt.Experiments in
+  let module Table = Ssreset_expt.Table in
   let run quick jobs ids csv json =
-    let profile =
-      if quick then Ssreset_expt.Experiments.quick
-      else Ssreset_expt.Experiments.full
-    in
-    let profile =
-      match jobs with
-      | Some jobs -> { profile with Ssreset_expt.Experiments.jobs }
-      | None -> profile
-    in
-    let failures = ref 0 in
-    List.iter
-      (fun (id, tables) ->
-        if ids = [] || List.mem id ids then begin
-          if not (csv || json) then Fmt.pr "== %s ==@." id;
-          List.iter
-            (fun t ->
-              if json then
-                print_endline (Json.to_string (Ssreset_expt.Table.to_json t))
-              else if csv then print_string (Ssreset_expt.Table.to_csv t)
-              else begin
-                Ssreset_expt.Table.print t;
-                print_newline ()
-              end)
-            tables
-        end)
-      (Ssreset_expt.Experiments.all profile);
-    !failures
+    match List.find_opt (fun id -> not (List.mem id Experiments.ids)) ids with
+    | Some id ->
+        fail "unknown experiment id %S (one of: %s)" id
+          (String.concat ", " Experiments.ids)
+    | None ->
+        let profile = if quick then Experiments.quick else Experiments.full in
+        let profile =
+          match jobs with
+          | Some jobs -> { profile with Experiments.jobs }
+          | None -> profile
+        in
+        (* Exit 1 when any table's ok column fails. *)
+        let failures = ref 0 in
+        List.iter
+          (fun (id, tables) ->
+            if ids = [] || List.mem id ids then begin
+              if not (csv || json) then Fmt.pr "== %s ==@." id;
+              List.iter
+                (fun t ->
+                  if not (Table.ok t) then incr failures;
+                  if json then print_endline (Json.to_string (Table.to_json t))
+                  else if csv then print_string (Table.to_csv t)
+                  else begin
+                    Table.print t;
+                    print_newline ()
+                  end)
+                (tables ())
+            end)
+          (Experiments.all_lazy profile);
+        if !failures = 0 then 0 else 1
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Small sweep.") in
+  let quick = switch "quick" ~doc:"Small sweep." in
   let jobs =
     Arg.(
       value
@@ -1815,14 +1176,8 @@ let experiments_cmd =
              domains.  Tables are byte-identical for any $(docv); only \
              wall-clock changes.  Default 1 (sequential).")
   in
-  let csv =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit tables as CSV (data only).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit tables as JSON objects, one per line.")
-  in
+  let csv = switch "csv" ~doc:"Emit tables as CSV (data only)." in
+  let json = switch "json" ~doc:"Emit tables as JSON objects, one per line." in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in

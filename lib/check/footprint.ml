@@ -124,21 +124,6 @@ type t = {
   views : int;
 }
 
-(* Mixed-radix view addressing, as in Lint. *)
-let space_total dims =
-  Array.fold_left (fun acc d -> acc * Array.length d) 1 dims
-
-let decode dims idx =
-  let digits = Array.make (Array.length dims) 0 in
-  let rest = ref idx in
-  Array.iteri
-    (fun i d ->
-      let len = Array.length d in
-      digits.(i) <- !rest mod len;
-      rest := !rest / len)
-    dims;
-  digits
-
 (* Per-vertex, per-field variant table: variants.(u).(fi).(si) lists the
    domain states differing from state [si] in field [fi] and agreeing on
    every other field. *)
@@ -262,16 +247,8 @@ let analyze_target (type s) ~max_views_per_process
     let deg = Array.length nbrs in
     let site_vertex j = if j = 0 then u else nbrs.(j - 1) in
     let dims = Array.init (deg + 1) (fun j -> doms.(site_vertex j)) in
-    let total = space_total dims in
-    let count = min total max_views_per_process in
-    let stride = if total <= count then 1 else total / count in
-    for k = 0 to count - 1 do
+    Algorithm.sample_views ~max:max_views_per_process dims @@ fun digits view ->
       incr views;
-      let digits = decode dims (k * stride) in
-      let view =
-        { Algorithm.state = dims.(0).(digits.(0));
-          nbrs = Array.init deg (fun i -> dims.(i + 1).(digits.(i + 1))) }
-      in
       let gv = Array.map (fun r -> r.Algorithm.guard view) rules in
       let out =
         Array.mapi
@@ -382,7 +359,6 @@ let analyze_target (type s) ~max_views_per_process
             variants.(site_vertex j).(fi).(digits.(j))
         done
       done
-    done
   done;
   let names_of row =
     let out = ref [] in

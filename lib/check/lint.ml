@@ -37,23 +37,6 @@ let index_orders d =
     reversal :: List.init (d - 1) (fun k -> rotate (k + 1))
   end
 
-(* Per-process view space: own domain × the product of the neighbor
-   domains, addressed in mixed radix.  [plan] returns the total and a
-   decoder from a flat index to a view. *)
-let space_total dims =
-  Array.fold_left (fun acc d -> acc * Array.length d) 1 dims
-
-let decode dims idx =
-  let digits = Array.make (Array.length dims) 0 in
-  let rest = ref idx in
-  Array.iteri
-    (fun i d ->
-      let len = Array.length d in
-      digits.(i) <- !rest mod len;
-      rest := !rest / len)
-    dims;
-  digits
-
 let run_instance (type s) ~max_views_per_process
     (module F : Finite.FINITE with type state = s) =
   let n = Graph.n F.graph in
@@ -129,18 +112,8 @@ let run_instance (type s) ~max_views_per_process
         (fun i ->
           Array.of_list (F.domain (if i = 0 then u else nbrs.(i - 1))))
     in
-    let total = space_total dims in
-    let count = min total max_views_per_process in
-    let stride = if total <= count then 1 else total / count in
-    for k = 0 to count - 1 do
-      let digits = decode dims (k * stride) in
-      let view =
-        { Algorithm.state = dims.(0).(digits.(0));
-          nbrs = Array.init (Array.length nbrs) (fun i ->
-              dims.(i + 1).(digits.(i + 1))) }
-      in
-      check_view u view
-    done
+    Algorithm.sample_views ~max:max_views_per_process dims (fun _ view ->
+        check_view u view)
   done;
   Hashtbl.fold
     (fun (lint, rules) (witness, count) acc ->

@@ -1027,6 +1027,11 @@ let filename ob =
     (family_to_string ob.ob_family)
     ob.ob_name
 
+let lint ob =
+  match Smt.parse_string (Smt.to_string ob.ob_script) with
+  | Error msg -> [ "re-parse: " ^ msg ]
+  | Ok cmds -> Smt.lint_script cmds
+
 let to_json obs =
   Json.Obj
     [ ("schema", Json.String "ssreset-smt-v2");

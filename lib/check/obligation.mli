@@ -97,6 +97,10 @@ val compile_composition_all : algo:string -> Sym.spec -> t list
 val filename : t -> string
 (** [<algo>.<family>.<name>.smt2]. *)
 
+val lint : t -> string list
+(** Print the script, re-parse the text and {!Smt.lint_script} it: the
+    findings, [[]] when clean — the no-solver well-formedness gate. *)
+
 val to_json : t list -> Ssreset_obs.Json.t
 (** The manifest object: [{schema = "ssreset-smt-v2"; schema_version = 2;
     count; obligations = [{file; algo; family; kind; name; expect;

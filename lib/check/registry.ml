@@ -1117,6 +1117,32 @@ let footprint_target entry g =
   | Some f -> f g
   | None -> Footprint.of_finite (entry.instance g)
 
+let has_rank entry =
+  (* One rank per entry: the spec's rank_spec, which the model checker
+     also evaluates as the instance's certificate. *)
+  let g = Gen.complete (max 2 entry.min_n) in
+  let module F = (val entry.instance g) in
+  Option.is_some F.certificate
+  || List.exists
+       (fun (s : Sym.spec) -> Option.is_some s.Sym.sp_rank)
+       (List.filter_map Fun.id [ entry.smt_spec; entry.comp_spec ])
+
+let obligations ?family entry =
+  let base =
+    match (entry.smt_spec, family) with
+    | None, _ -> []
+    | Some spec, None -> Obligation.compile_all ~algo:entry.name spec
+    | Some spec, Some fam -> Obligation.compile ~algo:entry.name spec fam
+  and composed =
+    match (entry.comp_spec, family) with
+    | None, _ -> []
+    | Some spec, None ->
+        Obligation.compile_composition_all ~algo:entry.name spec
+    | Some spec, Some fam ->
+        Obligation.compile_composition ~algo:entry.name spec fam
+  in
+  base @ composed
+
 let run ?(mode = `Full) ?max_n ?max_views_per_process ?(footprint = true)
     ?(sym = true) ?(graphs = fun n -> Gen.all_connected n) ?options entry =
   let max_n =
@@ -1183,11 +1209,5 @@ let run ?(mode = `Full) ?max_n ?max_views_per_process ?(footprint = true)
       (match List.rev !sym_diffs with
       | [] -> None
       | ds -> Some (Sym.merge_diffs ds));
-    obligations =
-      (match entry.smt_spec with
-      | None -> []
-      | Some spec -> Obligation.compile_all ~algo:entry.name spec)
-      @ (match entry.comp_spec with
-        | None -> []
-        | Some spec -> Obligation.compile_composition_all ~algo:entry.name spec);
+    obligations = obligations entry;
     models = List.rev !models }

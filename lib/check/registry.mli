@@ -52,16 +52,6 @@ val unison_sdr_composed_spec : Sym.spec
     {!Obligation.compile_composition} exports as the [comp.*] obligation
     family of the unison-sdr entry. *)
 
-val coloring_spec : Sym.spec
-val mis_spec : Sym.spec
-val matching_spec : Sym.spec
-val fga_spec : Sym.spec
-(** Topology-parametric symbolic IRs of the four bare SDR input layers
-    (ids = process indices; options encoded as integers with ⊥ = -1;
-    [fga_spec] is specialized to [Spec.dominating_set]).  Each carries
-    the full §3.5 reset interface; coloring and MIS also carry an
-    ["undecided"] rank. *)
-
 val tail_unison_params_of_n : int -> (string * int) list
 val min_unison_params_of_n : int -> (string * int) list
 val unison_sdr_params_of_n : int -> (string * int) list
@@ -101,6 +91,18 @@ val find : string -> entry list
 (** Case-insensitive substring match over entries and fixtures — ["unison"]
     selects min-unison, tail-unison and unison-sdr. *)
 
+val has_rank : entry -> bool
+(** Does the entry carry a global ranking function — an instance
+    certificate or a [sp_rank] on either symbolic spec?  The model checker
+    checks it on every move and {!obligations} exports it as the rank /
+    comp.rank families. *)
+
+val obligations : ?family:Obligation.family -> entry -> Obligation.t list
+(** The one export rule: {!Obligation.compile} of the entry's [smt_spec]
+    followed by {!Obligation.compile_composition} of its [comp_spec], over
+    [family] or, by default, all four families.  Empty for an entry with
+    neither spec. *)
+
 val run :
   ?mode:[ `Quick | `Full ] ->
   ?max_n:int ->
@@ -125,4 +127,4 @@ val run :
     Lint findings are merged across graphs (one per lint × rule set,
     counts summed); footprint reports are {!Footprint.merge}d the same way
     ([footprint:false] skips the pass and leaves the report field
-    [None]). *)
+    [None]).  The report's obligations are {!obligations}[ entry]. *)

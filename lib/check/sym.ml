@@ -427,20 +427,6 @@ let recorder () =
 
 (* --- view-space differential ----------------------------------------- *)
 
-let space_total dims =
-  Array.fold_left (fun acc d -> acc * Array.length d) 1 dims
-
-let decode dims idx =
-  let digits = Array.make (Array.length dims) 0 in
-  let rest = ref idx in
-  Array.iteri
-    (fun i d ->
-      let len = Array.length d in
-      digits.(i) <- !rest mod len;
-      rest := !rest / len)
-    dims;
-  digits
-
 let pp_valuation ppf vals =
   Fmt.pf ppf "{%a}"
     Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string pp_value))
@@ -508,17 +494,7 @@ let run_views (type s) ~max_views_per_process
         (fun i ->
           Array.of_list (I.domain (if i = 0 then u else nbrs.(i - 1))))
     in
-    let total = space_total dims in
-    let count = min total max_views_per_process in
-    let stride = if total <= count then 1 else total / count in
-    for k = 0 to count - 1 do
-      let digits = decode dims (k * stride) in
-      let view =
-        { Algorithm.state = dims.(0).(digits.(0));
-          nbrs =
-            Array.init (Array.length nbrs) (fun i ->
-                dims.(i + 1).(digits.(i + 1))) }
-      in
+    Algorithm.sample_views ~max:max_views_per_process dims @@ fun _ view ->
       incr views;
       let self = I.encode view.Algorithm.state in
       let enc_nbrs = Array.map I.encode view.Algorithm.nbrs in
@@ -569,7 +545,6 @@ let run_views (type s) ~max_views_per_process
               record ~where:"views" ~rules:[ sr.rule ] (fun () ->
                   Fmt.str "IR evaluation failed: %s on %a" msg pp_view view))
         pairs
-    done
   done;
   { views = !views; steps = 0; daemons = 0; mismatches = dump () }
 

@@ -35,7 +35,6 @@ module type S = sig
   type nonrec state = inner state
 
   val algorithm : state Algorithm.t
-  val sdr_rule_names : string list
   val lift : inner array -> state array
   val inner_config : state array -> inner array
 
@@ -103,8 +102,6 @@ end
 module Make (I : INPUT) = struct
   type inner = I.state
   type nonrec state = inner state
-
-  let sdr_rule_names = [ "SDR-RB"; "SDR-RF"; "SDR-C"; "SDR-R" ]
 
   let lift cfg = Array.map (fun inner -> { st = C; d = 0; inner }) cfg
   let inner_config cfg = Array.map (fun s -> s.inner) cfg

@@ -78,10 +78,6 @@ module type S = sig
   (** [I ∘ SDR]: all rules of SDR (named ["SDR-RB"], ["SDR-RF"], ["SDR-C"],
       ["SDR-R"]) plus every rule of [I] gated by [P_Clean]. *)
 
-  val sdr_rule_names : string list
-  (** [["SDR-RB"; "SDR-RF"; "SDR-C"; "SDR-R"]] — e.g. for
-      {!Ssreset_sim.Engine.moves_of_rules}. *)
-
   (** {2 Configurations} *)
 
   val lift : inner array -> state array

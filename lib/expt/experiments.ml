@@ -796,5 +796,4 @@ let all_lazy profile =
     ("E15", fun () -> [ e15 profile ]);
     ("E16", fun () -> [ e16 profile ]) ]
 
-let all profile =
-  List.map (fun (id, tables) -> (id, tables ())) (all_lazy profile)
+let ids = List.map fst (all_lazy quick)

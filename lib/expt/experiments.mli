@@ -32,27 +32,9 @@ val e4_e5 : profile -> Table.t list
 (** U ∘ SDR stabilization: E4 moves vs the O(D·n²) shape (Theorem 6),
     E5 rounds ≤ 3n (Theorem 7). *)
 
-val e6 : profile -> Table.t
-(** Move-count comparison of U ∘ SDR against the tail-unison baseline on
-    identical (graph, seed, daemon) triples (§5.3 claim). *)
-
 val e7 : profile -> Table.t
 (** Bare U from γ_init: safety never violated, every process increments
     (Theorem 5). *)
-
-val e8 : profile -> Table.t
-(** Bare FGA from γ_init: terminal, 1-minimal, rounds ≤ 5n+4 (Corollary 12)
-    and the per-process move bound of Lemma 25. *)
-
-val e9_e10 : profile -> Table.t list
-(** FGA ∘ SDR from arbitrary configurations: silence (termination),
-    E9 rounds ≤ 8n+4 (Theorem 14) and moves vs the O(Δ·n·m) shape
-    (Theorem 13), E10 terminal configuration is a 1-minimal alliance
-    (Theorem 11). *)
-
-val e11 : profile -> Table.t
-(** Daemon ablation: rounds/moves of U ∘ SDR and FGA ∘ SDR under each
-    daemon of the zoo on a fixed graph. *)
 
 val e12 : unit -> Table.t
 (** Property 1 of Dourado et al., checked exhaustively on every labeled
@@ -63,27 +45,18 @@ val e13 : profile -> Table.t
 (** Generality: coloring ∘ SDR and MIS ∘ SDR are silent self-stabilizing
     (terminate with correct outputs from arbitrary configurations). *)
 
-val e14 : profile -> Table.t
-(** Recovery cost as a function of transient-fault burst size: legitimate
-    configurations are silent, and small bursts recover with few moves —
-    the cooperative resets stay partial. *)
+(** E1–E5, E7, E12 and E13 also have their own entry points; the others
+    (E6 baseline comparison, E8 bare FGA, E9/E10 FGA ∘ SDR, E11 daemon
+    ablation, E14 fault bursts, E15 reset architectures, E16 parameter
+    ablation) run through {!all_lazy}.  DESIGN.md indexes what each table
+    validates. *)
 
-val e15 : profile -> Table.t
-(** Reset-architecture comparison on identical workloads: SDR (cooperative,
-    multi-initiator) versus an Arora-Gouda-style mono-initiator tree-wave
-    reset.  Under fair daemons both stabilize (SDR in fewer rounds); under
-    the unfair central-first daemon SDR keeps its bounds while the
-    mono-initiator design livelocks — the paper's §1 motivation. *)
-
-val e16 : profile -> Table.t
-(** Parameter ablation: U ∘ SDR with K ∈ {n+1, 2n+2, n²+1} (the bounds are
-    K-independent for any K > n) and the tail baseline with α ∈
-    {n/2, n, 2n} (moves grow with α, part of its O(D·n³+α·n²) complexity). *)
-
-val all : profile -> (string * Table.t list) list
-(** Every experiment, in order, tagged with its id. *)
+val ids : string list
+(** The experiment ids, in order: ["E1-E3"], ["E4-E5"], ["E6"], …,
+    ["E16"] — the names both front ends accept. *)
 
 val all_lazy : profile -> (string * (unit -> Table.t list)) list
-(** Like {!all} but each experiment's tables are computed only when forced —
-    the bench harness uses this so filtered runs skip unrequested
-    experiments entirely and per-experiment wall-clock can be measured. *)
+(** Every experiment, in order, tagged with its id; each experiment's
+    tables are computed only when forced, so filtered runs skip
+    unrequested experiments entirely and per-experiment wall-clock can be
+    measured. *)

@@ -54,11 +54,6 @@ let observation ~outcome_ok ~result_ok ~rounds ~steps ~moves
 let is_sdr_rule name =
   String.length name >= 4 && String.equal (String.sub name 0 4) "SDR-"
 
-let outcome_string = function
-  | Engine.Stabilized -> "stabilized"
-  | Engine.Terminal -> "terminal"
-  | Engine.Step_limit -> "step-limit"
-
 let obs_fields o =
     [ ("outcome_ok", Json.Bool o.outcome_ok);
       ("result_ok", Json.Bool o.result_ok);
@@ -84,6 +79,26 @@ let obs_fields o =
          (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.)) ]
 
 let obs_json o = Json.Obj (obs_fields o)
+
+let pp_obs ~name ppf o =
+  Fmt.pf ppf "%s@." name;
+  Fmt.pf ppf "  outcome ok:        %b@." o.outcome_ok;
+  Fmt.pf ppf "  result ok:         %b@." o.result_ok;
+  Fmt.pf ppf "  rounds:            %d@." o.rounds;
+  Fmt.pf ppf "  steps:             %d@." o.steps;
+  Fmt.pf ppf "  moves:             %d@." o.moves;
+  Fmt.pf ppf "  wall clock:        %.3fs (%.0f steps/s)@." o.wall_s
+    (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.);
+  Fmt.pf ppf "  workload p50/p90:  %.1f / %.1f moves/proc@." o.workload_p50
+    o.workload_p90;
+  match o.segments with
+  | Some segments ->
+      Fmt.pf ppf "  SDR moves:         %d@." o.sdr_moves;
+      Fmt.pf ppf "  max SDR moves/proc:%d@." o.max_proc_sdr_moves;
+      Fmt.pf ppf "  segments:          %d@." segments
+  | None ->
+      (* bare run: segments / alive roots are not measured *)
+      Fmt.pf ppf "  segments:          -@."
 
 (* ------------------------------- systems -------------------------------- *)
 
@@ -259,7 +274,7 @@ let telemetry sink layer =
       o.segments;
     let fields = obs_fields o in
     Sink.write sink
-      (Sink.summary ~outcome:(outcome_string result.Engine.outcome)
+      (Sink.summary ~outcome:(Engine.outcome_string result.Engine.outcome)
          ~rounds:o.rounds ~steps:o.steps ~moves:o.moves ~wall_s:o.wall_s
          ~extra:
            (List.map (fun k -> (k, List.assoc k fields)) summary_keys

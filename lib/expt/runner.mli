@@ -82,6 +82,10 @@ val obs_json : obs -> Ssreset_obs.Json.t
 (** Machine-readable rendering of an observation (unmeasured fields are
     [null]); includes a derived [steps_per_s]. *)
 
+val pp_obs : name:string -> Format.formatter -> obs -> unit
+(** The text rendering of an observation under the heading [name]: one
+    line per counter; segments read [-] where unmeasured. *)
+
 (** {2 Systems} *)
 
 (** The reset layer of a system: none, or I∘SDR — whose runs also measure

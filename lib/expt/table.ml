@@ -97,3 +97,8 @@ let all_ok t ~col =
       | Some "ok" -> true
       | _ -> false)
     t.rows
+
+let ok table =
+  match List.rev table.headers with
+  | "ok" :: _ -> all_ok table ~col:(List.length table.headers - 1)
+  | _ -> true

@@ -32,5 +32,9 @@ val cell_bool : bool -> string
 (** ["ok"] / ["FAIL"]. *)
 
 val all_ok : t -> col:int -> bool
-(** Does every row show ["ok"] in the given 0-based column?  Used by the
-    bench harness to summarize pass/fail per experiment. *)
+(** Does every row show ["ok"] in the given 0-based column? *)
+
+val ok : t -> bool
+(** A table passes when its last column is headed ["ok"] and every row
+    shows ["ok"] there; a table without an [ok] column always passes.  The
+    pass/fail of an experiment in both front ends. *)

@@ -307,3 +307,41 @@ let to_float_opt = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let equal (a : t) (b : t) = a = b
+
+(* --------------------------- validating readers ------------------------ *)
+
+exception Invalid of string
+
+let invalidf fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+let field ~ctx what conv name json =
+  match Option.bind (member name json) conv with
+  | Some v -> v
+  | None -> invalidf "%s: %S is missing or not %s" ctx name what
+
+let int_field ~ctx = field ~ctx "an int" to_int_opt
+let float_field ~ctx = field ~ctx "a number" to_float_opt
+let string_field ~ctx = field ~ctx "a string" to_string_opt
+
+let list_field ~ctx =
+  field ~ctx "a list" (function List l -> Some l | _ -> None)
+
+let obj_field ~ctx =
+  field ~ctx "an object" (function Obj fields -> Some fields | _ -> None)
+
+let assoc ~ctx what conv fields =
+  List.map
+    (fun (name, v) ->
+      match conv v with
+      | Some x -> (name, x)
+      | None -> invalidf "%s: field %S is not %s" ctx name what)
+    fields
+
+let int_assoc ~ctx = assoc ~ctx "an int" to_int_opt
+let float_assoc ~ctx = assoc ~ctx "a number" to_float_opt
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

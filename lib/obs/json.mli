@@ -43,3 +43,26 @@ val to_float_opt : t -> float option
 val to_string_opt : t -> string option
 val equal : t -> t -> bool
 (** Structural equality (object field order is significant). *)
+
+(** {2 Validating readers} — shared by the JSONL artifact loaders
+    ({!Tracefile}, {!Proffile}). *)
+
+exception Invalid of string
+
+val invalidf : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!Invalid} with a formatted message. *)
+
+val int_field : ctx:string -> string -> t -> int
+val float_field : ctx:string -> string -> t -> float
+val string_field : ctx:string -> string -> t -> string
+val list_field : ctx:string -> string -> t -> t list
+val obj_field : ctx:string -> string -> t -> (string * t) list
+(** [int_field ~ctx name json]: the field, or {!Invalid}
+    ["ctx: \"name\" is missing or not an int"] (and so on). *)
+
+val int_assoc : ctx:string -> (string * t) list -> (string * int) list
+val float_assoc : ctx:string -> (string * t) list -> (string * float) list
+(** Every value of an object's fields, or {!Invalid}. *)
+
+val read_file : string -> string
+(** The whole file.  @raise Sys_error *)

@@ -1,4 +1,4 @@
-let schema = "ssreset-prof-v1"
+let schema = Prof.schema
 
 type window = {
   index : int;
@@ -45,45 +45,13 @@ type t = {
   summary : summary;
 }
 
-exception Bad of string
-
-let failf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let int_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_int_opt with
-  | Some v -> v
-  | None -> failf "%s: missing int field %S" ctx name
-
-let float_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_float_opt with
-  | Some v -> v
-  | None -> failf "%s: missing number field %S" ctx name
-
-let string_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_string_opt with
-  | Some v -> v
-  | None -> failf "%s: missing string field %S" ctx name
-
-let obj_field ~ctx name json =
-  match Json.member name json with
-  | Some (Json.Obj fields) -> fields
-  | _ -> failf "%s: missing object field %S" ctx name
-
-let int_assoc ~ctx fields =
-  List.map
-    (fun (name, v) ->
-      match Json.to_int_opt v with
-      | Some i -> (name, i)
-      | None -> failf "%s: field %S is not an int" ctx name)
-    fields
-
-let float_assoc ~ctx fields =
-  List.map
-    (fun (name, v) ->
-      match Json.to_float_opt v with
-      | Some f -> (name, f)
-      | None -> failf "%s: field %S is not a number" ctx name)
-    fields
+let failf = Json.invalidf
+let int_field = Json.int_field
+let string_field = Json.string_field
+let float_field = Json.float_field
+let obj_field = Json.obj_field
+let int_assoc = Json.int_assoc
+let float_assoc = Json.float_assoc
 
 let parse_window ~ctx json =
   let w =
@@ -261,20 +229,12 @@ let load_string ?(path = "<string>") body =
     validate t;
     t
   in
-  match parse () with t -> Ok t | exception Bad msg -> Error msg
+  match parse () with t -> Ok t | exception Json.Invalid msg -> Error msg
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    body
-  with
+  match Json.read_file path with
   | body -> load_string ~path body
   | exception Sys_error msg -> Error msg
-
-let check_file path = Result.map ignore (load_file path)
 
 let phase_total_ns t =
   List.fold_left (fun a (_, s) -> a + s.ns) 0 t.summary.phases

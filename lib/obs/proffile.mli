@@ -17,9 +17,6 @@
     at most the summary's [moves.R] counter; phase/rule timer sections
     are well-formed with non-negative totals. *)
 
-val schema : string
-(** ["ssreset-prof-v1"]. *)
-
 type window = {
   index : int;
   at_step : int;
@@ -70,10 +67,7 @@ val load_string : ?path:string -> string -> (t, string) result
     the (1-based) offending line. *)
 
 val load_file : string -> (t, string) result
-
-val check_file : string -> (unit, string) result
-(** {!load_file} with the parse discarded — the validation behind
-    [jsonlint --check-prof]. *)
+(** {!load_string} of a file; [jsonlint --check-prof] validates with it. *)
 
 val phase_total_ns : t -> int
 (** Sum of the [phases] section totals — the attributed engine time, to

@@ -1,3 +1,5 @@
+module Graph = Ssreset_graph.Graph
+
 let schema = "ssreset-trace-v1"
 
 type mover = { p : int; rule : string; wave : Span.event option }
@@ -28,7 +30,7 @@ type t = {
   n : int;
   seed : int;
   daemon : string;
-  edges : (int * int) list;
+  graph : Graph.t;
   init_active : (int * string * int) list;
   steps : step list;
   rounds : round list;
@@ -36,30 +38,12 @@ type t = {
   summary : summary;
 }
 
-exception Bad of string
-
-let badf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let int_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_int_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not an int" ctx name
-
-let string_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_string_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not a string" ctx name
-
-let float_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_float_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not a number" ctx name
-
-let list_field ~ctx name json =
-  match Json.member name json with
-  | Some (Json.List l) -> l
-  | Some _ -> badf "%s: %S is not a list" ctx name
-  | None -> badf "%s: missing %S" ctx name
+let badf = Json.invalidf
+let int_field = Json.int_field
+let string_field = Json.string_field
+let float_field = Json.float_field
+let list_field = Json.list_field
+let int_assoc = Json.int_assoc
 
 let proc ~ctx ~n name json =
   let p = int_field ~ctx name json in
@@ -79,22 +63,26 @@ let parse_manifest ~ctx json =
       (function
         | Json.List [ a; b ] -> (
             match (Json.to_int_opt a, Json.to_int_opt b) with
-            | Some u, Some v ->
-                if u < 0 || u >= n || v < 0 || v >= n then
-                  badf "%s: edge endpoint out of range" ctx;
-                (u, v)
+            | Some u, Some v -> (u, v)
             | _ -> badf "%s: edge endpoints must be ints" ctx)
         | _ -> badf "%s: each edge must be a [u,v] pair" ctx)
       (list_field ~ctx "edges" json)
   in
   if List.length edges <> m then
     badf "%s: %d edges but m = %d" ctx (List.length edges) m;
+  (* The analyses all need the graph, so it is built once, here: an edge
+     list that is not a simple graph (self-loop, duplicate, endpoint out of
+     range) is a malformed manifest. *)
+  let graph =
+    try Graph.make ~n ~edges
+    with Graph.Invalid_graph msg -> badf "%s: manifest edges: %s" ctx msg
+  in
   ( string_field ~ctx "system" json,
     string_field ~ctx "family" json,
     n,
     int_field ~ctx "seed" json,
     string_field ~ctx "daemon" json,
-    edges )
+    graph )
 
 let parse_init ~ctx ~n json =
   List.map
@@ -159,13 +147,7 @@ let parse_anomaly ~ctx ~n json =
 let parse_summary ~ctx json =
   let moves_per_rule =
     match Json.member "moves_per_rule" json with
-    | Some (Json.Obj fields) ->
-        List.map
-          (fun (rule, v) ->
-            match Json.to_int_opt v with
-            | Some c -> (rule, c)
-            | None -> badf "%s: moves_per_rule.%s is not an int" ctx rule)
-          fields
+    | Some (Json.Obj fields) -> int_assoc ~ctx:(ctx ^ " moves_per_rule") fields
     | Some _ -> badf "%s: moves_per_rule is not an object" ctx
     | None -> []
   in
@@ -251,7 +233,7 @@ let load_string ?(path = "<trace>") contents =
              | "summary" -> summary := Some (parse_summary ~ctx json)
              | other -> badf "%s: unknown record type %S" ctx other
            end);
-    let system, family, n, seed, daemon, edges =
+    let system, family, n, seed, daemon, graph =
       match !manifest with
       | Some m -> m
       | None -> badf "%s: empty trace (no manifest)" path
@@ -287,32 +269,28 @@ let load_string ?(path = "<trace>") contents =
         n;
         seed;
         daemon;
-        edges;
+        graph;
         init_active = Option.value ~default:[] !init_active;
         steps;
         rounds = List.rev !rounds_rev;
         anomalies;
         summary;
       }
-  with Bad msg -> Error msg
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+  with Json.Invalid msg -> Error msg
 
 let load_file path =
-  match read_file path with
+  match Json.read_file path with
   | exception Sys_error msg -> Error msg
   | contents -> load_string ~path contents
 
-let check_file path = Result.map (fun (_ : t) -> ()) (load_file path)
-
-let graph_of t = Ssreset_graph.Graph.make ~n:t.n ~edges:t.edges
-
-let mover_pairs t =
-  List.map
-    (fun s -> (s.index, List.map (fun m -> (m.p, m.rule)) s.movers))
-    t.steps
+let manifest ~system ~family ~seed ~daemon graph =
+  Sink.manifest ~system ~family ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
+    ~daemon
+    ~extra:
+      [ ("trace_schema", Json.String schema);
+        ( "edges",
+          Json.List
+            (List.map
+               (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
+               (Graph.edges graph)) ) ]
+    ()

@@ -1,6 +1,6 @@
 (** Reading and validating [ssreset-trace-v1] JSONL run traces.
 
-    The schema extends the PR-1 record stream ({!Sink}) with step-level
+    The schema extends the run-record stream ({!Sink}) with step-level
     records so executions can be replayed offline:
 
     - one {e manifest} first, carrying [trace_schema = "ssreset-trace-v1"]
@@ -13,13 +13,13 @@
     - {e anomaly} records emitted by online {!Monitor}s;
     - exactly one {e summary} last.
 
-    Cross-checks: the manifest's [m] equals the edge count; when any step
-    record is present, the step-record count equals the summary's [steps]
-    and the movers total equals its [moves]; a summary [anomalies] field
-    equals the number of anomaly records. *)
+    Cross-checks: the manifest's [m] equals the edge count and the edges
+    form a simple graph (no self-loop, no duplicate, endpoints in range);
+    when any step record is present, the step-record count equals the
+    summary's [steps] and the movers total equals its [moves]; a summary
+    [anomalies] field equals the number of anomaly records.
 
-val schema : string
-(** ["ssreset-trace-v1"]. *)
+    The explorer's analyses of a loaded trace live in {!Traceview}. *)
 
 type mover = { p : int; rule : string; wave : Span.event option }
 type step = { index : int; movers : mover list }
@@ -49,7 +49,9 @@ type t = {
   n : int;
   seed : int;
   daemon : string;
-  edges : (int * int) list;
+  graph : Ssreset_graph.Graph.t;
+      (** Built from the manifest edges by the loader, which rejects an
+          edge list that is not a simple graph. *)
   init_active : (int * string * int) list;  (** [(p, st, d)]. *)
   steps : step list;  (** In file order. *)
   rounds : round list;
@@ -62,14 +64,15 @@ val load_string : ?path:string -> string -> (t, string) result
     (1-based) offending line. *)
 
 val load_file : string -> (t, string) result
+(** {!load_string} of a file; [jsonlint --check-trace] validates with it. *)
 
-val check_file : string -> (unit, string) result
-(** {!load_file} with the parse discarded — the validation used by
-    [jsonlint --check-trace]. *)
-
-val graph_of : t -> Ssreset_graph.Graph.t
-(** Rebuild the run's graph from the manifest edges. *)
-
-val mover_pairs : t -> (int * (int * string) list) list
-(** The per-step [(step, [(process, rule); ...])] lists, ready for
-    {!Causality.build}. *)
+val manifest :
+  system:string ->
+  family:string ->
+  seed:int ->
+  daemon:string ->
+  Ssreset_graph.Graph.t ->
+  Json.t
+(** The trace's first record: a {!Sink.manifest} that also carries
+    [trace_schema] and the graph's edges, so offline analyses need no side
+    channel. *)

@@ -41,6 +41,27 @@ let for_all_views g cfg ~f =
   let rec loop u = u >= n || (f u (view g cfg u) && loop (u + 1)) in
   loop 0
 
+let sample_views ~max dims f =
+  let total = Array.fold_left (fun acc d -> acc * Array.length d) 1 dims in
+  let count = min total max in
+  let stride = if total <= count then 1 else total / count in
+  for k = 0 to count - 1 do
+    (* Mixed radix, digit 0 (the process itself) least significant. *)
+    let digits = Array.make (Array.length dims) 0 in
+    let rest = ref (k * stride) in
+    Array.iteri
+      (fun i d ->
+        let len = Array.length d in
+        digits.(i) <- !rest mod len;
+        rest := !rest / len)
+      dims;
+    f digits
+      { state = dims.(0).(digits.(0));
+        nbrs =
+          Array.init (Array.length dims - 1) (fun i ->
+              dims.(i + 1).(digits.(i + 1))) }
+  done
+
 let exclusive_rules algo v =
   List.filter_map
     (fun r -> if r.guard v then Some r.rule_name else None)

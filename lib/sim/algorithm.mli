@@ -51,6 +51,18 @@ val for_all_views :
 (** Does [f u (view u)] hold for every process?  Used to express
     configuration predicates such as "normal configuration". *)
 
+val sample_views :
+  max:int ->
+  's array array ->
+  (int array -> 's view -> unit) ->
+  unit
+(** [sample_views ~max dims f]: [dims.(0)] is a process's state domain and
+    [dims.(i)] that of its [i]-th neighbor.  Calls [f digits view] on
+    [min max total] views of their product, spread over its mixed-radix
+    index by a fixed stride; [digits.(i)] is the index of the view's site-[i]
+    state in [dims.(i)].  The view sweep of the lint, footprint and
+    symbolic differential passes. *)
+
 val exclusive_rules : 'state t -> 'state view -> string list
 (** Names of all rules enabled on a view — used by tests to check pairwise
     mutual exclusion (at most one name for every reachable view). *)

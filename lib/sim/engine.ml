@@ -2,6 +2,11 @@ module Csr = Ssreset_graph.Csr
 
 type outcome = Step.outcome = Stabilized | Terminal | Step_limit
 
+let outcome_string = function
+  | Stabilized -> "stabilized"
+  | Terminal -> "terminal"
+  | Step_limit -> "step-limit"
+
 type 'state result = {
   outcome : outcome;
   final : 'state array;

@@ -12,6 +12,10 @@ type outcome = Step.outcome =
   | Terminal  (** no process is enabled (and [stop] was false) *)
   | Step_limit  (** [max_steps] was exhausted first *)
 
+val outcome_string : outcome -> string
+(** ["stabilized"], ["terminal"] or ["step-limit"]: the [outcome] field of
+    trace summaries and of flat [--digest] lines. *)
+
 type 'state result = {
   outcome : outcome;
   final : 'state array;

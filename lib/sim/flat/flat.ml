@@ -744,14 +744,14 @@ let merge_part_prof o ~nparts ~touched ~evals ~flips =
     (Array.fold_left ( + ) 0 flips);
   Metrics.set (Metrics.gauge m "flat.parts") (float_of_int nparts)
 
-(* Run [body] as worker [d]'s share of phase [ph]; profiled, its span goes
-   to the worker's private slot. *)
+(* Run [body d] as worker [d]'s share of phase [ph]; profiled, its span
+   goes to the worker's private slot. *)
 let worker_phase pobs d ph body =
   match pobs with
-  | None -> body ()
+  | None -> body d
   | Some o ->
       let t = Prof.now_ns () in
-      body ();
+      body d;
       let s = o.slots.(d) in
       let dt = Prof.now_ns () - t in
       s.ws_ns.(ph) <- s.ws_ns.(ph) + dt;
@@ -785,11 +785,24 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let legit_of = if track_legit then Array.make nn true else [||] in
   let illegit = Array.make nparts 0 in
   let bufs = Array.init nparts (fun d -> movers_make nf (hi d - lo d)) in
-  let frontier = Array.make nparts [] in
   let moves_per_process = Array.make nn 0 in
   let rule_moves = Array.make_matrix nparts nr 0 in
   let offsets = p.csr.Csr.offsets in
   let nbrs = p.csr.Csr.nbrs in
+  (* Per-domain frontier buffers: a mover hands off each out-of-range
+     neighbor once per step, so the range's cross-range degree bounds the
+     handoffs of any step. *)
+  let frontier =
+    Array.init nparts (fun d ->
+        let l = lo d and h = hi d and count = ref 0 in
+        for u = l to h - 1 do
+          for i = offsets.(u) to offsets.(u + 1) - 1 do
+            if nbrs.(i) < l || nbrs.(i) >= h then incr count
+          done
+        done;
+        Array.make !count 0)
+  in
+  let frontier_len = Array.make nparts 0 in
   (* Stamp-dedup per step, as in the sequential path: under the synchronous
      daemon neighboring movers share neighborhoods, so without the stamp a
      ring node gets recomputed up to three times per step.  Race-free: a
@@ -818,6 +831,16 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
       end
     end
   in
+  (* Refresh [v] on worker [d]'s evaluator unless the current step's stamp
+     [g] says it already was; true when it was re-evaluated. *)
+  let refresh_node ev d g v =
+    stamp.(v) <> g
+    && begin
+         stamp.(v) <- g;
+         recompute ev d v;
+         true
+       end
+  in
   let pobs = Option.map (fun pr -> make_part_prof pr ~nparts p.rule_names) prof in
   let team = Pool.Team.create ?prof ~size:nparts () in
   let sum a = Array.fold_left ( + ) 0 a in
@@ -829,6 +852,69 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let legit_steps = ref 0 in
   let hb_last = ref (t0, 0) in
   let outcome = ref Engine.Step_limit in
+  (* The step's three phases, built once per run. *)
+  let push =
+    Array.init nparts (fun d ->
+        let ev = evs.(d) and b = bufs.(d) in
+        fun u ->
+          let k = b.len and r = rule_of.(u) in
+          b.mu.(k) <- u;
+          b.mr.(k) <- r;
+          b.len <- k + 1;
+          compute_post p ev r u ~dst:b.mp ~off:(k * nf))
+  in
+  (* Phase A — every enabled node moves (synchronous daemon); buffer post
+     rows from the shared pre-state, no writes. *)
+  let compute d =
+    bufs.(d).len <- 0;
+    Bits.iter_range enabled (lo d) (hi d) push.(d)
+  in
+  (* Phase B — write back own-range movers and account them. *)
+  let write d =
+    let b = bufs.(d) in
+    for k = 0 to b.len - 1 do
+      let u = b.mu.(k) in
+      for f = 0 to nf - 1 do
+        p.state.(f).(u) <- b.mp.((k * nf) + f)
+      done;
+      moves_per_process.(u) <- moves_per_process.(u) + 1;
+      rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
+    done
+  in
+  (* Phase C — refresh the movers' closed neighborhoods.  Writes stay in
+     the worker's own range; out-of-range neighbors are handed off and
+     replayed sequentially after the phase.  Recomputation is idempotent,
+     so duplicates (several movers sharing a neighbor, or several domains
+     deferring the same node) are harmless and the result is independent
+     of the partition count. *)
+  let refresh d =
+    let ev = evs.(d) and b = bufs.(d) and fr = frontier.(d) in
+    let g = !gen and l = lo d and h = hi d in
+    let touched = ref 0 and evals = ref 0 and handed = ref 0 in
+    for k = 0 to b.len - 1 do
+      let u = b.mu.(k) in
+      incr touched;
+      if refresh_node ev d g u then incr evals;
+      for i = offsets.(u) to offsets.(u + 1) - 1 do
+        let v = nbrs.(i) in
+        if v >= l && v < h then begin
+          incr touched;
+          if refresh_node ev d g v then incr evals
+        end
+        else begin
+          fr.(!handed) <- v;
+          incr handed
+        end
+      done
+    done;
+    frontier_len.(d) <- !handed;
+    w_touched.(d) <- w_touched.(d) + !touched;
+    w_evals.(d) <- w_evals.(d) + !evals
+  in
+  let phase ph body d = worker_phase pobs d ph body in
+  let phase_compute = phase ph_compute compute
+  and phase_write = phase ph_write write
+  and phase_refresh = phase ph_refresh refresh in
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
     (fun () ->
@@ -836,7 +922,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           sample_gc pobs d (-1.);
           (* The initial scan is a refresh of the worker's whole range;
              it changes no table entry, so its flips are not counted. *)
-          worker_phase pobs d ph_init (fun () ->
+          worker_phase pobs d ph_init (fun d ->
               for u = lo d to hi d - 1 do
                 recompute evs.(d) d u
               done;
@@ -851,78 +937,24 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
             outcome := Engine.Terminal;
             raise Exit
           end;
-          (* Phase A — every enabled node moves (synchronous daemon);
-             buffer post rows from the shared pre-state, no writes. *)
-          Pool.Team.run team (fun d ->
-              worker_phase pobs d ph_compute (fun () ->
-                let ev = evs.(d) in
-                let b = bufs.(d) in
-                b.len <- 0;
-                Bits.iter_range enabled (lo d) (hi d) (fun u ->
-                    let k = b.len and r = rule_of.(u) in
-                    b.mu.(k) <- u;
-                    b.mr.(k) <- r;
-                    b.len <- k + 1;
-                    compute_post p ev r u ~dst:b.mp ~off:(k * nf))));
-          (* Phase B — write back own-range movers and account them. *)
-          Pool.Team.run team (fun d ->
-              worker_phase pobs d ph_write (fun () ->
-                let b = bufs.(d) in
-                for k = 0 to b.len - 1 do
-                  let u = b.mu.(k) in
-                  for f = 0 to nf - 1 do
-                    p.state.(f).(u) <- b.mp.((k * nf) + f)
-                  done;
-                  moves_per_process.(u) <- moves_per_process.(u) + 1;
-                  rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
-                done));
-          (* Phase C — refresh the movers' closed neighborhoods.  Writes
-             stay in the worker's own range; out-of-range neighbors are
-             handed off and replayed sequentially below.  Recomputation is
-             idempotent, so duplicates (several movers sharing a neighbor,
-             or several domains deferring the same node) are harmless and
-             the result is independent of the partition count. *)
+          Pool.Team.run team phase_compute;
+          Pool.Team.run team phase_write;
           incr gen;
-          let g = !gen in
-          Pool.Team.run team (fun d ->
-              worker_phase pobs d ph_refresh (fun () ->
-                let ev = evs.(d) in
-                let b = bufs.(d) in
-                frontier.(d) <- [];
-                let l = lo d and h = hi d in
-                let touched = ref 0 and evals = ref 0 in
-                let touch v =
-                  incr touched;
-                  if stamp.(v) <> g then begin
-                    stamp.(v) <- g;
-                    incr evals;
-                    recompute ev d v
-                  end
-                in
-                for k = 0 to b.len - 1 do
-                  let u = b.mu.(k) in
-                  touch u;
-                  for i = offsets.(u) to offsets.(u + 1) - 1 do
-                    let v = nbrs.(i) in
-                    if v >= l && v < h then touch v
-                    else frontier.(d) <- v :: frontier.(d)
-                  done
-                done;
-                w_touched.(d) <- w_touched.(d) + !touched;
-                w_evals.(d) <- w_evals.(d) + !evals));
-          (* Sequential frontier replay: the cross-boundary cost, counted
-             as handoffs and the replays the stamp did not skip. *)
+          Pool.Team.run team phase_refresh;
+          (* Sequential frontier replay, in each domain's reverse handoff
+             order: the cross-boundary cost, counted as handoffs and the
+             replays the stamp did not skip. *)
           let t_r = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
+          let g = !gen in
           let handed = ref 0 and replayed = ref 0 in
-          Array.iter
-            (List.iter (fun v ->
-                 incr handed;
-                 if stamp.(v) <> g then begin
-                   stamp.(v) <- g;
-                   incr replayed;
-                   recompute evs.(0) (owner v) v
-                 end))
-            frontier;
+          for d = 0 to nparts - 1 do
+            let fr = frontier.(d) in
+            handed := !handed + frontier_len.(d);
+            for i = frontier_len.(d) - 1 downto 0 do
+              let v = fr.(i) in
+              if refresh_node evs.(0) (owner v) g v then incr replayed
+            done
+          done;
           let moved = Array.fold_left (fun acc b -> acc + b.len) 0 bufs in
           incr steps;
           total_moves := !total_moves + moved;

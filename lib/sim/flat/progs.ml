@@ -116,13 +116,7 @@ let init_random p ~rng =
     scramble_node p ranges ~rng u
   done
 
-let outcome_string (o : Ssreset_sim.Engine.outcome) =
-  match o with
-  | Ssreset_sim.Engine.Stabilized -> "stabilized"
-  | Ssreset_sim.Engine.Terminal -> "terminal"
-  | Ssreset_sim.Engine.Step_limit -> "step-limit"
-
 let digest p (r : Flat.result) =
   Printf.sprintf "outcome=%s steps=%d moves=%d rounds=%d state=%x"
-    (outcome_string r.Flat.outcome) r.Flat.steps r.Flat.moves r.Flat.rounds
-    (Flat.checksum p)
+    (Ssreset_sim.Engine.outcome_string r.Flat.outcome)
+    r.Flat.steps r.Flat.moves r.Flat.rounds (Flat.checksum p)

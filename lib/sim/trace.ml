@@ -58,75 +58,3 @@ let rule_sequence t u =
         (fun (v, name) -> if v = u then Some name else None)
         e.moved)
     t.entries
-
-module Compact = struct
-  type 'state delta = {
-    step : int;
-    writes : (int * string * 'state) list;
-  }
-
-  type 'state t = {
-    initial : 'state array;
-    deltas : 'state delta list;
-  }
-
-  let record ?rng ?max_steps ?stop ~algorithm ~graph ~daemon cfg0 =
-    let initial = Array.copy cfg0 in
-    let acc = ref [] in
-    let observer ~step ~moved cfg =
-      (* Composite atomicity: only movers changed, so their new states are
-         the whole delta. *)
-      let writes = List.map (fun (p, rule) -> (p, rule, cfg.(p))) moved in
-      acc := { step; writes } :: !acc
-    in
-    let result =
-      Engine.run ?rng ?max_steps ?stop ~observer ~algorithm ~graph ~daemon cfg0
-    in
-    ({ initial; deltas = List.rev !acc }, result)
-
-  let length t = List.length t.deltas
-
-  let moves t =
-    List.map
-      (fun d -> (d.step, List.map (fun (p, rule, _) -> (p, rule)) d.writes))
-      t.deltas
-
-  let final t =
-    let cfg = Array.copy t.initial in
-    List.iter
-      (fun d -> List.iter (fun (p, _, s) -> cfg.(p) <- s) d.writes)
-      t.deltas;
-    cfg
-end
-
-let compact t =
-  {
-    Compact.initial = t.initial;
-    deltas =
-      List.map
-        (fun e ->
-          {
-            Compact.step = e.step;
-            writes =
-              List.map (fun (p, rule) -> (p, rule, e.config.(p))) e.moved;
-          })
-        t.entries;
-  }
-
-let expand (c : 'state Compact.t) =
-  let cur = ref (Array.copy c.Compact.initial) in
-  let entries =
-    List.map
-      (fun (d : 'state Compact.delta) ->
-        let next = Array.copy !cur in
-        List.iter (fun (p, _, s) -> next.(p) <- s) d.Compact.writes;
-        cur := next;
-        {
-          step = d.Compact.step;
-          moved = List.map (fun (p, rule, _) -> (p, rule)) d.Compact.writes;
-          config = next;
-        })
-      c.Compact.deltas
-  in
-  { initial = c.Compact.initial; entries }
-

@@ -48,47 +48,3 @@ val moved_processes : 'state t -> int list
 val rule_sequence : 'state t -> int -> string list
 (** [rule_sequence t u]: the sequence of rule names executed by process [u],
     in order — used to check Theorem 4's per-segment rule language. *)
-
-(** Delta-encoded traces: the initial configuration plus, per step, only the
-    movers' new states.  Memory is [O(n + moves)] instead of the full
-    representation's [O(n · steps)], so long runs fit — this is what the
-    causality builder consumes.  Conversion to and from the full {!t} is
-    lossless (movers rewrite exactly their own state; everything else is
-    carried over). *)
-module Compact : sig
-  type 'state delta = {
-    step : int;
-    writes : (int * string * 'state) list;
-        (** [(process, rule, new state)] for each mover of the step. *)
-  }
-
-  type 'state t = {
-    initial : 'state array;
-    deltas : 'state delta list;  (** in execution order *)
-  }
-
-  val record :
-    ?rng:Random.State.t ->
-    ?max_steps:int ->
-    ?stop:('state array -> bool) ->
-    algorithm:'state Algorithm.t ->
-    graph:Ssreset_graph.Graph.t ->
-    daemon:Daemon.t ->
-    'state array ->
-    'state t * 'state Engine.result
-  (** Like {!Trace.record} but storing only the movers' states: no [O(n)]
-      copy per step. *)
-
-  val length : 'state t -> int
-  val moves : 'state t -> (int * (int * string) list) list
-  (** Per-step [(step, [(process, rule); ...])] mover lists. *)
-
-  val final : 'state t -> 'state array
-  (** The configuration after replaying every delta. *)
-end
-
-val compact : 'state t -> 'state Compact.t
-(** Lossless re-encoding of a recorded trace. *)
-
-val expand : 'state Compact.t -> 'state t
-(** Inverse of {!compact}: replays the deltas into full configurations. *)

@@ -66,7 +66,17 @@ let table_tests =
         let reparsed = Json.of_string_exn (Json.to_string json) in
         check_true "round-trip" (Json.equal json reparsed);
         check Alcotest.(option string) "title" (Some "json")
-          (Option.bind (Json.member "title" json) Json.to_string_opt)) ]
+          (Option.bind (Json.member "title" json) Json.to_string_opt));
+    test "ok fails a table with a false ok cell" (fun () ->
+        let table rows = Table.make ~title:"t" ~headers:[ "a"; "ok" ] rows in
+        check_true "all ok" (Table.ok (table [ [ "x"; "ok" ]; [ "y"; "ok" ] ]));
+        check_false "one false cell fails the table"
+          (Table.ok
+             (table [ [ "x"; "ok" ]; [ "y"; Table.cell_bool false ] ]));
+        check_true "a table without an ok column passes"
+          (Table.ok
+             (Table.make ~title:"t" ~headers:[ "ok"; "b" ] [ [ "FAIL"; "1" ] ])))
+  ]
 
 (* ------------------------------- Workload ------------------------------ *)
 
@@ -504,7 +514,16 @@ let experiment_tests =
           "ids"
           [ "E1-E3"; "E4-E5"; "E6"; "E7"; "E8"; "E9-E10"; "E11"; "E12";
             "E13"; "E14"; "E15"; "E16" ]
-          (List.map fst (Experiments.all tiny_profile))) ]
+          (List.map
+             (fun (id, tables) ->
+               ignore (tables ());
+               id)
+             (Experiments.all_lazy tiny_profile));
+        check
+          (Alcotest.list Alcotest.string)
+          "Experiments.ids"
+          (List.map fst (Experiments.all_lazy tiny_profile))
+          Experiments.ids) ]
 
 let () =
   Alcotest.run "expt"

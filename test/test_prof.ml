@@ -7,6 +7,8 @@ module Histogram = Ssreset_obs.Histogram
 module Metrics = Ssreset_obs.Metrics
 module Prof = Ssreset_obs.Prof
 module Proffile = Ssreset_obs.Proffile
+module Profview = Ssreset_obs.Profview
+module Json = Ssreset_obs.Json
 module Sink = Ssreset_obs.Sink
 module Engine = Ssreset_sim.Engine
 module Daemon = Ssreset_sim.Daemon
@@ -339,6 +341,59 @@ let window_tests =
       "profiled run streams windows that Proffile validates" `Quick
       windows_validate_round_trip ]
 
+(* ------------------------------- Profview ------------------------------- *)
+
+let load_golden name =
+  match Proffile.load_file ("../tools/golden/" ^ name) with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "%s rejected: %s" name msg
+
+let report_checks_the_coverage_band () =
+  let clean = Profview.report (load_golden "prof-clean.jsonl") in
+  Alcotest.(check bool)
+    "the clean profile is covered" true
+    (Result.is_ok (Profview.report_check clean));
+  (* The partitioned golden claims 4 workers over a single worker's
+     timers, so its per-worker coverage falls below the band. *)
+  let parts = Profview.report (load_golden "prof-corrupt-parts.jsonl") in
+  Alcotest.(check bool)
+    "four workers x wall clock is not covered" true
+    (Result.is_error (Profview.report_check parts));
+  let workers json =
+    match Json.member "workers" json with
+    | Some (Json.List l) -> List.length l
+    | _ -> -1
+  in
+  Alcotest.(check int) "one row per worker" 4
+    (workers (Profview.report_json parts));
+  Alcotest.(check int) "no worker table on a sequential stream" 0
+    (workers (Profview.report_json clean))
+
+let top_ranks_rules_by_time () =
+  let p = load_golden "prof-clean.jsonl" in
+  match Profview.top_json (Profview.top p) with
+  | Json.Obj rules ->
+      let ns (_, sec) =
+        Option.value ~default:(-1)
+          (Option.bind (Json.member "ns" sec) Json.to_int_opt)
+      in
+      Alcotest.(check int)
+        "every rule is ranked"
+        (List.length p.Proffile.summary.Proffile.rules)
+        (List.length rules);
+      let rec descending = function
+        | a :: (b :: _ as rest) -> ns a >= ns b && descending rest
+        | _ -> true
+      in
+      Alcotest.(check bool) "by descending total" true (descending rules)
+  | _ -> Alcotest.fail "top_json is not an object"
+
+let profview_tests =
+  [ Alcotest.test_case "report checks the coverage band" `Quick
+      report_checks_the_coverage_band;
+    Alcotest.test_case "top ranks rules by total time" `Quick
+      top_ranks_rules_by_time ]
+
 (* -------------------------------- pool --------------------------------- *)
 
 let pool_reports_utilization () =
@@ -441,4 +496,5 @@ let () =
       ("metrics", metrics_tests);
       ("engine", engine_tests);
       ("windows", window_tests);
-      ("pool", pool_tests) ]
+      ("pool", pool_tests);
+      ("profview", profview_tests) ]

@@ -149,16 +149,7 @@ let fixture_tests =
 (* --------------------------- printer / parser --------------------------- *)
 
 let all_obligations () =
-  List.concat_map
-    (fun (e : Registry.entry) ->
-      (match e.Registry.smt_spec with
-      | Some s -> Obligation.compile_all ~algo:e.Registry.name s
-      | None -> [])
-      @
-      match e.Registry.comp_spec with
-      | Some s -> Obligation.compile_composition_all ~algo:e.Registry.name s
-      | None -> [])
-    (spec_entries ())
+  List.concat_map (fun e -> Registry.obligations e) (spec_entries ())
 
 let roundtrip_tests =
   [ test "print/parse round-trip is the identity on every obligation"

@@ -5,6 +5,7 @@ module Span = Ssreset_obs.Span
 module Causality = Ssreset_obs.Causality
 module Monitor = Ssreset_obs.Monitor
 module Tracefile = Ssreset_obs.Tracefile
+module Traceview = Ssreset_obs.Traceview
 module Runner = Ssreset_expt.Runner
 
 (* Toy algorithm reused from test_sim: monotone max propagation. *)
@@ -36,56 +37,19 @@ let relay : int Algorithm.t =
     equal = Int.equal;
     pp = Fmt.int }
 
-(* ------------------------------- Compact -------------------------------- *)
-
-let compact_tests =
-  [ test "expand (compact t) reproduces the full trace exactly" (fun () ->
-        List.iter
-          (fun (name, g) ->
-            let n = Graph.n g in
-            let cfg = Array.init n (fun i -> i * 7 mod 11) in
-            let t, _ =
-              Trace.record ~rng:(rng 3) ~max_steps:500 ~algorithm:max_prop
-                ~graph:g ~daemon:Daemon.synchronous (Array.copy cfg)
-            in
-            check_true name (Trace.expand (Trace.compact t) = t))
-          (graph_zoo ()));
-    test "Compact.record agrees with compacting a full recording" (fun () ->
-        let g = Gen.ring 9 in
-        let cfg = Array.init 9 (fun i -> i * 5 mod 7) in
-        let daemon () = Daemon.distributed_random 0.4 in
-        let full, r1 =
-          Trace.record ~rng:(rng 5) ~max_steps:500 ~algorithm:max_prop
-            ~graph:g ~daemon:(daemon ()) (Array.copy cfg)
-        in
-        let compactly, r2 =
-          Trace.Compact.record ~rng:(rng 5) ~max_steps:500 ~algorithm:max_prop
-            ~graph:g ~daemon:(daemon ()) (Array.copy cfg)
-        in
-        check_int "steps agree" r1.Engine.steps r2.Engine.steps;
-        check_true "same deltas" (Trace.compact full = compactly);
-        check_true "same final"
-          (Trace.Compact.final compactly = r1.Engine.final));
-    test "Compact.moves lists every mover in step order" (fun () ->
-        let g = Gen.path 6 in
-        let cfg = [| 1; 0; 0; 0; 0; 0 |] in
-        let tr, r =
-          Trace.Compact.record ~rng:(rng 1) ~algorithm:relay ~graph:g
-            ~daemon:Daemon.central_first (Array.copy cfg)
-        in
-        let moves = Trace.Compact.moves tr in
-        check_int "one delta per step" r.Engine.steps (List.length moves);
-        check_int "five relay moves" 5
-          (List.fold_left (fun a (_, ms) -> a + List.length ms) 0 moves)) ]
-
 (* ------------------------------ Causality ------------------------------- *)
+
+(* Per-step [(step, movers)] lists of a recorded run. *)
+let mover_lists (tr : int Trace.t) =
+  List.map (fun (e : int Trace.entry) -> (e.Trace.step, e.Trace.moved))
+    tr.Trace.entries
 
 let causality_of_run ?keep_edges ~graph ~daemon cfg =
   let tr, r =
-    Trace.Compact.record ~rng:(rng 2) ~max_steps:2_000 ~algorithm:max_prop
-      ~graph ~daemon (Array.copy cfg)
+    Trace.record ~rng:(rng 2) ~max_steps:2_000 ~algorithm:max_prop ~graph
+      ~daemon (Array.copy cfg)
   in
-  (Causality.build ?keep_edges ~graph (Trace.Compact.moves tr), r)
+  (Causality.build ?keep_edges ~graph (mover_lists tr), r)
 
 let causality_tests =
   [ test "critical path never exceeds the step count" (fun () ->
@@ -152,10 +116,9 @@ let causality_tests =
             let cfg = Array.make n 0 in
             cfg.(0) <- 1;
             let tr, r =
-              Trace.Compact.record ~rng:(rng 4) ~algorithm:relay ~graph:g
-                ~daemon cfg
+              Trace.record ~rng:(rng 4) ~algorithm:relay ~graph:g ~daemon cfg
             in
-            let c = Causality.build ~graph:g (Trace.Compact.moves tr) in
+            let c = Causality.build ~graph:g (mover_lists tr) in
             check_int
               (Printf.sprintf "%s: fully sequential" (Daemon.name daemon))
               (n - 1)
@@ -281,16 +244,8 @@ let monitor_tests =
         let tmp = Filename.temp_file "ssreset-test-anomaly" ".jsonl" in
         let sink = Sink.create tmp in
         Sink.write sink
-          (Sink.manifest
-             ~extra:
-               [ ("trace_schema", Json.String Tracefile.schema);
-                 ( "edges",
-                   Json.List
-                     (List.map
-                        (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
-                        (Graph.edges g)) ) ]
-             ~system:"toy-broken" ~family:"path" ~n:3 ~m:(Graph.m g) ~seed:0
-             ~daemon:"central-first" ());
+          (Tracefile.manifest ~system:"toy-broken" ~family:"path" ~seed:0
+             ~daemon:"central-first" g);
         let m = Monitor.create ~sink () in
         let obs = Monitor.move_bound m ~name:"moves-bound" ~bound:1 in
         (* An injected violation: two moves against a bound of one. *)
@@ -302,9 +257,6 @@ let monitor_tests =
              ~extra:[ ("anomalies", Json.Int (Monitor.anomaly_count m)) ]
              ~outcome:"step-limit" ~rounds:2 ~steps:2 ~moves:2 ~wall_s:0.0 ());
         Sink.close sink;
-        (match Tracefile.check_file tmp with
-        | Ok () -> ()
-        | Error msg -> Alcotest.failf "trace rejected: %s" msg);
         (match Tracefile.load_file tmp with
         | Ok t -> (
             match t.Tracefile.anomalies with
@@ -352,7 +304,7 @@ let tracefile_tests =
         match Tracefile.load_string clean_trace with
         | Ok t ->
             check_int "n" 3 t.Tracefile.n;
-            check_int "two edges" 2 (List.length t.Tracefile.edges);
+            check_int "two edges" 2 (Graph.m t.Tracefile.graph);
             check_int "one step record" 1 (List.length t.Tracefile.steps);
             check_int "seeded actives" 1 (List.length t.Tracefile.init_active)
         | Error msg -> Alcotest.failf "clean trace rejected: %s" msg);
@@ -374,7 +326,11 @@ let tracefile_tests =
              if String.length l > 15 && String.sub l 9 4 = "step" then
                l ^ "\n" ^ l
              else l)
-      |> String.concat "\n") ]
+      |> String.concat "\n");
+    rejects "a self-loop in the manifest edges"
+      (replace ~needle:{|[[0,1],[1,2]]|} ~by:{|[[0,0],[1,2]]|} clean_trace);
+    rejects "a duplicate manifest edge"
+      (replace ~needle:{|[[0,1],[1,2]]|} ~by:{|[[0,1],[1,0]]|} clean_trace) ]
 
 (* --------------------------- Full pipeline ------------------------------ *)
 
@@ -386,16 +342,8 @@ let record_unison ~seed ~n =
   let tmp = Filename.temp_file "ssreset-test-trace" ".jsonl" in
   let sink = Sink.create tmp in
   Sink.write sink
-    (Sink.manifest
-       ~extra:
-         [ ("trace_schema", Json.String Tracefile.schema);
-           ( "edges",
-             Json.List
-               (List.map
-                  (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
-                  (Graph.edges g)) ) ]
-       ~system:"unison" ~family:"ring" ~n ~m:(Graph.m g) ~seed
-       ~daemon:"synchronous" ());
+    (Tracefile.manifest ~system:"unison" ~family:"ring" ~seed
+       ~daemon:"synchronous" g);
   let obs =
     Runner.run ~sink ~trace_steps:true Runner.unison ~graph:g
       ~daemon:Daemon.synchronous ~seed ()
@@ -409,31 +357,12 @@ let record_unison ~seed ~n =
   Sys.remove tmp;
   (t, obs)
 
-let span_of_trace (t : Tracefile.t) =
-  let graph = Tracefile.graph_of t in
-  let span = Span.create ~n:t.Tracefile.n in
-  Span.seed_active ~graph span
-    (List.map (fun (p, _, d) -> (p, d)) t.Tracefile.init_active);
-  List.iter
-    (fun (s : Tracefile.step) ->
-      Span.feed_step span ~step:s.Tracefile.index
-        (List.filter_map
-           (fun (m : Tracefile.mover) ->
-             Option.map (fun ev -> (m.Tracefile.p, ev)) m.Tracefile.wave)
-           s.Tracefile.movers))
-    t.Tracefile.steps;
-  span
-
 let pipeline_tests =
   [ test "20 seeds: critical path tracks the round count" (fun () ->
         let exact = ref 0 in
         for seed = 0 to 19 do
           let t, obs = record_unison ~seed ~n:16 in
-          let c =
-            Causality.build ~graph:(Tracefile.graph_of t)
-              (Tracefile.mover_pairs t)
-          in
-          let cp = Causality.critical_length c in
+          let cp = Causality.critical_length (Traceview.causality t) in
           (* Synchronous: every step is a round and every step extends the
              longest chain, so the equality is exact — the ±1 headroom is
              for the empty-run edge case. *)
@@ -452,7 +381,7 @@ let pipeline_tests =
     test "every recorded wave reconstructs and balances" (fun () ->
         for seed = 0 to 4 do
           let t, obs = record_unison ~seed ~n:12 in
-          let span = span_of_trace t in
+          let span = Traceview.span t in
           (match Span.check ~require_complete:true span with
           | [] -> ()
           | errs ->
@@ -475,11 +404,83 @@ let pipeline_tests =
         check Alcotest.(option int) "summary agrees" (Some 0)
           t.Tracefile.summary.Tracefile.anomaly_count) ]
 
+(* ------------------------------ Traceview ------------------------------- *)
+
+let load_golden name =
+  match Tracefile.load_file ("../tools/golden/" ^ name) with
+  | Ok t -> t
+  | Error msg -> Alcotest.failf "%s rejected: %s" name msg
+
+let traceview_tests =
+  [ test "the checks accept recorded runs" (fun () ->
+        let synchronous, _ = record_unison ~seed:2 ~n:12 in
+        List.iter
+          (fun (name, t) ->
+            (match Traceview.waves t with
+            | Ok w -> (
+                match Traceview.waves_check w with
+                | Ok _ -> ()
+                | Error errs ->
+                    Alcotest.failf "%s: %s" name (String.concat "; " errs))
+            | Error msg -> Alcotest.failf "%s: %s" name msg);
+            match Traceview.critical_path t with
+            | Ok c -> (
+                match Traceview.critical_path_check c with
+                | Ok _ -> ()
+                | Error errs ->
+                    Alcotest.failf "%s: %s" name (String.concat "; " errs))
+            | Error msg -> Alcotest.failf "%s: %s" name msg)
+          [ ("synchronous ring", synchronous);
+            ("golden", load_golden "trace-clean.jsonl") ]);
+    test "the wave check flags moves the summary counts differently"
+      (fun () ->
+        let contents =
+          replace ~needle:{|"SDR-R":1,|} ~by:{|"SDR-R":2,|} clean_trace
+        in
+        match Result.map Traceview.waves (Tracefile.load_string contents) with
+        | Ok (Ok w) -> (
+            match Traceview.waves_check w with
+            | Ok _ -> Alcotest.fail "a miscounted SDR-R passed the check"
+            | Error errs ->
+                check_true "the SDR-R attribution is reported"
+                  (List.mem
+                     "wave check FAIL: SDR-R: 1 moves attributed to waves \
+                      but the summary counted 2"
+                     errs))
+        | Ok (Error msg) | Error msg -> Alcotest.failf "rejected: %s" msg);
+    test "step analyses need step records; the summary does not" (fun () ->
+        let contents =
+          String.split_on_char '\n' clean_trace
+          |> List.filter (fun l -> not (String.starts_with ~prefix:{|{"type":"step"|} l))
+          |> String.concat "\n"
+        in
+        match Tracefile.load_string contents with
+        | Error msg -> Alcotest.failf "rejected: %s" msg
+        | Ok t ->
+            check_true "waves" (Result.is_error (Traceview.waves t));
+            check_true "critical path"
+              (Result.is_error (Traceview.critical_path t));
+            check_true "dot"
+              (Result.is_error (Traceview.dot ~what:`Waves ~max_moves:10 t));
+            check_true "summary omits the critical path"
+              (Json.member "critical_path"
+                 (Traceview.summary_json (Traceview.summary t))
+              = None));
+    test "diff lists exactly the differing fields" (fun () ->
+        let a, _ = record_unison ~seed:3 ~n:12 in
+        let b, _ = record_unison ~seed:4 ~n:12 in
+        check_true "a trace agrees with itself" (Traceview.diff a a = []);
+        let d = Traceview.diff a b in
+        check_true "seeds differ"
+          (List.mem ("seed", "3", "4") d);
+        check_true "only differing fields are listed"
+          (List.for_all (fun (_, x, y) -> x <> y) d)) ]
+
 let () =
   Alcotest.run "trace"
-    [ ("compact", compact_tests);
-      ("causality", causality_tests);
+    [ ("causality", causality_tests);
       ("figure1", figure1_tests);
       ("monitor", monitor_tests);
       ("tracefile", tracefile_tests);
-      ("pipeline", pipeline_tests) ]
+      ("pipeline", pipeline_tests);
+      ("traceview", traceview_tests) ]

@@ -252,13 +252,13 @@ let () =
     (fun path ->
       let contents = read_file path in
       if !trace then begin
-        match Ssreset_obs.Tracefile.check_file path with
-        | Ok () -> ()
+        match Ssreset_obs.Tracefile.load_file path with
+        | Ok _ -> ()
         | Error msg -> fail "%s" msg
       end
       else if !prof then begin
-        match Ssreset_obs.Proffile.check_file path with
-        | Ok () -> ()
+        match Ssreset_obs.Proffile.load_file path with
+        | Ok _ -> ()
         | Error msg -> fail "%s" msg
       end
       else if !jsonl then begin
