@@ -25,6 +25,23 @@ module Expt = Ssreset_expt
 module Table = Ssreset_expt.Table
 module Json = Ssreset_obs.Json
 
+let rate = Ssreset_obs.Metrics.rate
+let overhead off on = if off > 0. then 100. *. (1. -. (on /. off)) else 0.
+
+(* Best of 3 by [rate]: the measured runs are deterministic per seed, so
+   they differ only by scheduler noise and the fastest is the least noisy.
+   Also returns the last run's result. *)
+let best_of3 rate f =
+  let best = ref 0. and last = ref None in
+  for _ = 1 to 3 do
+    let r = f () in
+    best := Float.max !best (rate r);
+    last := Some r
+  done;
+  (!best, Option.get !last)
+
+let steps_rate (o : Expt.Runner.obs) = rate o.Expt.Runner.steps o.Expt.Runner.wall_s
+
 let available = Expt.Experiments.ids
 
 let parse_args () =
@@ -78,7 +95,7 @@ let parse_args () =
 (* margin ≤ 1 means the proved bound held with room to spare.          *)
 (* ------------------------------------------------------------------ *)
 
-let is_bound_header h = String.length h > 6 && String.sub h 0 6 = "bound "
+let is_bound_header h = String.starts_with ~prefix:"bound " h
 let is_ratio_header h =
   (* e.g. "max/(D·n²)", "max/(Δ·n·m)", "tail/ours" *)
   String.contains h '/'
@@ -192,9 +209,7 @@ let run_engine_bench () =
             ~algorithm:U.Composed.algorithm ~graph
             ~daemon:Ssreset_sim.Daemon.central_random cfg0
         in
-        let rate =
-          if r.wall_s > 0. then float_of_int r.steps /. r.wall_s else 0.
-        in
+        let rate = rate r.steps r.wall_s in
         Printf.printf "  n=%-5d %7d steps   %10.0f steps/s\n%!" n
           r.Ssreset_sim.Engine.steps rate;
         Json.Obj
@@ -218,27 +233,9 @@ let bechamel_tests ~quick =
   let er_graph =
     Ssreset_graph.Gen.erdos_renyi (Random.State.make [| 11 |]) n 0.15
   in
-  let stabilize_unison g () =
+  let stabilize system g () =
     let obs =
-      Expt.Runner.run Expt.Runner.unison ~graph:g
-        ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
-        ~seed:7 ()
-    in
-    assert obs.Expt.Runner.result_ok
-  in
-  let stabilize_fga g () =
-    let obs =
-      Expt.Runner.run
-        (Expt.Runner.alliance Ssreset_alliance.Spec.dominating_set)
-        ~graph:g
-        ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
-        ~seed:7 ()
-    in
-    assert obs.Expt.Runner.result_ok
-  in
-  let stabilize_tail g () =
-    let obs =
-      Expt.Runner.run Expt.Runner.tail_unison ~graph:g
+      Expt.Runner.run system ~graph:g
         ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
         ~seed:7 ()
     in
@@ -263,13 +260,16 @@ let bechamel_tests ~quick =
   [ Test.make ~name:(Printf.sprintf "engine-step/unison-sdr-ring%d" n)
       (Staged.stage engine_step);
     Test.make ~name:(Printf.sprintf "stabilize/unison-sdr-ring%d" n)
-      (Staged.stage (stabilize_unison graph));
+      (Staged.stage (stabilize Expt.Runner.unison graph));
     Test.make ~name:(Printf.sprintf "stabilize/unison-sdr-er%d" n)
-      (Staged.stage (stabilize_unison er_graph));
+      (Staged.stage (stabilize Expt.Runner.unison er_graph));
     Test.make ~name:(Printf.sprintf "stabilize/fga-sdr-er%d" n)
-      (Staged.stage (stabilize_fga er_graph));
+      (Staged.stage
+         (stabilize
+            (Expt.Runner.alliance Ssreset_alliance.Spec.dominating_set)
+            er_graph));
     Test.make ~name:(Printf.sprintf "stabilize/tail-unison-ring%d" n)
-      (Staged.stage (stabilize_tail graph)) ]
+      (Staged.stage (stabilize Expt.Runner.tail_unison graph)) ]
 
 let run_bechamel ~quick =
   let open Bechamel in
@@ -335,9 +335,7 @@ let run_check ~quick =
         let transitions = sum (fun s -> s.CModel.transitions) in
         let ok = CReport.entry_ok r in
         if not ok then incr failures;
-        let per_s =
-          if wall_s > 0. then float_of_int configs /. wall_s else 0.
-        in
+        let per_s = rate configs wall_s in
         Printf.printf
           "  %-14s %2d graphs %9d configs %10d transitions %6.2fs %10.0f \
            configs/s  %s\n\
@@ -381,10 +379,7 @@ let run_check_v2 ~quick =
         let t0 = Unix.gettimeofday () in
         let fp = CFootprint.analyze (CRegistry.footprint_target e g) in
         let wall_s = Unix.gettimeofday () -. t0 in
-        let per_s =
-          if wall_s > 0. then float_of_int fp.CFootprint.views /. wall_s
-          else 0.
-        in
+        let per_s = rate fp.CFootprint.views wall_s in
         Printf.printf
           "  footprint %-14s %8d views %6.2fs %10.0f views/s  %s\n%!"
           e.CRegistry.name fp.CFootprint.views wall_s per_s
@@ -409,7 +404,7 @@ let run_check_v2 ~quick =
     let r = CModel.check ~options inst in
     let wall_s = Unix.gettimeofday () -. t0 in
     let orbits = r.CModel.stats.CModel.configs in
-    let per_s = if wall_s > 0. then float_of_int orbits /. wall_s else 0. in
+    let per_s = rate orbits wall_s in
     Printf.printf
       "  symmetry  tail-unison K%d %8d orbits (|Aut| = %d) %6.2fs %10.0f \
        orbits/s  %s\n\
@@ -453,25 +448,12 @@ let run_trace_bench ~quick =
     Expt.Runner.run ?sink ~trace_steps Expt.Runner.unison ~graph
       ~daemon:Ssreset_sim.Daemon.central_random ~seed:11 ()
   in
-  let rate (o : Expt.Runner.obs) =
-    if o.Expt.Runner.wall_s > 0. then
-      float_of_int o.Expt.Runner.steps /. o.Expt.Runner.wall_s
-    else 0.
-  in
-  (* Best of 3: stabilization is deterministic per seed, so the runs only
-     differ by scheduler noise and the fastest is the least noisy. *)
-  let best_of f =
-    let best = ref 0. in
-    for _ = 1 to 3 do
-      best := Float.max !best (rate (f ()))
-    done;
-    !best
-  in
   let steps = (run ()).Expt.Runner.steps in
-  let off = best_of (fun () -> run ()) in
+  let off, _ = best_of3 steps_rate (fun () -> run ()) in
   let null = open_out Filename.null in
-  let on =
-    best_of (fun () -> run ~sink:(Ssreset_obs.Sink.of_channel null) ())
+  let on, _ =
+    best_of3 steps_rate (fun () ->
+        run ~sink:(Ssreset_obs.Sink.of_channel null) ())
   in
   close_out null;
   let tmp = Filename.temp_file "ssreset-trace" ".jsonl" in
@@ -494,13 +476,8 @@ let run_trace_bench ~quick =
     !k
   in
   Sys.remove tmp;
-  let traced_rate = rate traced in
-  let events_per_s =
-    if traced.Expt.Runner.wall_s > 0. then
-      float_of_int events /. traced.Expt.Runner.wall_s
-    else 0.
-  in
-  let overhead off on = if off > 0. then 100. *. (1. -. (on /. off)) else 0. in
+  let traced_rate = steps_rate traced in
+  let events_per_s = rate events traced.Expt.Runner.wall_s in
   Printf.printf
     "  n=%-5d %7d steps   off %10.0f steps/s   monitors %10.0f steps/s \
      (%.1f%%)   +step-trace %10.0f steps/s (%.1f%%)   %d events %10.0f \
@@ -537,21 +514,11 @@ let run_prof_bench ~quick =
     Expt.Runner.run ?prof Expt.Runner.unison ~graph
       ~daemon:Ssreset_sim.Daemon.central_random ~seed:11 ()
   in
-  let rate (o : Expt.Runner.obs) =
-    if o.Expt.Runner.wall_s > 0. then
-      float_of_int o.Expt.Runner.steps /. o.Expt.Runner.wall_s
-    else 0.
-  in
-  let best_of f =
-    let best = ref 0. in
-    for _ = 1 to 3 do
-      best := Float.max !best (rate (f ()))
-    done;
-    !best
-  in
   let steps = (run ()).Expt.Runner.steps in
-  let off = best_of (fun () -> run ()) in
-  let on = best_of (fun () -> run ~prof:(Ssreset_obs.Prof.create ()) ()) in
+  let off, _ = best_of3 steps_rate (fun () -> run ()) in
+  let on, _ =
+    best_of3 steps_rate (fun () -> run ~prof:(Ssreset_obs.Prof.create ()) ())
+  in
   (* One instrumented run to report where the time goes. *)
   let p = Ssreset_obs.Prof.create () in
   ignore (run ~prof:p ());
@@ -561,7 +528,7 @@ let run_prof_bench ~quick =
   let phases =
     [ "scan"; "select"; "apply"; "refresh"; "callbacks"; "stop" ]
   in
-  let overhead = if off > 0. then 100. *. (1. -. (on /. off)) else 0. in
+  let overhead = overhead off on in
   Printf.printf
     "  n=%-5d %7d steps   prof-off %10.0f steps/s   prof-on %10.0f steps/s \
      (%.1f%% overhead)\n"
@@ -627,9 +594,7 @@ let run_smt_bench ~quick =
   done;
   let compile_wall = Unix.gettimeofday () -. t0 in
   let total_obs = reps * !per_rep in
-  let obs_per_s =
-    if compile_wall > 0. then float_of_int total_obs /. compile_wall else 0.
-  in
+  let obs_per_s = rate total_obs compile_wall in
   Printf.printf
     "  compile   %3d specs ×%4d reps %8d obligations %6.2fs %10.0f \
      obligations/s\n%!"
@@ -660,9 +625,7 @@ let run_smt_bench ~quick =
   done;
   let rank_wall = Unix.gettimeofday () -. t0 in
   let total_rank = reps * !rank_per_rep in
-  let rank_per_s =
-    if rank_wall > 0. then float_of_int total_rank /. rank_wall else 0.
-  in
+  let rank_per_s = rate total_rank rank_wall in
   Printf.printf
     "  ranking   %3d specs ×%4d reps %8d obligations %6.2fs %10.0f \
      obligations/s\n%!"
@@ -677,9 +640,7 @@ let run_smt_bench ~quick =
   let d = CSym.check inst in
   let diff_wall = Unix.gettimeofday () -. t0 in
   let probes = d.CSym.views + d.CSym.steps in
-  let views_per_s =
-    if diff_wall > 0. then float_of_int probes /. diff_wall else 0.
-  in
+  let views_per_s = rate probes diff_wall in
   Printf.printf
     "  diff      %-16s ring%-2d %8d views %6d steps %6.2fs %10.0f \
      views/s  %s\n%!"
@@ -699,7 +660,7 @@ let run_smt_bench ~quick =
         let di = CSym.check inst in
         let wall = Unix.gettimeofday () -. t0 in
         let probes = di.CSym.views + di.CSym.steps in
-        let vps = if wall > 0. then float_of_int probes /. wall else 0. in
+        let vps = rate probes wall in
         Printf.printf
           "  diff      %-16s ring%-2d %8d views %6d steps %6.2fs %10.0f \
            views/s  %s\n%!"
@@ -755,8 +716,20 @@ let run_smt_bench ~quick =
 (* ------------------------------------------------------------------ *)
 
 module Flat = Ssreset_flat.Flat
-module FlatProgs = Ssreset_flat.Progs
 module Csr = Ssreset_graph.Csr
+
+(* The scale-tier workload of engine_flat.scale and flat_obs, through the
+   runner's flat setup: a streamed U∘SDR ring with 5% of its nodes
+   perturbed, run to stabilization under the synchronous daemon. *)
+let scale_run ?prof ?parts ~n () =
+  let f =
+    Expt.Runner.prepare_flat ~perturb:(n / 20) Expt.Runner.unison
+      ~family:Expt.Workload.ring ~n ~seed:1
+  in
+  let r =
+    Expt.Runner.run_flat ?prof ?parts ~daemon:Flat.Synchronous ~seed:1 f
+  in
+  (r, Ssreset_flat.Progs.digest f.Expt.Runner.prog r)
 
 let flat_value_lists_equal a b =
   List.length a = List.length b
@@ -817,16 +790,9 @@ let run_flat_bench ~quick =
                    "engine_flat bench: final state diverged at process %d" u))
           inc.Ssreset_sim.Engine.final;
         let inc_rate =
-          if inc.Ssreset_sim.Engine.wall_s > 0. then
-            float_of_int inc.Ssreset_sim.Engine.steps
-            /. inc.Ssreset_sim.Engine.wall_s
-          else 0.
+          rate inc.Ssreset_sim.Engine.steps inc.Ssreset_sim.Engine.wall_s
         in
-        let flat_rate =
-          if flat.Flat.wall_s > 0. then
-            float_of_int flat.Flat.steps /. flat.Flat.wall_s
-          else 0.
-        in
+        let flat_rate = rate flat.Flat.steps flat.Flat.wall_s in
         let speedup = if inc_rate > 0. then flat_rate /. inc_rate else 0. in
         Printf.printf
           "  n=%-5d %7d steps   incremental %10.0f steps/s   flat %10.0f \
@@ -845,18 +811,10 @@ let run_flat_bench ~quick =
   let scale =
     let n = if quick then 20_000 else 100_000 in
     let k = n / 20 in
-    let entry = Option.get (FlatProgs.find "unison-sdr") in
     let digest0 = ref None in
     List.map
       (fun parts ->
-        let prog = FlatProgs.build entry (Csr.ring n) in
-        FlatProgs.init_ground prog;
-        FlatProgs.perturb prog ~rng:(Random.State.make [| 0xF1A7; 1 |]) k;
-        let r =
-          if parts = 1 then Flat.run ~daemon:Flat.Synchronous prog
-          else Flat.run_partitioned ~parts prog
-        in
-        let digest = FlatProgs.digest prog r in
+        let r, digest = scale_run ~parts ~n () in
         (match !digest0 with
         | None -> digest0 := Some digest
         | Some d ->
@@ -864,21 +822,14 @@ let run_flat_bench ~quick =
               failwith
                 (Printf.sprintf
                    "engine_flat bench: digest diverged at parts=%d" parts));
-        let rate =
-          if r.Flat.wall_s > 0. then
-            float_of_int r.Flat.steps /. r.Flat.wall_s
-          else 0.
-        in
-        let moves_rate =
-          if r.Flat.wall_s > 0. then
-            float_of_int r.Flat.moves /. r.Flat.wall_s
-          else 0.
-        in
+        let steps_rate = rate r.Flat.steps r.Flat.wall_s in
+        let moves_rate = rate r.Flat.moves r.Flat.wall_s in
         Printf.printf
           "  scale n=%-7d perturb=%-6d parts=%d %6d steps %9d moves \
            %6.2fs %8.0f steps/s %10.0f moves/s\n\
            %!"
-          n k parts r.Flat.steps r.Flat.moves r.Flat.wall_s rate moves_rate;
+          n k parts r.Flat.steps r.Flat.moves r.Flat.wall_s steps_rate
+          moves_rate;
         Json.Obj
           [ ("n", Json.Int n);
             ("perturb", Json.Int k);
@@ -886,7 +837,7 @@ let run_flat_bench ~quick =
             ("steps", Json.Int r.Flat.steps);
             ("moves", Json.Int r.Flat.moves);
             ("digest", Json.String digest);
-            ("steps_per_s", Json.Float rate);
+            ("steps_per_s", Json.Float steps_rate);
             ("moves_per_s", Json.Float moves_rate) ])
       [ 1; 2 ]
   in
@@ -911,37 +862,17 @@ let run_flat_obs_bench ~quick =
      synchronous daemon ==\n%!";
   let n = if quick then 20_000 else 100_000 in
   let k = n / 20 in
-  let entry = Option.get (FlatProgs.find "unison-sdr") in
-  let run ?prof () =
-    let prog = FlatProgs.build entry (Csr.ring n) in
-    FlatProgs.init_ground prog;
-    FlatProgs.perturb prog ~rng:(Random.State.make [| 0xF1A7; 1 |]) k;
-    let r = Flat.run ~daemon:Flat.Synchronous ?prof prog in
-    (r, FlatProgs.digest prog r)
-  in
-  let rate (r : Flat.result) =
-    if r.Flat.wall_s > 0. then float_of_int r.Flat.steps /. r.Flat.wall_s
-    else 0.
-  in
-  let best_of f =
-    let best = ref 0. in
-    let digest = ref "" in
-    for _ = 1 to 3 do
-      let r, d = f () in
-      digest := d;
-      best := Float.max !best (rate r)
-    done;
-    (!best, !digest)
-  in
+  let run ?prof () = scale_run ?prof ~n () in
+  let flat_rate ((r : Flat.result), _) = rate r.Flat.steps r.Flat.wall_s in
   let steps = (fst (run ())).Flat.steps in
-  let off, digest_off = best_of (fun () -> run ()) in
-  let on, digest_on =
-    best_of (fun () -> run ~prof:(Ssreset_obs.Prof.create ()) ())
+  let off, (_, digest_off) = best_of3 flat_rate (fun () -> run ()) in
+  let on, (_, digest_on) =
+    best_of3 flat_rate (fun () -> run ~prof:(Ssreset_obs.Prof.create ()) ())
   in
   (* Pay-as-you-go means bit-identical, not just statistically close. *)
   if not (String.equal digest_off digest_on) then
     failwith "flat_obs bench: digest diverged between prof-off and prof-on";
-  let overhead = if off > 0. then 100. *. (1. -. (on /. off)) else 0. in
+  let overhead = overhead off on in
   Printf.printf
     "  n=%-7d %6d steps   prof-off %10.0f steps/s   prof-on %10.0f \
      steps/s (%.1f%% overhead)\n\n\

@@ -23,31 +23,25 @@ module Tracefile = Ssreset_obs.Tracefile
 module Traceview = Ssreset_obs.Traceview
 module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
-module Csr = Ssreset_graph.Csr
+module Obligation = Ssreset_check.Obligation
+module Smt = Ssreset_check.Smt
 module Engine = Ssreset_sim.Engine
 module Flat = Ssreset_flat.Flat
-module FlatProgs = Ssreset_flat.Progs
+module Monitor = Ssreset_obs.Monitor
 
 (* ---------------------------- common options ---------------------------- *)
 
 let switch name ~doc = Arg.(value & flag & info [ name ] ~doc)
 
 let family_conv =
-  let families =
-    [ ("ring", Workload.ring); ("path", Workload.path); ("star", Workload.star);
-      ("complete", Workload.complete); ("grid", Workload.grid);
-      ("binary-tree", Workload.binary_tree); ("random-tree", Workload.random_tree);
-      ("sparse-random", Workload.sparse_random); ("lollipop", Workload.lollipop);
-      ("er", Workload.erdos_renyi 0.2) ]
-  in
   let parse s =
-    match List.assoc_opt s families with
+    match Workload.by_name s with
     | Some f -> Ok f
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown family %S (one of: %s)" s
-               (String.concat ", " (List.map fst families))))
+               (String.concat ", " Workload.names)))
   in
   let print ppf (f : Workload.family) =
     Format.pp_print_string ppf f.Workload.family_name
@@ -59,8 +53,9 @@ let family =
     value
     & opt family_conv Workload.ring
     & info [ "g"; "family" ] ~docv:"FAMILY"
-        ~doc:"Graph family (ring, path, star, complete, grid, binary-tree, \
-              random-tree, sparse-random, lollipop, er).")
+        ~doc:
+          (Printf.sprintf "Graph family (%s)."
+             (String.concat ", " Workload.names)))
 
 let size =
   Arg.(
@@ -240,9 +235,9 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
       else
         let name = system.Runner.name in
         try
-          let with_trace ~prof k =
+          let with_trace k =
             match output.trace_out with
-            | None -> k ~sink:None ~prof
+            | None -> k None
             | Some path ->
                 let sink = Sink.create path in
                 Sink.write sink
@@ -251,13 +246,13 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
                      ~daemon:(Daemon.name daemon) graph);
                 Fun.protect
                   ~finally:(fun () -> Sink.close sink)
-                  (fun () -> k ~sink:(Some sink) ~prof)
+                  (fun () -> k (Some sink))
           in
           let obs =
             with_prof ~output ~system:name ~family ~n:(Graph.n graph)
               ~m:(Graph.m graph) ~seed ~daemon:(Daemon.name daemon)
               (fun prof ->
-                with_trace ~prof (fun ~sink ~prof ->
+                with_trace (fun sink ->
                     announce ~quiet:output.json family graph;
                     Runner.run ?sink ?prof
                       ~trace_steps:output.trace_steps system ~graph ~daemon
@@ -276,17 +271,6 @@ let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec =
 
 (* ------------------------------ flat engine ----------------------------- *)
 
-(* The flat data-path engine runs the systems whose symbolic IR is in the
-   catalogue (the three unisons).  It shares the report/JSON pipeline by
-   constructing a Runner.obs; per-process SDR attribution and segment
-   counting are classic-engine observers, so those fields stay unmeasured
-   here ([segments = None]). *)
-let obs_of_flat (r : Flat.result) =
-  Runner.observation ~outcome_ok:(r.Flat.outcome = Engine.Stabilized)
-    ~result_ok:r.Flat.legitimate ~rounds:r.Flat.rounds ~steps:r.Flat.steps
-    ~moves:r.Flat.moves ~moves_per_process:r.Flat.moves_per_process
-    ~moves_per_rule:r.Flat.moves_per_rule ~wall_s:r.Flat.wall_s
-
 (* --heartbeat progress line, to stderr so --json/--digest stdout stays
    machine-readable. *)
 let print_beat (b : Flat.beat) =
@@ -299,17 +283,21 @@ let print_beat (b : Flat.beat) =
        Printf.sprintf "  avail %.3f" b.Flat.hb_availability
      else "")
 
+let print_anomaly (a : Monitor.anomaly) =
+  Fmt.epr "monitor: %s tripped at step %d (value %d > bound %d)@."
+    a.Monitor.monitor a.Monitor.step a.Monitor.value a.Monitor.bound
+
+(* The flat data-path engine runs the systems with a flat program
+   ({!Runner.prepare_flat} / {!Runner.run_flat}) and shares the classic
+   report/JSON pipeline through {!Runner.flat_obs}. *)
 let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
     ~parts ~perturb ~digest ~monitors ~heartbeat =
-  match
-    ( Option.bind system.Runner.flat FlatProgs.find,
-      Daemon.by_name daemon_name )
-  with
+  match (system.Runner.flat, Daemon.by_name daemon_name) with
   | None, _ ->
       fail
         "engine flat runs %s (got %S); the other systems have no symbolic IR \
          to compile yet"
-        (system_names ~only:(fun s -> s.Runner.flat <> None) ())
+        (system_names ~only:(fun s -> Option.is_some s.Runner.flat) ())
         system.Runner.name
   | _, None -> unknown_daemon daemon_name
   | _ when parts < 1 -> fail "--parts must be at least 1 (got %d)" parts
@@ -320,79 +308,33 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
       fail "--parts > 1 is the partitioned synchronous mode; pass -d synchronous"
   | Some entry, Some daemon -> (
       try
-        (* The ring family streams straight into CSR — no per-node adjacency
-           lists are ever materialized, which is what makes n = 10⁶ fit. *)
-        let graph_opt =
-          if String.equal family.Workload.family_name "ring" then None
-          else begin
-            let g = family.Workload.build ~seed ~n in
-            announce ~quiet:(output.json || digest) family g;
-            Some g
-          end
-        in
-        let csrg =
-          match graph_opt with
-          | None -> Csr.ring n
-          | Some g -> Csr.of_graph g
-        in
-        let prog = FlatProgs.build entry csrg in
-        let init_rng = Random.State.make [| 0xF1A7; seed |] in
-        (match perturb with
-        | Some k ->
-            FlatProgs.init_ground prog;
-            FlatProgs.perturb prog ~rng:init_rng k
-        | None -> FlatProgs.init_random prog ~rng:init_rng);
-        let nn = Flat.n prog in
-        (* The paper's convergence bounds, latched online: 3n rounds, D·n²
-           moves (ring diameter is ⌊n/2⌋; other families pay one BFS
-           sweep). *)
-        let monitor, rounds_bound, moves_bound =
-          if not monitors then (None, None, None)
-          else
-            let diameter =
-              match graph_opt with
-              | None -> max 1 (nn / 2)
-              | Some g -> Metrics.diameter g
-            in
-            (Some (Ssreset_obs.Monitor.create ()), Some (3 * nn),
-             Some (diameter * nn * nn))
-        in
-        let hb = Option.map (fun every -> (every, print_beat)) heartbeat in
-        let dispatch prof =
-          if parts > 1 then
-            Flat.run_partitioned ?prof ?monitor ?rounds_bound ?moves_bound
-              ?heartbeat:hb ~parts prog
-          else
-            Flat.run ~seed ?prof ?monitor ?rounds_bound ?moves_bound
-              ?heartbeat:hb ~daemon prog
-        in
+        let f = Runner.prepare_flat ?perturb system ~family ~n ~seed in
+        Option.iter
+          (announce ~quiet:(output.json || digest) family)
+          f.Runner.network;
+        let monitor = if monitors then Some (Monitor.create ()) else None in
+        let heartbeat = Option.map (fun every -> (every, print_beat)) heartbeat in
         let result =
           with_prof ~output
             ~extra:
               [ ("engine", Json.String "flat"); ("parts", Json.Int parts) ]
-            ~system:entry.FlatProgs.pname ~family ~n:nn ~m:(Csr.m csrg) ~seed
-            ~daemon:daemon_name dispatch
+            ~system:entry.Ssreset_flat.Progs.pname ~family ~n:f.Runner.n
+            ~m:f.Runner.m ~seed ~daemon:daemon_name (fun prof ->
+              Runner.run_flat ?prof ?monitor ?heartbeat ~parts ~daemon ~seed f)
         in
-        (match monitor with
-        | Some m when Ssreset_obs.Monitor.anomaly_count m > 0 ->
-            List.iter
-              (fun (a : Ssreset_obs.Monitor.anomaly) ->
-                Fmt.epr
-                  "monitor: %s tripped at step %d (value %d > bound %d)@."
-                  a.Ssreset_obs.Monitor.monitor a.Ssreset_obs.Monitor.step
-                  a.Ssreset_obs.Monitor.value a.Ssreset_obs.Monitor.bound)
-              (Ssreset_obs.Monitor.anomalies m)
-        | _ -> ());
+        Option.iter
+          (fun m -> List.iter print_anomaly (Monitor.anomalies m))
+          monitor;
         if digest then begin
-          print_endline (FlatProgs.digest prog result);
+          print_endline (Ssreset_flat.Progs.digest f.Runner.prog result);
           if result.Flat.outcome = Engine.Stabilized then 0 else 1
         end
         else
           report ~json:output.json
-            (Printf.sprintf "%s (flat engine, n=%d%s)" entry.FlatProgs.pname
-               nn
+            (Printf.sprintf "%s (flat engine, n=%d%s)"
+               entry.Ssreset_flat.Progs.pname f.Runner.n
                (if parts > 1 then Printf.sprintf ", %d domains" parts else ""))
-            (obs_of_flat result)
+            (Runner.flat_obs result)
       with Invalid_argument msg | Sys_error msg -> fail "%s" msg)
 
 (* ------------------------------ subcommands ----------------------------- *)
@@ -455,7 +397,7 @@ let run_cmd =
                 telemetry) or $(b,flat) (IR-compiled unboxed data path: %s; \
                 the ring family streams directly into CSR form, so n = 10⁶ \
                 is practical)."
-               (system_names ~only:(fun s -> s.Runner.flat <> None) ())))
+               (system_names ~only:(fun s -> Option.is_some s.Runner.flat) ())))
   in
   let parts =
     Arg.(
@@ -488,10 +430,9 @@ let run_cmd =
   let monitors =
     switch "monitors"
       ~doc:
-        "Flat engine only: latch the paper's convergence bounds online \
-         (3n rounds; D·n² moves, ring diameter ⌊n/2⌋) and report any \
-         violation on stderr.  Results are unchanged; each bound trips \
-         at most once."
+        "Flat engine only: latch the system's convergence bounds online \
+         (taking ⌊n/2⌋ as the ring's diameter) and report any violation \
+         on stderr.  Results are unchanged; each bound trips at most once."
   in
   let heartbeat =
     Arg.(
@@ -539,37 +480,19 @@ let graph_cmd =
     (Cmd.info "graph" ~doc:"Inspect a generated network.")
     Term.(const run $ family $ size $ seed $ dot)
 
+(* The topology families of `check --family` and `smt --family`; [all]
+   is no restriction. *)
+let topology =
+  Arg.enum
+    (("all", None)
+    :: List.map
+         (fun f -> (Obligation.family_to_string f, Some f))
+         Obligation.families)
+
 let check_cmd =
-  let family_conv =
-    let all = [ "all"; "complete"; "ring"; "path"; "star" ] in
-    Arg.enum (List.map (fun f -> (f, f)) all)
-  in
-  let graphs_of_family = function
-    | "complete" -> Some (fun n -> [ Ssreset_graph.Gen.complete n ])
-    | "ring" -> Some (fun n -> if n < 3 then [] else [ Ssreset_graph.Gen.ring n ])
-    | "path" -> Some (fun n -> if n < 2 then [] else [ Ssreset_graph.Gen.path n ])
-    | "star" -> Some (fun n -> if n < 2 then [] else [ Ssreset_graph.Gen.star n ])
-    | _ -> None
-  in
-  let entry_caps (e : Registry.entry) =
-    let mark b = if b then "yes" else "-" in
-    Printf.sprintf "%-10s %-7s %-4s %-4s"
-      (mark (Option.is_some e.Registry.footprint))
-      (mark (Option.is_some e.Registry.sym))
-      (mark
-         (Option.is_some e.Registry.smt_spec
-         || Option.is_some e.Registry.comp_spec))
-      (mark (Registry.has_rank e))
-  in
   let run algo json quick max_n list_only symmetry footprint sym family =
     if list_only then begin
-      Fmt.pr "%-16s %-10s %-7s %-4s %-4s %s@." "NAME" "footprint" "sym-IR"
-        "smt" "rank" "DESCRIPTION";
-      List.iter
-        (fun (e : Registry.entry) ->
-          Fmt.pr "%-16s %s %s@." e.Registry.name (entry_caps e)
-            e.Registry.description)
-        (Registry.entries @ Registry.fixtures);
+      print_string (Registry.listing ());
       0
     end
     else begin
@@ -586,7 +509,7 @@ let check_cmd =
       | selected ->
           let mode = if quick then `Quick else `Full in
           let options = { Ssreset_check.Model.default_options with symmetry } in
-          let graphs = graphs_of_family family in
+          let graphs = Option.map Obligation.family_graphs family in
           let reports =
             List.map
               (fun e ->
@@ -673,7 +596,7 @@ let check_cmd =
   let family =
     Arg.(
       value
-      & opt family_conv "all"
+      & opt topology None
       & info [ "family" ] ~docv:"FAMILY"
           ~doc:
             "Restrict the sweep to one graph family per size: \
@@ -699,8 +622,6 @@ let check_cmd =
 (* ------------------------------ smt export ------------------------------ *)
 
 let smt_cmd =
-  let module Obligation = Ssreset_check.Obligation in
-  let module Smt = Ssreset_check.Smt in
   (* Every obligation of the selected entries (all entries and fixtures,
      or those matching a name pattern), by the one export rule. *)
   let compile pattern family =
@@ -720,22 +641,9 @@ let smt_cmd =
              symbolic spec.")
   in
   let family_arg =
-    let fam_conv =
-      Arg.conv
-        ( (fun s ->
-            if s = "all" then Ok None
-            else
-              match Obligation.family_of_string s with
-              | Some f -> Ok (Some f)
-              | None ->
-                  Error (`Msg (Printf.sprintf "unknown family %S" s))),
-          fun ppf -> function
-            | None -> Fmt.string ppf "all"
-            | Some f -> Fmt.string ppf (Obligation.family_to_string f) )
-    in
     Arg.(
       value
-      & opt fam_conv None
+      & opt topology None
       & info [ "family" ] ~docv:"FAMILY"
           ~doc:
             "Topology family to axiomatize: $(b,ring), $(b,path), \
@@ -825,21 +733,12 @@ let smt_cmd =
       end
       else
         let keep (ob : Obligation.t) =
-          (match kinds with
-          | [] -> true
-          | ks ->
-              let k = Obligation.kind_to_string ob.Obligation.ob_kind in
-              List.mem k ks)
-          &&
-          match name_filter with
-          | None -> true
-          | Some sub ->
-              let name = ob.Obligation.ob_name in
-              let nl = String.length name and sl = String.length sub in
-              let rec at i =
-                i + sl <= nl && (String.sub name i sl = sub || at (i + 1))
-              in
-              sl = 0 || at 0
+          (kinds = []
+          || List.mem (Obligation.kind_to_string ob.Obligation.ob_kind) kinds)
+          && Option.fold ~none:true
+               ~some:(fun needle ->
+                 Registry.contains ~needle ob.Obligation.ob_name)
+               name_filter
         in
         match List.filter keep (compile pattern family) with
         | [] ->
@@ -849,23 +748,13 @@ let smt_cmd =
             2
         | obs ->
             let args =
-              match timeout with
-              | None -> []
-              | Some secs -> [ Printf.sprintf "-T:%d" secs ]
+              Option.to_list (Option.map (Printf.sprintf "-T:%d") timeout)
             in
-            let tmp =
-              Filename.temp_file "ssreset-smt" ""
-            in
-            Sys.remove tmp;
             let failures = ref 0 in
             List.iter
               (fun (ob : Obligation.t) ->
-                let path = tmp ^ "." ^ Obligation.filename ob in
-                Smt.write_file path ob.Obligation.ob_script;
-                let verdict = Smt.solve ~solver ~args path in
-                Sys.remove path;
                 let name = Obligation.filename ob in
-                match verdict with
+                match Smt.solve ~solver ~args ob.Obligation.ob_script with
                 | Smt.Unsat -> Fmt.pr "ok   %-40s unsat (proved)@." name
                 | Smt.Unknown -> Fmt.pr "?    %-40s unknown@." name
                 | Smt.Sat ->
@@ -901,8 +790,8 @@ let smt_cmd =
         & opt (some string) None
         & info [ "name" ] ~docv:"SUBSTR"
             ~doc:
-              "Only solve obligations whose name contains $(docv) (e.g. \
-               $(b,rank-decrease)).")
+              "Only solve obligations whose name contains $(docv), ignoring \
+               case (e.g. $(b,rank-decrease)).")
     in
     let timeout =
       Arg.(
@@ -1141,9 +1030,9 @@ let experiments_cmd =
     | None ->
         let profile = if quick then Experiments.quick else Experiments.full in
         let profile =
-          match jobs with
-          | Some jobs -> { profile with Experiments.jobs }
-          | None -> profile
+          Option.fold ~none:profile
+            ~some:(fun jobs -> { profile with Experiments.jobs })
+            jobs
         in
         (* Exit 1 when any table's ok column fails. *)
         let failures = ref 0 in

@@ -11,12 +11,13 @@ let family_to_string = function
   | Star -> "star"
   | Complete -> "complete"
 
-let family_of_string = function
-  | "ring" -> Some Ring
-  | "path" -> Some Path
-  | "star" -> Some Star
-  | "complete" -> Some Complete
-  | _ -> None
+let family_graphs family n =
+  let module Gen = Ssreset_graph.Gen in
+  match family with
+  | Complete -> [ Gen.complete n ]
+  | Ring -> if n < 3 then [] else [ Gen.ring n ]
+  | Path -> if n < 2 then [] else [ Gen.path n ]
+  | Star -> if n < 2 then [] else [ Gen.star n ]
 
 type kind =
   | Closure

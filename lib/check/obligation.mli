@@ -51,7 +51,11 @@ type family = Ring | Path | Star | Complete
 
 val families : family list
 val family_to_string : family -> string
-val family_of_string : string -> family option
+
+val family_graphs : family -> int -> Ssreset_graph.Graph.t list
+(** The family's member on [n] processes, or none below its smallest size
+    (a ring needs 3, a path or a star 2) — the graphs of [check
+    --family]. *)
 
 type kind =
   | Closure

@@ -1127,6 +1127,21 @@ let has_rank entry =
        (fun (s : Sym.spec) -> Option.is_some s.Sym.sp_rank)
        (List.filter_map Fun.id [ entry.smt_spec; entry.comp_spec ])
 
+let listing () =
+  let b = Buffer.create 2048 in
+  let mark v = if v then "yes" else "-" in
+  Printf.bprintf b "%-16s %-10s %-7s %-4s %-4s %s\n" "NAME" "footprint"
+    "sym-IR" "smt" "rank" "DESCRIPTION";
+  List.iter
+    (fun e ->
+      Printf.bprintf b "%-16s %-10s %-7s %-4s %-4s %s\n" e.name
+        (mark (Option.is_some e.footprint))
+        (mark (Option.is_some e.sym))
+        (mark (Option.is_some e.smt_spec || Option.is_some e.comp_spec))
+        (mark (has_rank e)) e.description)
+    (entries @ fixtures);
+  Buffer.contents b
+
 let obligations ?family entry =
   let base =
     match (entry.smt_spec, family) with

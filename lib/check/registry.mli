@@ -87,15 +87,21 @@ val footprint_target : entry -> Ssreset_graph.Graph.t -> Footprint.target
 (** The target {!run} analyzes for this entry on one graph (declared or
     derived). *)
 
-val find : string -> entry list
-(** Case-insensitive substring match over entries and fixtures — ["unison"]
-    selects min-unison, tail-unison and unison-sdr. *)
+val contains : needle:string -> string -> bool
+(** Case-insensitive substring test; the empty needle is in every
+    string. *)
 
-val has_rank : entry -> bool
-(** Does the entry carry a global ranking function — an instance
-    certificate or a [sp_rank] on either symbolic spec?  The model checker
-    checks it on every move and {!obligations} exports it as the rank /
-    comp.rank families. *)
+val find : string -> entry list
+(** The entries and fixtures whose name {!contains} the pattern —
+    ["unison"] selects min-unison, tail-unison and unison-sdr. *)
+
+val listing : unit -> string
+(** The [check --list] table: one line per entry and fixture with its
+    capability columns — composed footprint target, symbolic rule IR, SMT
+    obligation spec (input-layer or composed), and a global ranking
+    function (an instance certificate or a [sp_rank] on either symbolic
+    spec, which the model checker checks on every move and {!obligations}
+    exports as the rank / comp.rank families). *)
 
 val obligations : ?family:Obligation.family -> entry -> Obligation.t list
 (** The one export rule: {!Obligation.compile} of the entry's [smt_spec]

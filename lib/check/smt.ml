@@ -294,11 +294,14 @@ let solver_available solver =
     (Printf.sprintf "command -v %s >/dev/null 2>&1" (Filename.quote solver))
   = 0
 
-let solve ~solver ?(args = []) path =
+let solve ~solver ?(args = []) script =
+  let path = Filename.temp_file "ssreset-smt" ".smt2" in
   let out = Filename.temp_file "ssreset-smt" ".out" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; out ])
     (fun () ->
+      write_file path script;
       let cmd =
         String.concat " "
           (List.map Filename.quote ((solver :: args) @ [ path ]))

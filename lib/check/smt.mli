@@ -63,9 +63,10 @@ val solver_available : string -> bool
 (** Is the named binary on [PATH]?  (Checked with [command -v] — never
     assumes a solver exists.) *)
 
-val solve : solver:string -> ?args:string list -> string -> verdict
-(** [solve ~solver path] runs [solver path] and classifies the first
-    result line ([sat] / [unsat] / [unknown]); anything else — including a
-    missing binary or a nonzero exit without a verdict — is
-    [Solver_error].  Output is captured through a temp file; no libraries
+val solve : solver:string -> ?args:string list -> script -> verdict
+(** [solve ~solver script] writes [script] to a temp [.smt2] file, runs
+    [solver] on it and classifies the first result line ([sat] / [unsat] /
+    [unknown]); anything else — including a missing binary or a nonzero
+    exit without a verdict — is [Solver_error].  Output is captured through
+    a second temp file; both are removed before returning.  No libraries
     are linked. *)

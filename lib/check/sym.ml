@@ -185,6 +185,9 @@ let env ~params ~self ~nbrs =
 
 let eval_form ~params ~self ~nbrs f = eval_form_env (env ~params ~self ~nbrs) f
 
+let eval_int ~params ?(self = []) t =
+  as_int (eval_term (env ~params ~self ~nbrs:[||]) t)
+
 let eval_rule_enabled ~params ~self ~nbrs r =
   eval_form ~params ~self ~nbrs r.guard
 
@@ -246,11 +249,7 @@ let lex_lt a b =
   List.compare_lengths a b = 0 && go a b
 
 let rank_step ~params rk ~pre ~post =
-  let tuple self =
-    List.map
-      (fun c -> as_int (eval_term (env ~params ~self ~nbrs:[||]) c))
-      rk.rk_components
-  in
+  let tuple self = List.map (eval_int ~params ~self) rk.rk_components in
   let pre_t = tuple pre and post_t = tuple post in
   let fail what =
     Error

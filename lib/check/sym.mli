@@ -164,6 +164,10 @@ exception Ill_formed of string
     quantifier, unknown field or parameter, boolean where an integer is
     expected). *)
 
+val eval_int : params:(string * int) list -> ?self:(string * value) list -> term -> int
+(** The value of an integer term that reads no neighbor, e.g. a range
+    bound.  @raise Ill_formed otherwise. *)
+
 val subst_self_term : assign list -> term -> term
 (** Term-level {!subst_self}. *)
 

@@ -10,6 +10,9 @@ module Metrics = Ssreset_obs.Metrics
 module Monitor = Ssreset_obs.Monitor
 module Obs = Ssreset_obs.Obs
 module Sink = Ssreset_obs.Sink
+module Csr = Ssreset_graph.Csr
+module Flat = Ssreset_flat.Flat
+module Progs = Ssreset_flat.Progs
 
 type obs = {
   outcome_ok : bool;
@@ -51,8 +54,7 @@ let observation ~outcome_ok ~result_ok ~rounds ~steps ~moves
     ar_monotone = None;
     wall_s }
 
-let is_sdr_rule name =
-  String.length name >= 4 && String.equal (String.sub name 0 4) "SDR-"
+let is_sdr_rule name = String.starts_with ~prefix:"SDR-" name
 
 let obs_fields o =
     [ ("outcome_ok", Json.Bool o.outcome_ok);
@@ -74,9 +76,7 @@ let obs_fields o =
       ("ar_monotone",
        match o.ar_monotone with Some b -> Json.Bool b | None -> Json.Null);
       ("wall_s", Json.Float o.wall_s);
-      ("steps_per_s",
-       Json.Float
-         (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.)) ]
+      ("steps_per_s", Json.Float (Metrics.rate o.steps o.wall_s)) ]
 
 let obs_json o = Json.Obj (obs_fields o)
 
@@ -88,7 +88,7 @@ let pp_obs ~name ppf o =
   Fmt.pf ppf "  steps:             %d@." o.steps;
   Fmt.pf ppf "  moves:             %d@." o.moves;
   Fmt.pf ppf "  wall clock:        %.3fs (%.0f steps/s)@." o.wall_s
-    (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.);
+    (Metrics.rate o.steps o.wall_s);
   Fmt.pf ppf "  workload p50/p90:  %.1f / %.1f moves/proc@." o.workload_p50
     o.workload_p90;
   match o.segments with
@@ -113,21 +113,28 @@ type 'state setup = {
   expect : Engine.outcome;
   check : 'state Engine.result -> bool;
   probe : 'state Obs.t option;
-  rounds_bound : int option;
-  moves_bound : int Lazy.t option;
   max_steps : int;
   reset : 'state reset;
 }
 
 type packed = Setup : 'state setup -> packed
 
+type bounds = { rounds_bound : int option; moves_bound : int Lazy.t option }
+
+let no_bounds = { rounds_bound = None; moves_bound = None }
+
 type system = {
   name : string;
   doc : string;
-  flat : string option;
+  flat : Progs.entry option;
+  bounds : n:int -> diameter:int Lazy.t -> bounds;
   feasible : Graph.t -> bool;
   setup : Graph.t -> packed;
 }
+
+let graph_bounds system graph =
+  system.bounds ~n:(Graph.n graph)
+    ~diameter:(lazy (Ssreset_graph.Metrics.diameter graph))
 
 (* ------------------------------- one run -------------------------------- *)
 
@@ -166,7 +173,8 @@ let bare_layer ?sink ~trace_steps probe =
    sink attached, online bound monitors ride along and [trace_steps] adds
    the wave-tagged step records of the ssreset-trace-v1 schema. *)
 let composed_layer (type i) (module C : Sdr.S with type inner = i) ?sink
-    ~trace_steps (s : i Sdr.state setup) graph cfg0 : i Sdr.state layer =
+    ~trace_steps ~bounds (s : i Sdr.state setup) graph cfg0 : i Sdr.state layer
+    =
   let per_proc_sdr, sdr_probe =
     Obs.per_process_moves ~n:(Graph.n graph) ~matches:is_sdr_rule ()
   in
@@ -177,7 +185,7 @@ let composed_layer (type i) (module C : Sdr.S with type inner = i) ?sink
     match monitor with
     | None -> []
     | Some m ->
-        (match s.moves_bound with
+        (match bounds.moves_bound with
         | Some bound ->
             [ Monitor.move_bound m ~name:"moves-bound" ~bound:(Lazy.force bound) ]
         | None -> [])
@@ -211,7 +219,7 @@ let composed_layer (type i) (module C : Sdr.S with type inner = i) ?sink
        record that exposes it. *)
     on_round =
       (fun ~round ~steps ->
-        (match (monitor, s.rounds_bound) with
+        (match (monitor, bounds.rounds_bound) with
         | Some m, Some bound ->
             Monitor.round_bound m ~name:"rounds-bound" ~bound ~round ~steps
         | _ -> ());
@@ -229,11 +237,11 @@ let composed_layer (type i) (module C : Sdr.S with type inner = i) ?sink
           segments = Some (C.Segments.count segments);
           ar_monotone = Some (C.Segments.monotone segments) }) }
 
-let layer (type s) ?sink ~trace_steps (s : s setup) graph (cfg : s array) :
-    s layer =
+let layer (type s) ?sink ~trace_steps ~bounds (s : s setup) graph
+    (cfg : s array) : s layer =
   match s.reset with
   | Bare -> bare_layer ?sink ~trace_steps s.probe
-  | Composed c -> composed_layer c ?sink ~trace_steps s graph cfg
+  | Composed c -> composed_layer c ?sink ~trace_steps ~bounds s graph cfg
 
 (* The summary repeats these observation fields, in this order. *)
 let summary_keys =
@@ -268,7 +276,7 @@ let telemetry sink layer =
       result.Engine.moves_per_rule;
     Metrics.set (Metrics.gauge metrics "wall_s") o.wall_s;
     Metrics.set (Metrics.gauge metrics "steps_per_s")
-      (if o.wall_s > 0. then float_of_int o.steps /. o.wall_s else 0.);
+      (Metrics.rate o.steps o.wall_s);
     Option.iter
       (fun s -> Metrics.set (Metrics.gauge metrics "segments") (float_of_int s))
       o.segments;
@@ -284,12 +292,12 @@ let telemetry sink layer =
   in
   (on_step, on_round, summary)
 
-let run_setup (type s) ?max_steps ?prof ?sink ~trace_steps
+let run_setup (type s) ?max_steps ?prof ?sink ~trace_steps ~bounds
     (s : s setup) ~graph ~daemon ~seed =
   let cfg_rng = Random.State.make [| seed; 17 |] in
   let run_rng = Random.State.make [| seed; 91 |] in
   let cfg = s.init cfg_rng in
-  let layer = layer ?sink ~trace_steps s graph cfg in
+  let layer = layer ?sink ~trace_steps ~bounds s graph cfg in
   let tele = Option.map (fun sink -> telemetry sink layer) sink in
   (* The stop condition is incremental: a tracker of the illegitimate
      processes.  The last observer marks the movers' closed neighborhoods;
@@ -332,21 +340,79 @@ let run ?max_steps ?prof ?sink ?(trace_steps = false) system ~graph ~daemon
     ~seed () =
   match system.setup graph with
   | Setup s ->
-      run_setup ?max_steps ?prof ?sink ~trace_steps s ~graph ~daemon ~seed
+      run_setup ?max_steps ?prof ?sink ~trace_steps
+        ~bounds:(graph_bounds system graph) s ~graph ~daemon ~seed
+
+(* ------------------------------ flat runs ------------------------------- *)
+
+type flat = {
+  network : Graph.t option;
+  prog : Flat.prog;
+  n : int;
+  m : int;
+  flat_bounds : bounds;
+}
+
+let prepare_flat ?perturb system ~family ~n ~seed =
+  match system.flat with
+  | None -> invalid_arg (system.name ^ " has no flat-engine program")
+  | Some entry ->
+      let network =
+        if String.equal family.Workload.family_name "ring" then None
+        else Some (family.Workload.build ~seed ~n)
+      in
+      let csr =
+        match network with None -> Csr.ring n | Some g -> Csr.of_graph g
+      in
+      let prog = Progs.build entry csr in
+      Progs.init ?perturb prog ~seed;
+      let n = Flat.n prog in
+      let diameter =
+        lazy
+          (Option.fold ~none:(max 1 (n / 2))
+             ~some:Ssreset_graph.Metrics.diameter network)
+      in
+      { network; prog; n; m = Csr.m csr;
+        flat_bounds = system.bounds ~n ~diameter }
+
+let run_flat ?prof ?monitor ?heartbeat ?(parts = 1) ~daemon ~seed f =
+  let rounds_bound, moves_bound =
+    match monitor with
+    | None -> (None, None)
+    | Some _ ->
+        ( f.flat_bounds.rounds_bound,
+          Option.map Lazy.force f.flat_bounds.moves_bound )
+  in
+  if parts > 1 then begin
+    if daemon <> Daemon.Synchronous then
+      invalid_arg "Runner.run_flat: parts > 1 needs the synchronous daemon";
+    Flat.run_partitioned ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat
+      ~parts f.prog
+  end
+  else
+    Flat.run ~seed ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat
+      ~daemon f.prog
+
+let flat_obs (r : Flat.result) =
+  observation ~outcome_ok:(r.Flat.outcome = Engine.Stabilized)
+    ~result_ok:r.Flat.legitimate ~rounds:r.Flat.rounds ~steps:r.Flat.steps
+    ~moves:r.Flat.moves ~moves_per_process:r.Flat.moves_per_process
+    ~moves_per_rule:r.Flat.moves_per_rule ~wall_s:r.Flat.wall_s
 
 (* ------------------------------ the table ------------------------------- *)
 
-let system ?flat ?(feasible = fun _ -> true) name doc setup =
-  { name; doc; flat; feasible; setup }
+let system ?flat ?(bounds = fun ~n:_ ~diameter:_ -> no_bounds)
+    ?(feasible = fun _ -> true) name doc setup =
+  { name; doc; flat; bounds; feasible; setup }
 
 let arbitrary graph gen rng = Fault.arbitrary rng gen graph
 let final ok (r : _ Engine.result) = ok r.Engine.final
 
-(* A silent bare system: run until terminal, no check, no bounds. *)
+(* A silent bare system: run until terminal, no check. *)
 let bare algorithm ~init =
   { algorithm; init; legit = None; expect = Engine.Terminal;
-    check = (fun _ -> true); probe = None; rounds_bound = None;
-    moves_bound = None; max_steps = 20_000_000; reset = Bare }
+    check = (fun _ -> true); probe = None; max_steps = 20_000_000;
+    reset = Bare }
 
 (* An I∘SDR system from an arbitrary configuration: uniform status,
    distance in [0, 2n], arbitrary input state. *)
@@ -365,8 +431,12 @@ let stabilize ~legit legitimate s =
     expect = Engine.Stabilized;
     check = final legitimate }
 
+(* Theorems 6–7: U∘SDR stabilizes within 3n rounds and D·n² moves. *)
 let unison =
-  system "unison" ~flat:"unison-sdr"
+  system "unison" ?flat:(Progs.find "unison-sdr")
+    ~bounds:(fun ~n ~diameter ->
+      { rounds_bound = Some (3 * n);
+        moves_bound = Some (lazy (Lazy.force diameter * n * n)) })
     "U∘SDR from an arbitrary configuration (stop at first normal)"
     (fun graph ->
       let n = Graph.n graph in
@@ -375,13 +445,7 @@ let unison =
       end) in
       let s = composed (module U.Composed) ~inner:U.clock_gen graph in
       Setup
-        { (stabilize ~legit:U.Composed.p_normal (U.Composed.is_normal graph) s)
-          with
-          rounds_bound = Some (3 * n);
-          (* The D·n² bound needs the diameter; only a watching sink forces
-             it. *)
-          moves_bound =
-            Some (lazy (Ssreset_graph.Metrics.diameter graph * n * n)) })
+        (stabilize ~legit:U.Composed.p_normal (U.Composed.is_normal graph) s))
 
 let unison_bare =
   system "unison-bare"
@@ -406,7 +470,7 @@ let unison_bare =
           max_steps = 60 * n })
 
 let tail_unison =
-  system "tail-unison" ~flat:"tail-unison"
+  system "tail-unison" ?flat:(Progs.find "tail-unison")
     "tail-unison baseline from an arbitrary configuration"
     (fun graph ->
       let n = Graph.n graph in
@@ -420,7 +484,7 @@ let tail_unison =
           max_steps = 50_000_000 })
 
 let min_unison =
-  system "min-unison" ~flat:"min-unison"
+  system "min-unison" ?flat:(Progs.find "min-unison")
     "min-unison baseline (K = n²+1) from an arbitrary configuration"
     (fun graph ->
       let n = Graph.n graph in
@@ -458,10 +522,11 @@ let agr_unison =
 
 let alliance ?(stop_at_normal = false) (spec : Spec.t) =
   system "alliance" ~feasible:(Spec.feasible spec)
+    ~bounds:(fun ~n ~diameter:_ ->
+      { no_bounds with rounds_bound = Some ((8 * n) + 4) })
     (Printf.sprintf "FGA(%s)∘SDR from an arbitrary configuration"
        spec.Spec.spec_name)
     (fun graph ->
-      let n = Graph.n graph in
       let module F = Ssreset_alliance.Fga.Make (struct
         let graph = graph
         let spec = spec
@@ -469,7 +534,6 @@ let alliance ?(stop_at_normal = false) (spec : Spec.t) =
       end) in
       let s =
         { (composed (module F.Composed) ~inner:F.gen graph) with
-          rounds_bound = Some ((8 * n) + 4);
           max_steps = 50_000_000 }
       in
       Setup

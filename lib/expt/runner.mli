@@ -1,13 +1,15 @@
 (** Measured runs of every system: one table of systems, one [run].
 
-    Each system is described once, as data ({!system}): for a given graph
-    it yields a {!setup} — the algorithm, the initializer, the stop
-    predicate, the expected {!Ssreset_sim.Engine.outcome}, the result
-    check, the round and move bounds, and, for I∘SDR systems, the
-    {!Ssreset_core.Sdr.S} module.  {!run} is the single execution
-    semantics over it: it owns the RNG streams (the initial configuration
-    is drawn from [[|seed; 17|]], the daemon from [[|seed; 91|]]), the
-    observers, telemetry, monitors and tracing, and builds the {!obs}.
+    Each system is described once, as data ({!system}): its convergence
+    {!bounds}, its flat-engine program if any, and, for a given graph, a
+    {!setup} — the algorithm, the initializer, the stop predicate, the
+    expected {!Ssreset_sim.Engine.outcome}, the result check and, for
+    I∘SDR systems, the {!Ssreset_core.Sdr.S} module.  {!run} is the single
+    execution semantics over it: it owns the RNG streams (the initial
+    configuration is drawn from [[|seed; 17|]], the daemon from
+    [[|seed; 91|]]), the observers, telemetry, monitors and tracing, and
+    builds the {!obs}.  {!prepare_flat} and {!run_flat} are the same for
+    the flat data path, and read the same bounds.
 
     Per step, the harness costs O(movers·Δ) on top of the engine: the
     alive-root tracker ({!Ssreset_core.Sdr.S.Segments}) and the stop
@@ -64,20 +66,6 @@ type obs = {
   wall_s : float;  (** wall-clock seconds of the engine run *)
 }
 
-val observation :
-  outcome_ok:bool ->
-  result_ok:bool ->
-  rounds:int ->
-  steps:int ->
-  moves:int ->
-  moves_per_process:int array ->
-  moves_per_rule:(string * int) list ->
-  wall_s:float ->
-  obs
-(** The observation of engine counters alone: workload percentiles and SDR
-    moves derived, per-process SDR moves, segments and Remark 4 unmeasured
-    — all a bare run measures, and all the flat engine reports. *)
-
 val obs_json : obs -> Ssreset_obs.Json.t
 (** Machine-readable rendering of an observation (unmeasured fields are
     [null]); includes a derived [steps_per_s]. *)
@@ -102,9 +90,8 @@ type 'state reset =
     or [None] for systems that run until terminal or out of steps;
     [outcome_ok] is [outcome = expect] and [result_ok] is
     [outcome_ok && check result] ([check] evaluates the whole final
-    configuration once); [probe] is an extra observer the check reads; the
-    bounds are watched by monitors when a sink is attached ([moves_bound]
-    is forced only then); [max_steps] is the default step budget. *)
+    configuration once); [probe] is an extra observer the check reads;
+    [max_steps] is the default step budget. *)
 type 'state setup = {
   algorithm : 'state Ssreset_sim.Algorithm.t;
   init : Random.State.t -> 'state array;
@@ -112,25 +99,32 @@ type 'state setup = {
   expect : Ssreset_sim.Engine.outcome;
   check : 'state Ssreset_sim.Engine.result -> bool;
   probe : 'state Ssreset_obs.Obs.t option;
-  rounds_bound : int option;
-  moves_bound : int Lazy.t option;
   max_steps : int;
   reset : 'state reset;
 }
 
 type packed = Setup : 'state setup -> packed
 
-(** [name] is the CLI name and [doc] the report title; [flat] names the
-    flat-engine catalogue entry of systems with a symbolic IR; [setup]
-    raises [Invalid_argument] on graphs that are not [feasible] (an
-    alliance spec's degree condition). *)
+(** Convergence bounds on one network; only a watching monitor forces the
+    move bound (it may need the diameter). *)
+type bounds = { rounds_bound : int option; moves_bound : int Lazy.t option }
+
+(** [name] is the CLI name and [doc] the report title; [flat] is the
+    flat-engine program of systems with a symbolic IR; [bounds], from n and
+    the lazy diameter, is read by both engines; [setup] raises
+    [Invalid_argument] on graphs that are not [feasible] (an alliance
+    spec's degree condition). *)
 type system = {
   name : string;
   doc : string;
-  flat : string option;
+  flat : Ssreset_flat.Progs.entry option;
+  bounds : n:int -> diameter:int Lazy.t -> bounds;
   feasible : Ssreset_graph.Graph.t -> bool;
   setup : Ssreset_graph.Graph.t -> packed;
 }
+
+val graph_bounds : system -> Ssreset_graph.Graph.t -> bounds
+(** The bounds a classic run of the system on this graph watches. *)
 
 val run :
   ?max_steps:int ->
@@ -145,6 +139,48 @@ val run :
   obs
 (** One measured run; [max_steps] overrides the system's budget. *)
 
+(** {2 Flat-engine runs} *)
+
+(** A system's flat program compiled on its network, initialized.
+    [network] is [None] for the ring family, which streams straight into
+    CSR form (so n = 10⁶ fits); [flat_bounds] takes ⌊n/2⌋ as the ring's
+    diameter. *)
+type flat = {
+  network : Ssreset_graph.Graph.t option;
+  prog : Ssreset_flat.Flat.prog;
+  n : int;
+  m : int;
+  flat_bounds : bounds;
+}
+
+val prepare_flat :
+  ?perturb:int ->
+  system ->
+  family:Workload.family ->
+  n:int ->
+  seed:int ->
+  flat
+(** Build [family]'s network and initialize the program with
+    {!Ssreset_flat.Progs.init}.
+    @raise Invalid_argument when the system has no flat program. *)
+
+val run_flat :
+  ?prof:Ssreset_obs.Prof.t ->
+  ?monitor:Ssreset_obs.Monitor.t ->
+  ?heartbeat:int * (Ssreset_flat.Flat.beat -> unit) ->
+  ?parts:int ->
+  daemon:Ssreset_sim.Daemon.t ->
+  seed:int ->
+  flat ->
+  Ssreset_flat.Flat.result
+(** {!Ssreset_flat.Flat.run}, or {!Ssreset_flat.Flat.run_partitioned}
+    over [parts > 1] domains (synchronous daemon only, else
+    [Invalid_argument]); with [monitor], the system's bounds trip
+    anomalies. *)
+
+val flat_obs : Ssreset_flat.Flat.result -> obs
+(** Per-process SDR moves, segments and Remark 4 stay unmeasured. *)
+
 val systems : spec:Ssreset_alliance.Spec.t -> system list
 (** The nine CLI systems, in order: {!unison}, {!tail_unison},
     {!min_unison}, {!agr_unison}, {!alliance} and {!alliance_bare} of
@@ -152,7 +188,7 @@ val systems : spec:Ssreset_alliance.Spec.t -> system list
 
 val unison : system
 (** U ∘ SDR with K = 2n+2 until the first normal configuration; 3n round
-    and D·n² move bounds. *)
+    and D·n² move bounds (Theorems 6–7). *)
 
 val tail_unison : system
 (** The baseline with K = 2n+2, α = n, until legitimate. *)

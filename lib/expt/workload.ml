@@ -45,6 +45,15 @@ let lollipop =
 let standard =
   [ ring; path; star; complete; grid; binary_tree; sparse_random; lollipop ]
 
+let named =
+  [ ("ring", ring); ("path", path); ("star", star); ("complete", complete);
+    ("grid", grid); ("binary-tree", binary_tree); ("random-tree", random_tree);
+    ("sparse-random", sparse_random); ("lollipop", lollipop);
+    ("er", erdos_renyi 0.2) ]
+
+let names = List.map fst named
+let by_name name = List.assoc_opt name named
+
 let small_connected_graphs ~max_n =
   if max_n > 6 then invalid_arg "small_connected_graphs: max_n too large";
   let graphs = ref [] in

@@ -29,6 +29,13 @@ val standard : family list
 (** The families used by the default sweeps: ring, path, star, complete,
     grid, binary tree, sparse random, lollipop. *)
 
+val names : string list
+(** The command-line family names, in listing order: every family above,
+    with ["er"] for {!erdos_renyi} at p = 0.2. *)
+
+val by_name : string -> family option
+(** The family of one of {!names}. *)
+
 val small_connected_graphs : max_n:int -> Ssreset_graph.Graph.t list
 (** Every connected simple graph on 2..max_n vertices, one representative
     per edge-set (not deduplicated by isomorphism).  Exponential in n(n-1)/2

@@ -50,6 +50,7 @@ let gauge t name =
 
 let set g v = g.g <- v
 let gauge_value g = g.g
+let rate count secs = if secs > 0. then float_of_int count /. secs else 0.
 
 let histogram t name ~buckets =
   if Array.length buckets = 0 then

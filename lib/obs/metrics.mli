@@ -29,6 +29,9 @@ val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
+val rate : int -> float -> float
+(** [rate count secs] is [count /. secs], or 0 over no elapsed time. *)
+
 (** {2 Histograms} — fixed upper-bound buckets (e.g. enabled-set size per
     step, steps per round).  A value lands in the first bucket whose bound is
     [>=] the value; larger values land in the implicit overflow bucket. *)

@@ -1,7 +1,5 @@
 type 'state t = step:int -> moved:(int * string) list -> 'state array -> unit
 
-let nop ~step:_ ~moved:_ _ = ()
-
 let combine observers ~step ~moved cfg =
   List.iter (fun obs -> obs ~step ~moved cfg) observers
 

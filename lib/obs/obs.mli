@@ -13,11 +13,9 @@
 
 type 'state t = step:int -> moved:(int * string) list -> 'state array -> unit
 
-val nop : 'state t
-
 val combine : 'state t list -> 'state t
-(** Calls every observer, in list order, on every step.  [combine []] is
-    {!nop}; nesting is flattened by function composition, so ordering is the
+(** Calls every observer, in list order, on every step.  [combine []] does
+    nothing; nesting is flattened by function composition, so ordering is the
     depth-first list order. *)
 
 val move_counter : ?matches:(string -> bool) -> unit -> int ref * 'state t

@@ -8,7 +8,6 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 type timer = {
   hist : Histogram.t;
   mutable total_ns : int;
-  mutable t0 : int;  (* -1 when not running *)
 }
 
 type t = {
@@ -73,9 +72,7 @@ let timer t name =
   match Hashtbl.find_opt t.timer_index name with
   | Some tm -> tm
   | None ->
-      let tm =
-        { hist = Histogram.create ~sub_bits:t.sub_bits (); total_ns = 0; t0 = -1 }
-      in
+      let tm = { hist = Histogram.create ~sub_bits:t.sub_bits (); total_ns = 0 } in
       t.timers <- (name, tm) :: t.timers;
       Hashtbl.replace t.timer_index name tm;
       tm
@@ -84,14 +81,6 @@ let record_span tm ns =
   let ns = if ns < 0 then 0 else ns in
   tm.total_ns <- tm.total_ns + ns;
   Histogram.record tm.hist ns
-
-let start tm = tm.t0 <- now_ns ()
-
-let stop tm =
-  if tm.t0 >= 0 then begin
-    record_span tm (now_ns () - tm.t0);
-    tm.t0 <- -1
-  end
 
 let timer_total_ns tm = tm.total_ns
 let timer_count tm = Histogram.count tm.hist
@@ -146,7 +135,7 @@ let moves t = t.moves
 let split_moves deltas =
   List.partition_map
     (fun (name, d) ->
-      if String.length name > 6 && String.sub name 0 6 = "moves." then
+      if String.starts_with ~prefix:"moves." name then
         Left (String.sub name 6 (String.length name - 6), d)
       else Right (name, d))
     deltas
@@ -163,7 +152,7 @@ let emit_window t =
       let rule_moves, other_counters =
         split_moves (Metrics.diff t.win_snap t.metrics)
       in
-      let rate d = if wall_s > 0. then float_of_int d /. wall_s else 0. in
+      let rate d = Metrics.rate d wall_s in
       Sink.write sink
         (Json.Obj
            [ ("type", Json.String "window");
@@ -227,7 +216,7 @@ let timer_summary tm =
 
 let strip prefix (name, tm) =
   let pl = String.length prefix in
-  if String.length name > pl && String.sub name 0 pl = prefix then
+  if String.starts_with ~prefix name then
     Some (String.sub name pl (String.length name - pl), tm)
   else None
 

@@ -51,15 +51,9 @@ val timer : t -> string -> timer
 (** Registers (or returns) the timer [name].  Span durations feed a
     nanosecond {!Histogram}; the exact total is kept separately. *)
 
-val start : timer -> unit
-val stop : timer -> unit
-(** [start]/[stop] bracket one span.  A [stop] without a matching [start]
-    is ignored. *)
-
 val record_span : timer -> int -> unit
-(** Record an externally measured span of [ns] nanoseconds — the lap-based
-    interface the engine uses (one clock read per phase boundary instead of
-    two per phase). *)
+(** Record an externally measured span of [ns] nanoseconds — the engine
+    laps its phases (one clock read per phase boundary). *)
 
 val timer_total_ns : timer -> int
 val timer_count : timer -> int

@@ -72,8 +72,20 @@ type worker = {
   wr_gc_major : float;
 }
 
-let workers (s : Proffile.summary) ~parts =
-  List.init parts (fun w ->
+(* The worker ids the stream carries gauges for, ascending: one row per
+   worker actually recorded, whatever [flat.parts] claims. *)
+let worker_ids (s : Proffile.summary) =
+  let id_of (name, _) =
+    match String.split_on_char '.' name with
+    | ("flat" | "pool") :: w :: _ :: _ when String.starts_with ~prefix:"worker" w ->
+        int_of_string_opt (String.sub w 6 (String.length w - 6))
+    | _ -> None
+  in
+  List.sort_uniq compare (List.filter_map id_of s.Proffile.gauges)
+
+let workers (s : Proffile.summary) =
+  List.map
+    (fun w ->
       let g name = gauge s (Printf.sprintf "%s%d.%s" "flat.worker" w name) in
       let pg name = gauge s (Printf.sprintf "%s%d.%s" "pool.worker" w name) in
       { wr_id = w;
@@ -84,6 +96,7 @@ let workers (s : Proffile.summary) ~parts =
         wr_barrier_s = pg "barrier_s";
         wr_gc_minor = g "gc_minor_words";
         wr_gc_major = g "gc_major_words" })
+    (worker_ids s)
 
 let worker_json r =
   Json.Obj
@@ -125,7 +138,7 @@ let report (p : Proffile.t) =
       (if wall_total_ns > 0 then
          float_of_int attributed /. float_of_int wall_total_ns
        else 0.);
-    r_workers = (if parts > 1 then workers s ~parts else []) }
+    r_workers = (if parts > 1 then workers s else []) }
 
 let report_json r =
   let p = r.r_prof in
@@ -218,13 +231,24 @@ let report_check r =
     if r.r_parts > 1 then Printf.sprintf "%d workers x wall clock" r.r_parts
     else "wall clock"
   in
-  if r.r_wall_ns <= 0 then Error [ "prof check FAIL: summary wall_s is zero" ]
-  else if r.r_coverage < lo || r.r_coverage > hi then
-    Error
+  let carried = List.length r.r_workers in
+  let failures =
+    (if r.r_parts > 1 && carried < r.r_parts then
+       [ Printf.sprintf
+           "prof check FAIL: flat.parts claims %d workers but the stream \
+            carries gauges for %d"
+           r.r_parts carried ]
+     else [])
+    @
+    if r.r_wall_ns <= 0 then [ "prof check FAIL: summary wall_s is zero" ]
+    else if r.r_coverage < lo || r.r_coverage > hi then
       [ Printf.sprintf
           "prof check FAIL: phase attribution covers %.1f%% of %s (expected \
            %.0f%%..%.0f%%)"
           (100. *. r.r_coverage) denominator (100. *. lo) (100. *. hi) ]
+    else []
+  in
+  if failures <> [] then Error failures
   else
     Ok
       (Printf.sprintf "prof check: OK (%.1f%% of %s attributed to phases)"

@@ -13,14 +13,17 @@ type report
 val report : Proffile.t -> report
 (** Per-phase and per-rule attribution, phase coverage, scheduler and GC
     counters and, on a partitioned stream ([flat.parts] gauge > 1), the
-    per-worker compute/write/refresh/busy/barrier/GC table. *)
+    per-worker compute/write/refresh/busy/barrier/GC table — one row per
+    worker whose [flat.workerK.*] / [pool.workerK.*] gauges the stream
+    carries. *)
 
 val report_json : report -> Json.t
 val report_text : report -> string
 
 val report_check : report -> (string, string list) result
 (** The phase timers account for 90%..110% of the run's wall clock (times
-    the worker count on a partitioned stream). *)
+    the worker count on a partitioned stream), and a partitioned stream
+    carries gauges for every worker it claims. *)
 
 (** {2 top} *)
 

@@ -77,7 +77,6 @@ let round_record ?(extra = []) ~round ~steps ~moves () =
     @ extra)
 
 let summary ?(extra = []) ~outcome ~rounds ~steps ~moves ~wall_s () =
-  let steps_per_s = if wall_s > 0. then float_of_int steps /. wall_s else 0. in
   Json.Obj
     ([ ("type", Json.String "summary");
        ("outcome", Json.String outcome);
@@ -85,5 +84,5 @@ let summary ?(extra = []) ~outcome ~rounds ~steps ~moves ~wall_s () =
        ("steps", Json.Int steps);
        ("moves", Json.Int moves);
        ("wall_s", Json.Float wall_s);
-       ("steps_per_s", Json.Float steps_per_s) ]
+       ("steps_per_s", Json.Float (Metrics.rate steps wall_s)) ]
     @ extra)

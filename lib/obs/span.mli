@@ -53,14 +53,10 @@ val seed_active : graph:Ssreset_graph.Graph.t -> t -> (int * int) list -> unit
     becomes one {e preexisting} wave rooted at its minimum-[d] member
     (ties broken by the smaller index).  Call at most once, before any feed. *)
 
-val feed : t -> step:int -> int -> event -> unit
-(** Attribute one classified move at [step] by the given process.  Events of
-    the same step must be fed through {!feed_step} (or manually: all [Join]s
-    first) — joins read the {e pre-step} membership of their parent. *)
-
 val feed_step : t -> step:int -> (int * event) list -> unit
-(** Feed all classified movers of one step, handling intra-step ordering:
-    [Join]s are processed before [Init]/[Feedback]/[Complete] so that a
+(** Attribute the classified movers of one step, handling intra-step
+    ordering: [Join]s, which read the {e pre-step} membership of their
+    parent, are processed before [Init]/[Feedback]/[Complete] so that a
     parent re-rooting in the same step cannot steal its child's join. *)
 
 val waves : t -> wave list

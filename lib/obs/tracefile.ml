@@ -70,6 +70,12 @@ let parse_manifest ~ctx json =
   in
   if List.length edges <> m then
     badf "%s: %d edges but m = %d" ctx (List.length edges) m;
+  (* Every generator returns a connected graph, and the model assumes
+     connected networks: this also bounds the graph built below by the
+     file's own size. *)
+  if n > m + 1 then
+    badf "%s: n = %d exceeds m + 1 = %d (the network must be connected)" ctx
+      n (m + 1);
   (* The analyses all need the graph, so it is built once, here: an edge
      list that is not a simple graph (self-loop, duplicate, endpoint out of
      range) is a malformed manifest. *)

@@ -140,11 +140,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000)
 
 let moves_of_rules per_rule ~prefixes =
   let matches name =
-    List.exists
-      (fun p ->
-        String.length name >= String.length p
-        && String.equal (String.sub name 0 (String.length p)) p)
-      prefixes
+    List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
   in
   List.fold_left
     (fun acc (name, c) -> if matches name then acc + c else acc)

@@ -84,11 +84,9 @@ let compile ~csr ~params (spec : Sym.spec) =
   }
 
 let n p = Csr.n p.csr
-let csr p = p.csr
 let spec p = p.spec
 let params p = p.params
 let fields p = Array.mapi (fun i name -> (name, p.kinds.(i))) p.field_names
-let rule_names p = p.rule_names
 
 let field_index p name =
   let rec go i =

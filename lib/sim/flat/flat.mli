@@ -55,11 +55,9 @@ val compile : csr:Csr.t -> params:(string * int) list -> Sym.spec -> prog
     constructor name shared by two enum sorts at different indices. *)
 
 val n : prog -> int
-val csr : prog -> Csr.t
 val spec : prog -> Sym.spec
 val params : prog -> (string * int) list
 val fields : prog -> (string * kind) array
-val rule_names : prog -> string array
 
 val load : prog -> int -> (string * Sym.value) list -> unit
 (** Overwrite node [u]'s fields from a classic-engine encoding (the

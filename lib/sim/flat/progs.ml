@@ -43,39 +43,6 @@ let init_ground p =
       done)
     (Flat.fields p)
 
-(* Closed-term evaluation for range bounds (well_formed guarantees they
-   mention only params and literals). *)
-let rec closed_term params (t : Sym.term) =
-  match t with
-  | Sym.Num k -> k
-  | Sym.Bool b -> if b then 1 else 0
-  | Sym.Param s -> (
-      match List.assoc_opt s params with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "Progs: unbound parameter %s" s))
-  | Sym.Add (a, b) -> closed_term params a + closed_term params b
-  | Sym.Sub (a, b) -> closed_term params a - closed_term params b
-  | Sym.Neg a -> -closed_term params a
-  | Sym.Ite (c, a, b) ->
-      if closed_form params c then closed_term params a
-      else closed_term params b
-  | Sym.Var _ | Sym.Ctor _ | Sym.Min_nbr _ | Sym.Mex_nbr _ | Sym.Count_nbr _
-    ->
-      invalid_arg "Progs: range bound is not a closed term"
-
-and closed_form params (f : Sym.form) =
-  match f with
-  | Sym.Const b -> b
-  | Sym.Not f -> not (closed_form params f)
-  | Sym.And fs -> List.for_all (closed_form params) fs
-  | Sym.Or fs -> List.exists (closed_form params) fs
-  | Sym.Imp (a, b) -> (not (closed_form params a)) || closed_form params b
-  | Sym.Eq (a, b) -> closed_term params a = closed_term params b
-  | Sym.Le (a, b) -> closed_term params a <= closed_term params b
-  | Sym.Lt (a, b) -> closed_term params a < closed_term params b
-  | Sym.Forall_nbr _ | Sym.Exists_nbr _ ->
-      invalid_arg "Progs: range bound is not a closed form"
-
 let scramble_node p ranges ~rng u =
   Array.iter
     (fun (field, kind) ->
@@ -93,7 +60,7 @@ let scramble_node p ranges ~rng u =
 let field_ranges p =
   let params = Flat.params p in
   List.map
-    (fun (f, lo, hi) -> (f, (closed_term params lo, closed_term params hi)))
+    (fun (f, lo, hi) -> (f, (Sym.eval_int ~params lo, Sym.eval_int ~params hi)))
     (Flat.spec p).Sym.sp_ir.Sym.ranges
 
 let perturb p ~rng k =
@@ -115,6 +82,16 @@ let init_random p ~rng =
   for u = 0 to Flat.n p - 1 do
     scramble_node p ranges ~rng u
   done
+
+(* Every seeded flat run draws its initial configuration from this one
+   stream, so a run is reproducible from (system, network, seed, k). *)
+let init ?perturb:k p ~seed =
+  let rng = Random.State.make [| 0xF1A7; seed |] in
+  match k with
+  | Some k ->
+      init_ground p;
+      perturb p ~rng k
+  | None -> init_random p ~rng
 
 let digest p (r : Flat.result) =
   Printf.sprintf "outcome=%s steps=%d moves=%d rounds=%d state=%x"

@@ -15,12 +15,9 @@ type entry = {
   params_of_n : int -> (string * int) list;
 }
 
-val entries : entry list
-(** [unison-sdr] (the composed U∘SDR system), [tail-unison],
-    [min-unison]. *)
-
 val find : string -> entry option
-(** The entry of that exact name. *)
+(** The entry of that exact name: [unison-sdr] (the composed U∘SDR
+    system), [tail-unison] or [min-unison]. *)
 
 val build : entry -> Csr.t -> Flat.prog
 
@@ -36,6 +33,11 @@ val perturb : Flat.prog -> rng:Random.State.t -> int -> unit
 
 val init_random : Flat.prog -> rng:Random.State.t -> unit
 (** Perturb every node — arbitrary initial configurations for tests. *)
+
+val init : ?perturb:int -> Flat.prog -> seed:int -> unit
+(** The initial configuration of a seeded flat run — the ground state
+    with [perturb] nodes corrupted or, without [perturb], a fully
+    arbitrary one — drawn from the one flat-run stream of [seed]. *)
 
 val digest : Flat.prog -> Flat.result -> string
 (** One deterministic line (outcome, steps, moves, rounds, state

@@ -106,7 +106,13 @@ let workload_tests =
           (List.length (Workload.small_connected_graphs ~max_n:4));
         List.iter
           (fun g -> check_true "connected" (Graph.is_connected g))
-          (Workload.small_connected_graphs ~max_n:4)) ]
+          (Workload.small_connected_graphs ~max_n:4));
+    test "by_name resolves every listed family name" (fun () ->
+        List.iter
+          (fun name ->
+            check_true name (Option.is_some (Workload.by_name name)))
+          Workload.names;
+        check_true "unknown" (Workload.by_name "nope" = None)) ]
 
 (* -------------------------------- Runner ------------------------------- *)
 
@@ -307,12 +313,9 @@ let check_row r =
     (let steps, moves, rounds, segments = r.counts in
      ((steps, moves), (rounds, segments)))
     ((o.Runner.steps, o.Runner.moves), (o.Runner.rounds, o.Runner.segments));
-  (match r.system.Runner.setup graph with
-  | Runner.Setup s ->
-      Option.iter
-        (fun bound ->
-          check_true (label ^ ": round bound") (o.Runner.rounds <= bound))
-        s.Runner.rounds_bound);
+  Option.iter
+    (fun bound -> check_true (label ^ ": round bound") (o.Runner.rounds <= bound))
+    (Runner.graph_bounds r.system graph).Runner.rounds_bound;
   match o.Runner.segments with
   | Some segments ->
       check_true (label ^ ": at most n+1 segments")
@@ -433,6 +436,47 @@ let system_tests =
           counts = (37, 37, 10, Some 5) } ] ]
   @ List.map (fun r -> row_test (row_name r) [ r ]) table_rows
 
+(* The convergence bounds are written once, on the system entry: a classic
+   run and a flat run of the same system on the same network read the same
+   pair, the flat ring taking ⌊n/2⌋ as its diameter. *)
+let bounds_tests =
+  let pair (b : Runner.bounds) =
+    (b.Runner.rounds_bound, Option.map Lazy.force b.Runner.moves_bound)
+  in
+  let on_both system (family : Workload.family) ~n =
+    let graph = family.Workload.build ~seed:2 ~n in
+    let flat = Runner.prepare_flat system ~family ~n ~seed:2 in
+    check_int "same network size" (Graph.n graph) flat.Runner.n;
+    (Graph.n graph, graph, pair (Runner.graph_bounds system graph),
+     pair flat.Runner.flat_bounds)
+  in
+  let bound_pair = Alcotest.(pair (option int) (option int)) in
+  [ test "both engines read unison's 3n and D·n² from the system entry"
+      (fun () ->
+        List.iter
+          (fun (family, n) ->
+            let n, graph, classic, flat = on_both Runner.unison family ~n in
+            let d = Ssreset_graph.Metrics.diameter graph in
+            let label = family.Workload.family_name in
+            check bound_pair (label ^ ": classic")
+              (Some (3 * n), Some (d * n * n)) classic;
+            check bound_pair (label ^ ": flat") classic flat)
+          [ (Workload.ring, 12); (Workload.ring, 13); (Workload.grid, 12);
+            (Workload.sparse_random, 16); (Workload.path, 2) ]);
+    test "tail-unison and min-unison carry no bounds on either engine"
+      (fun () ->
+        List.iter
+          (fun (system : Runner.system) ->
+            List.iter
+              (fun family ->
+                let _, _, classic, flat = on_both system family ~n:10 in
+                check bound_pair (system.Runner.name ^ ": classic")
+                  (None, None) classic;
+                check bound_pair (system.Runner.name ^ ": flat") (None, None)
+                  flat)
+              [ Workload.ring; Workload.grid ])
+          [ Runner.tail_unison; Runner.min_unison ]) ]
+
 (* ------------------------------ Experiments ---------------------------- *)
 
 let tiny_profile =
@@ -529,6 +573,6 @@ let () =
   Alcotest.run "expt"
     [ ("table", table_tests);
       ("workload", workload_tests);
-      ("runner", runner_tests @ system_tests);
+      ("runner", runner_tests @ system_tests @ bounds_tests);
       ("trackers", tracker_tests);
       ("experiments", experiment_tests) ]

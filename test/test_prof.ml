@@ -354,20 +354,52 @@ let report_checks_the_coverage_band () =
     "the clean profile is covered" true
     (Result.is_ok (Profview.report_check clean));
   (* The partitioned golden claims 4 workers over a single worker's
-     timers, so its per-worker coverage falls below the band. *)
+     timers and carries no per-worker gauges, so its per-worker coverage
+     falls below the band and the worker count does not add up. *)
   let parts = Profview.report (load_golden "prof-corrupt-parts.jsonl") in
-  Alcotest.(check bool)
-    "four workers x wall clock is not covered" true
-    (Result.is_error (Profview.report_check parts));
+  let failures r =
+    match Profview.report_check r with Ok _ -> [] | Error lines -> lines
+  in
+  Alcotest.(check int)
+    "four workers x wall clock is not covered, and no worker is carried" 2
+    (List.length (failures parts));
   let workers json =
     match Json.member "workers" json with
     | Some (Json.List l) -> List.length l
     | _ -> -1
   in
-  Alcotest.(check int) "one row per worker" 4
+  Alcotest.(check int) "one row per carried worker, none here" 0
     (workers (Profview.report_json parts));
   Alcotest.(check int) "no worker table on a sequential stream" 0
-    (workers (Profview.report_json clean))
+    (workers (Profview.report_json clean));
+  (* Rows come from the gauges the stream carries, never from the claimed
+     count: two carried workers give two rows, and a claim of 10⁹ workers
+     allocates nothing. *)
+  let with_gauges gauges =
+    let path = "../tools/golden/prof-corrupt-parts.jsonl" in
+    let text =
+      Astring_like.replace ~needle:{|"gauges":{"flat.parts":4.0|} ~by:gauges
+        (In_channel.with_open_text path In_channel.input_all)
+    in
+    match Proffile.load_string text with
+    | Ok p -> Profview.report p
+    | Error msg -> Alcotest.failf "edited golden rejected: %s" msg
+  in
+  let two =
+    with_gauges
+      {|"gauges":{"flat.worker0.compute_s":0.5,"pool.worker1.busy_s":0.25,"flat.parts":4.0|}
+  in
+  Alcotest.(check int) "two carried workers, two rows" 2
+    (workers (Profview.report_json two));
+  Alcotest.(check bool) "two of four workers carried fails the check" true
+    (List.exists
+       (fun l -> Astring_like.contains l "carries gauges for 2")
+       (failures two));
+  let huge = with_gauges {|"gauges":{"flat.parts":1e9|} in
+  Alcotest.(check int) "a claim of 10^9 workers builds no rows" 0
+    (workers (Profview.report_json huge));
+  Alcotest.(check bool) "and fails the check" true
+    (failures huge <> [])
 
 let top_ranks_rules_by_time () =
   let p = load_golden "prof-clean.jsonl" in

@@ -280,12 +280,7 @@ let solver_tests =
           check_true "at least one decrease obligation" (obs <> []);
           List.iter
             (fun ob ->
-              let path =
-                Filename.temp_file "ssreset-test" ".smt2"
-              in
-              Smt.write_file path ob.Obligation.ob_script;
-              let verdict = Smt.solve ~solver path in
-              Sys.remove path;
+              let verdict = Smt.solve ~solver ob.Obligation.ob_script in
               check Alcotest.string
                 (Obligation.filename ob)
                 "unsat"
@@ -294,10 +289,7 @@ let solver_tests =
       test "ranking + composition obligations on the ring are unsat under z3"
         (fun () ->
           let solve_one ob =
-            let path = Filename.temp_file "ssreset-test" ".smt2" in
-            Smt.write_file path ob.Obligation.ob_script;
-            let verdict = Smt.solve ~solver path in
-            Sys.remove path;
+            let verdict = Smt.solve ~solver ob.Obligation.ob_script in
             check Alcotest.string
               (Obligation.filename ob)
               "unsat"

@@ -281,17 +281,7 @@ let clean_trace =
 
 (* Replace the first occurrence of [needle] in [hay] — used to corrupt the
    clean trace string in targeted ways. *)
-let replace ~needle ~by hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec find i =
-    if i + nl > hl then None
-    else if String.sub hay i nl = needle then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> invalid_arg "replace: needle not found"
-  | Some i ->
-      String.sub hay 0 i ^ by ^ String.sub hay (i + nl) (hl - i - nl)
+let replace = Astring_like.replace
 
 let rejects what contents =
   test ("rejects " ^ what) (fun () ->
@@ -330,7 +320,18 @@ let tracefile_tests =
     rejects "a self-loop in the manifest edges"
       (replace ~needle:{|[[0,1],[1,2]]|} ~by:{|[[0,0],[1,2]]|} clean_trace);
     rejects "a duplicate manifest edge"
-      (replace ~needle:{|[[0,1],[1,2]]|} ~by:{|[[0,1],[1,0]]|} clean_trace) ]
+      (replace ~needle:{|[[0,1],[1,2]]|} ~by:{|[[0,1],[1,0]]|} clean_trace);
+    test "rejects a manifest n that m edges cannot connect, before building"
+      (fun () ->
+        (* n = 10⁹ over two edges: refused by the size check, so the loader
+           never allocates a graph of that size. *)
+        match
+          Tracefile.load_string
+            (replace ~needle:{|"n":3|} ~by:{|"n":1000000000|} clean_trace)
+        with
+        | Ok _ -> Alcotest.fail "accepted n = 10^9 with m = 2"
+        | Error msg ->
+            check_true msg (Astring_like.contains msg "exceeds m + 1 = 3")) ]
 
 (* --------------------------- Full pipeline ------------------------------ *)
 

@@ -61,13 +61,6 @@ let required =
     ("tail-unison ranking proved", "rank-decrease.TU-climb");
     ("composition ranking proved", "comp.rank-decrease.SDR-RF") ]
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i =
-    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
-  in
-  scan 0
-
 let () =
   let path =
     match Sys.argv with
@@ -80,7 +73,9 @@ let () =
   let body = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let missing =
-    List.filter (fun (_, needle) -> not (contains ~needle body)) required
+    List.filter
+      (fun (_, needle) -> not (Ssreset_check.Registry.contains ~needle body))
+      required
   in
   List.iter
     (fun (what, needle) ->
