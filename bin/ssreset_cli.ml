@@ -229,12 +229,12 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
   match Daemon.by_name daemon_name with
   | None -> unknown_daemon daemon_name
   | Some daemon -> (
-      let graph = family.Workload.build ~seed ~n in
-      if not (system.Runner.feasible graph) then
-        fail "spec %s infeasible on this network" spec.Spec.spec_name
-      else
-        let name = system.Runner.name in
-        try
+      try
+        let graph = family.Workload.build ~seed ~n in
+        if not (system.Runner.feasible graph) then
+          fail "spec %s infeasible on this network" spec.Spec.spec_name
+        else
+          let name = system.Runner.name in
           let with_trace k =
             match output.trace_out with
             | None -> k None
@@ -259,9 +259,10 @@ let measured ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
                       ~seed ()))
           in
           report ~json:output.json system.Runner.doc obs
-        with Invalid_argument msg | Sys_error msg ->
-          (* unwritable --trace-out path, … *)
-          fail "%s" msg)
+      with Invalid_argument msg | Sys_error msg ->
+        (* a graph size the family rejects, an unwritable --trace-out
+           path, … *)
+        fail "%s" msg)
 
 let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec =
   match find_system ~spec system with
@@ -335,7 +336,10 @@ let run_flat ~output ~(system : Runner.system) ~family ~n ~seed ~daemon_name
                entry.Ssreset_flat.Progs.pname f.Runner.n
                (if parts > 1 then Printf.sprintf ", %d domains" parts else ""))
             (Runner.flat_obs result)
-      with Invalid_argument msg | Sys_error msg -> fail "%s" msg)
+      with
+      | Invalid_argument msg | Sys_error msg | Ssreset_graph.Csr.Invalid_csr msg
+      ->
+        fail "%s" msg)
 
 (* ------------------------------ subcommands ----------------------------- *)
 

@@ -925,6 +925,19 @@ let fga_sym g =
       ])
     ()
 
+(* Every spec the flat engine runs: each entry's symbolic IR and the
+   composed U∘SDR system.  The flat engine compiles one straight-line evaluator
+   per spec here at build time. *)
+let flat_specs =
+  [ min_unison_spec;
+    tail_unison_spec;
+    unison_input_spec;
+    unison_sdr_composed_spec;
+    coloring_spec;
+    mis_spec;
+    matching_spec;
+    fga_spec ]
+
 (* --- registry -------------------------------------------------------- *)
 
 let entries =

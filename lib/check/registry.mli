@@ -63,6 +63,12 @@ val unison_sdr_composed_sym : Ssreset_graph.Graph.t -> Sym.instance
 (** Differential instance for {!unison_sdr_composed_spec} on one graph
     (the bounded oracle behind the flat engine's compiler). *)
 
+val flat_specs : Sym.spec list
+(** Every spec the flat engine runs: the symbolic IR of each entry below
+    and {!unison_sdr_composed_spec}.  The flat engine's build generates
+    one straight-line evaluator per spec listed here (lib/sim/flat/gen);
+    any other spec runs on its closure compiler. *)
+
 val entries : entry list
 (** min-unison, tail-unison, unison-sdr, coloring-sdr, mis-sdr,
     matching-sdr, fga-sdr.  Every entry attaches a symbolic IR, so [check

@@ -26,6 +26,9 @@ val create : ?sub_bits:int -> unit -> t
 val record : t -> int -> unit
 (** Record one value.  Negative values clamp to 0. *)
 
+val record_n : t -> int -> n:int -> unit
+(** Record the value [n] times (nothing when [n <= 0]). *)
+
 val count : t -> int
 (** Number of recorded values. *)
 

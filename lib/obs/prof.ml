@@ -82,6 +82,13 @@ let record_span tm ns =
   tm.total_ns <- tm.total_ns + ns;
   Histogram.record tm.hist ns
 
+let record_spans tm ns ~n =
+  if n > 0 then begin
+    let ns = if ns < 0 then 0 else ns in
+    tm.total_ns <- tm.total_ns + ns;
+    Histogram.record_n tm.hist (ns / n) ~n
+  end
+
 let timer_total_ns tm = tm.total_ns
 let timer_count tm = Histogram.count tm.hist
 

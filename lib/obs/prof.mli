@@ -55,6 +55,11 @@ val record_span : timer -> int -> unit
 (** Record an externally measured span of [ns] nanoseconds — the engine
     laps its phases (one clock read per phase boundary). *)
 
+val record_spans : timer -> int -> n:int -> unit
+(** [record_spans tm ns ~n]: [n] back-to-back spans measured together,
+    [ns] in all — the exact total, and [n] histogram samples of their
+    mean. *)
+
 val timer_total_ns : timer -> int
 val timer_count : timer -> int
 

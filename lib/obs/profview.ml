@@ -189,15 +189,19 @@ let report_text r =
     pr "  attributed %s = %.1f%% of wall clock" (ns_str attributed)
       (100. *. r.r_coverage);
   if parts > 1 then begin
-    pr "per-worker attribution (%d domains):" parts;
-    pr "  %-7s %10s %10s %10s %10s %10s %12s" "worker" "compute" "write"
-      "refresh" "busy" "barrier" "gc minor w";
-    List.iter
-      (fun r ->
-        pr "  %-7d %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %12.0f" r.wr_id
-          r.wr_compute_s r.wr_write_s r.wr_refresh_s r.wr_busy_s
-          r.wr_barrier_s r.wr_gc_minor)
-      r.r_workers;
+    (* A stream that claims parts but carries no worker gauges gets no
+       table at all, not a heading over no rows. *)
+    if r.r_workers <> [] then begin
+      pr "per-worker attribution (%d domains):" parts;
+      pr "  %-7s %10s %10s %10s %10s %10s %12s" "worker" "compute" "write"
+        "refresh" "busy" "barrier" "gc minor w";
+      List.iter
+        (fun r ->
+          pr "  %-7d %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %12.0f" r.wr_id
+            r.wr_compute_s r.wr_write_s r.wr_refresh_s r.wr_busy_s
+            r.wr_barrier_s r.wr_gc_minor)
+        r.r_workers
+    end;
     match List.assoc_opt "barrier" s.Proffile.phases with
     | Some (sec : Proffile.section) ->
         pr "  barrier waits: %d spans, p50 %s  p90 %s  max %s (%s total)"

@@ -1,4 +1,5 @@
 module Sym = Ssreset_check.Sym
+module Registry = Ssreset_check.Registry
 module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
 module Step = Ssreset_sim.Step
@@ -21,7 +22,16 @@ type prog = {
   state : int array array;  (* [field].(node) *)
   rule_names : string array;
   ctor_idx : (string, int) Hashtbl.t;
+  generated : (Evaluator.input -> Evaluator.t) option;
 }
+
+(* The generated evaluator of [spec], if the build generated one: specs
+   are plain data, so a structurally equal spec gets it. *)
+let generated_builder spec =
+  let same s = s == spec || s = spec in
+  match List.find_opt same Registry.flat_specs with
+  | None -> None
+  | Some s -> List.assoc_opt s.Sym.sp_ir.Sym.ir_name Flat_gen.builders
 
 let compile ~csr ~params (spec : Sym.spec) =
   let ir = spec.Sym.sp_ir in
@@ -81,10 +91,12 @@ let compile ~csr ~params (spec : Sym.spec) =
     rule_names =
       Array.of_list (List.map (fun r -> r.Sym.rule) ir.Sym.rules);
     ctor_idx;
+    generated = generated_builder spec;
   }
 
 let n p = Csr.n p.csr
 let spec p = p.spec
+let generated p = Option.is_some p.generated
 let params p = p.params
 let fields p = Array.mapi (fun i name -> (name, p.kinds.(i))) p.field_names
 
@@ -143,8 +155,9 @@ let checksum p =
 
 (* ------------------------------ compiler ------------------------------- *)
 
-(* One evaluator = one set of closures over the shared state arrays.  A
-   term compiles to an [int -> int -> int] and a form to an
+(* The closure compiler: the test oracle of the generated evaluators
+   ([Flat_gen]) and the evaluator of every spec the build did not
+   generate.  A term compiles to an [int -> int -> int] and a form to an
    [int -> int -> bool] of self and the bound neighbor: a neighborhood
    aggregate passes each neighbor it visits as the second argument (at
    top level, where a well-formed IR reads no [Nbr] field, it is 0).  A
@@ -156,17 +169,11 @@ let checksum p =
    assignments and legitimacy predicate is compiled once, behind a memo
    that is valid for one evaluation epoch.  A quantifier's value depends
    only on self and the state (its body binds its own neighbor), and
-   neither changes within one evaluation, so every [first_enabled] and
-   every [compute_post] starts a new epoch and the repeated occurrences
-   then scan the neighborhood once.  The memos and the [Mex_nbr] scratch
-   arrays are mutable, so partitioned runs compile one evaluator per
-   worker domain; the state arrays stay shared. *)
-type ev = {
-  epoch : int ref;
-  guards : (int -> int -> bool) array;
-  assigns : (int * (int -> int -> int)) array array;  (* per rule *)
-  legit : (int -> int -> bool) option;
-}
+   neither changes within one evaluation, so every [eval] and every
+   [post] starts a new epoch and the repeated occurrences then scan the
+   neighborhood once.  The memos and the [Mex_nbr] scratch arrays are
+   mutable, so partitioned runs build one evaluator per worker domain;
+   the state arrays stay shared. *)
 
 (* Operators of the fused comparisons; [Ge] and [Gt] come from moving the
    constant of [k <= x] / [k < x] to the right. *)
@@ -462,45 +469,59 @@ let make_ev p =
           Hashtbl.add memos q c;
           c
   in
-  {
-    epoch;
-    guards = Array.map (fun r -> cform r.Sym.guard) rules;
-    assigns =
-      Array.map
-        (fun r ->
-          Array.of_list
-            (List.map (fun (f, t) -> (field_index p f, cterm t)) r.Sym.assigns))
-        rules;
-    legit = Option.map cform p.spec.Sym.sp_legitimate;
-  }
+  let guards = Array.map (fun r -> cform r.Sym.guard) rules in
+  let assigns =
+    Array.map
+      (fun r ->
+        Array.of_list
+          (List.map (fun (f, t) -> (field_index p f, cterm t)) r.Sym.assigns))
+      rules
+  in
+  let k = Array.length guards in
+  (* First enabled rule of [u], or -1; starts an evaluation epoch, which
+     the legitimacy predicate evaluated right after it shares. *)
+  let first_enabled u =
+    incr epoch;
+    let i = ref 0 in
+    while !i < k && not (guards.(!i) u 0) do
+      incr i
+    done;
+    if !i < k then !i else -1
+  in
+  let eval =
+    match Option.map cform p.spec.Sym.sp_legitimate with
+    | None -> fun u -> ((first_enabled u + 1) lsl 1) lor 1
+    | Some legit ->
+        fun u ->
+          let r = first_enabled u in
+          ((r + 1) lsl 1) lor if legit u 0 then 1 else 0
+  in
+  (* In an epoch of its own: a post reads no memo of the last scan. *)
+  let post r u dst off =
+    incr epoch;
+    for f = 0 to p.nf - 1 do
+      dst.(off + f) <- p.state.(f).(u)
+    done;
+    let a = assigns.(r) in
+    for j = 0 to Array.length a - 1 do
+      let f, clo = a.(j) in
+      dst.(off + f) <- clo u 0
+    done
+  in
+  { Evaluator.eval; post }
 
-(* First enabled rule of [u], or -1 — the flat twin of the classic
-   engine's enabled table entry.  Starts an evaluation epoch: a [legit]
-   call on the same [u] right after it shares the quantifier memos. *)
-let first_enabled ev u =
-  incr ev.epoch;
-  let gs = ev.guards in
-  let k = Array.length gs in
-  let i = ref 0 in
-  while !i < k && not (gs.(!i) u 0) do
-    incr i
-  done;
-  if !i < k then !i else -1
-
-(* Post-values of rule [r] at [u], buffered into [dst] at [off] (row
-   layout: one slot per field), in an epoch of their own.  Assignment
-   terms read the pre-state arrays, never [dst], so buffering preserves
-   act-on-pre-state. *)
-let compute_post p ev r u ~dst ~off =
-  incr ev.epoch;
-  for f = 0 to p.nf - 1 do
-    dst.(off + f) <- p.state.(f).(u)
-  done;
-  let a = ev.assigns.(r) in
-  for j = 0 to Array.length a - 1 do
-    let f, clo = a.(j) in
-    dst.(off + f) <- clo u 0
-  done
+(* The evaluator of a run: the generated one when the build has it. *)
+let evaluator p =
+  match p.generated with
+  | Some build ->
+      build
+        {
+          Evaluator.state = p.state;
+          offsets = p.csr.Csr.offsets;
+          nbrs = p.csr.Csr.nbrs;
+          params = p.params;
+        }
+  | None -> make_ev p
 
 (* ------------------------------- daemons ------------------------------- *)
 
@@ -550,21 +571,21 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     match rng with Some r -> r | None -> Random.State.make [| seed |]
   in
   let nf = p.nf in
-  let ev = make_ev p in
+  let ev = evaluator p in
   let illegit = ref 0 in
   let eval =
-    match ev.legit with
-    | None -> fun v -> first_enabled ev v
-    | Some clo ->
+    match p.spec.Sym.sp_legitimate with
+    | None -> fun v -> (ev.Evaluator.eval v asr 1) - 1
+    | Some _ ->
         let la = Array.make (Csr.n p.csr) true in
         fun v ->
-          let r = first_enabled ev v in
-          let lg = clo v 0 in
+          let x = ev.Evaluator.eval v in
+          let lg = x land 1 = 1 in
           if lg <> la.(v) then begin
             la.(v) <- lg;
             illegit := !illegit + if lg then -1 else 1
           end;
-          r
+          (x asr 1) - 1
   in
   (* Sized like the core's mover buffers: full size under the synchronous
      daemon, which moves every enabled process. *)
@@ -578,7 +599,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
       Array.blit !mp 0 b 0 (k * nf);
       mp := b
     end;
-    compute_post p ev r u ~dst:!mp ~off:(k * nf)
+    ev.Evaluator.post r u !mp (k * nf)
   in
   let commit k u =
     let mp = !mp in
@@ -590,7 +611,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     Step.create ~prof ~daemon ~rng ~csr:p.csr ~rules:p.rule_names ~eval ~stage
       ~commit
   in
-  let tracked = Option.map (fun _ () -> !illegit) ev.legit in
+  let tracked = Option.map (fun _ () -> !illegit) p.spec.Sym.sp_legitimate in
   let outcome =
     Step.run t
       {
@@ -773,9 +794,9 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let hi d = min nn ((d + 1) * chunk) in
   let owner v = v / chunk in
   let nr = Array.length p.rule_names in
-  let evs = Array.init nparts (fun _ -> make_ev p) in
+  let evs = Array.init nparts (fun _ -> evaluator p) in
   (* Legitimacy is tracked whenever the spec defines it, as in {!run}. *)
-  let track_legit = evs.(0).legit <> None in
+  let track_legit = p.spec.Sym.sp_legitimate <> None in
   let stopping = stop_on_legitimate && track_legit in
   let rule_of = Array.make nn (-1) in
   let enabled = Bits.create nn in
@@ -813,8 +834,9 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
      charged to the node's owner by [recompute]. *)
   let w_touched = Array.make nparts 0 and w_evals = Array.make nparts 0 in
   let w_flips = Array.make nparts 0 in
-  let recompute ev d v =
-    let r = first_enabled ev v in
+  let recompute (ev : Evaluator.t) d v =
+    let x = ev.Evaluator.eval v in
+    let r = (x asr 1) - 1 in
     if r <> rule_of.(v) then w_flips.(d) <- w_flips.(d) + 1;
     rule_of.(v) <- r;
     if r >= 0 then begin
@@ -822,7 +844,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     end
     else if Bits.remove enabled v then en_count.(d) <- en_count.(d) - 1;
     if track_legit then begin
-      let lg = (Option.get ev.legit) v 0 in
+      let lg = x land 1 = 1 in
       if lg <> legit_of.(v) then begin
         legit_of.(v) <- lg;
         illegit.(d) <- illegit.(d) + (if lg then -1 else 1)
@@ -859,7 +881,7 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           b.mu.(k) <- u;
           b.mr.(k) <- r;
           b.len <- k + 1;
-          compute_post p ev r u ~dst:b.mp ~off:(k * nf))
+          ev.Evaluator.post r u b.mp (k * nf))
   in
   (* Phase A — every enabled node moves (synchronous daemon); buffer post
      rows from the shared pre-state, no writes. *)

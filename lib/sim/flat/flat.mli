@@ -7,16 +7,23 @@
     writing algorithms and hopeless at n = 10⁶.  This engine keeps {e one
     [int array] per declared field} (enums as constructor indices, bools
     as 0/1), adjacency in CSR form ({!Ssreset_graph.Csr}) and the enabled
-    set in a two-level bitset ({!Ssreset_sim.Bits}) — and obtains the
-    rules by compiling the algorithm's IR to OCaml closures over those arrays.
-    The closures take self and the bound neighbor as arguments (a
-    neighborhood aggregate passes each neighbor it visits), and a
-    neighborhood quantifier that occurs more than once across the guards,
-    assignments and legitimacy predicate is scanned once per evaluation:
-    its occurrences share one closure whose memo lives for one evaluation
-    epoch — one node's guard scan, or one post — since within an
-    evaluation neither self nor the state changes.  An evaluator allocates
-    nothing per evaluation.
+    set in a two-level bitset ({!Ssreset_sim.Bits}).
+
+    The rules run as {e generated} code: the build emits one
+    straight-line OCaml evaluator per spec of
+    {!Ssreset_check.Registry.flat_specs} (lib/sim/flat/gen), and
+    {!compile} picks it by structural equality of the spec.  One
+    evaluation computes a node's first enabled rule and its legitimacy;
+    neighborhoods are inline loops over the CSR row, neighbor-invariant
+    subterms (such as the unison increment of self's clock) are hoisted
+    out of them, and an aggregate that repeats across the guards and
+    legitimacy (or across one rule's assignments) is read through a
+    local memo filled on first use.  The generated evaluator allocates
+    nothing and keeps no state between evaluations.  A spec the build did
+    not generate (a test-local IR, say) runs on the {e closure compiler}:
+    the IR compiled to OCaml closures of self and the bound neighbor, with
+    repeated quantifiers memoized per evaluation epoch.  The closure
+    compiler is also the oracle the generated code is tested against.
 
     This module is an {e evaluator} over the one step core
     ({!Ssreset_sim.Step}), which the classic engine
@@ -24,9 +31,10 @@
     evaluates guards and computes and writes posts.  The compilation is
     {e semantics-preserving by construction and by test}: the IR is
     differentially validated against the OCaml rules
-    ({!Ssreset_check.Sym.check}), and the two evaluators against each
-    other — same per-step movers, post-states, counts and profile schema
-    under every registered daemon.
+    ({!Ssreset_check.Sym.check}), the two evaluators against each other —
+    same per-step movers, post-states, counts and profile schema under
+    every registered daemon — and the generated code against the closure
+    compiler.
 
     {!run_partitioned} adds intra-run parallelism for the synchronous
     daemon: nodes are split into {!Ssreset_sim.Bits.part_align}-aligned
@@ -45,7 +53,7 @@ type kind = KInt | KBool | KEnum of string array
 
 type prog
 (** A compiled program: topology, parameter valuation, per-field state
-    arrays and the rule closures' source IR. *)
+    arrays, the source IR and its evaluator. *)
 
 val compile : csr:Csr.t -> params:(string * int) list -> Sym.spec -> prog
 (** Compile a symbolic spec onto a topology.  The IR must pass
@@ -56,6 +64,12 @@ val compile : csr:Csr.t -> params:(string * int) list -> Sym.spec -> prog
 
 val n : prog -> int
 val spec : prog -> Sym.spec
+
+val generated : prog -> bool
+(** Whether the program runs on a generated evaluator, i.e. its spec is
+    structurally equal to one of {!Ssreset_check.Registry.flat_specs};
+    otherwise it runs on the closure compiler. *)
+
 val params : prog -> (string * int) list
 val fields : prog -> (string * kind) array
 

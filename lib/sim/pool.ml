@@ -148,6 +148,7 @@ module Team = struct
     wait_ns : int array;  (** barrier/park time, per worker *)
     busy_hists : Histogram.t array;
     wait_hists : Histogram.t array;
+    parked_ns : int array;  (** when each helper's final park ended *)
     mutable phases : int;
   }
 
@@ -195,7 +196,8 @@ module Team = struct
     if t.stop then begin
       Mutex.unlock t.mutex;
       (* final park, so per-worker time covers up to shutdown *)
-      record_wait t w seen_ns
+      record_wait t w seen_ns;
+      match t.obs with Some o -> o.parked_ns.(w) <- Prof.now_ns () | None -> ()
     end
     else begin
       let epoch = t.epoch in
@@ -230,6 +232,7 @@ module Team = struct
             wait_ns = Array.make size 0;
             busy_hists = Array.init size (fun _ -> Histogram.create ());
             wait_hists = Array.init size (fun _ -> Histogram.create ());
+            parked_ns = Array.make size 0;
             phases = 0;
           })
         prof
@@ -329,11 +332,22 @@ module Team = struct
 
   let shutdown t =
     if not t.stop then begin
+      let ts = match t.obs with Some _ -> Prof.now_ns () | None -> 0 in
       Mutex.lock t.mutex;
       t.stop <- true;
       Condition.broadcast t.cond;
       Mutex.unlock t.mutex;
       List.iter Domain.join t.helpers;
+      (* The caller's wait for the joins, and each helper's exit after its
+         final park, are barrier time too: worker laps then tile the
+         team's lifetime up to the last join. *)
+      (match t.obs with
+      | Some o ->
+          record_wait t 0 ts;
+          for w = 1 to t.size - 1 do
+            record_wait t w o.parked_ns.(w)
+          done
+      | None -> ());
       t.helpers <- [];
       emit_obs t
     end

@@ -82,5 +82,8 @@ module Team : sig
       synchronization. *)
 
   val shutdown : t -> unit
-  (** Join the helper domains.  Idempotent; the team is unusable after. *)
+  (** Join the helper domains.  Idempotent; the team is unusable after.
+      With [prof], the caller's wait for the joins and each helper's exit
+      after its final park are recorded as barrier waits, so worker laps
+      tile the team's lifetime up to the last join. *)
 end

@@ -329,6 +329,15 @@ let touch t g v =
     set_entry t v r
   end
 
+(* Close a run of [len] consecutive commits of rule [r]: one lap. *)
+let close_run pc r len =
+  if len > 0 then begin
+    let now = Prof.now_ns () in
+    Prof.record_spans pc.rule_timers.(r) (now - pc.mark) ~n:len;
+    Metrics.add pc.rule_counters.(r) len;
+    pc.mark <- now
+  end
+
 let step t ~index =
   t.index <- index;
   t.pre_count <- t.count;
@@ -338,22 +347,29 @@ let step t ~index =
   lap_phase t ph_select;
   (* Per-rule attribution without extra clock reads: commits chain laps,
      so their spans tile the apply phase exactly; the phase total is
-     derived from the chain, not measured again. *)
+     derived from the chain, not measured again.  A run of consecutive
+     commits of one rule is one lap, recorded as that many spans of its
+     mean: one clock read per rule change, not per commit. *)
   let apply_start = match t.prof with Some pc -> pc.mark | None -> 0 in
+  let run_rule = ref (-1) and run_len = ref 0 in
   for k = 0 to t.len - 1 do
     let u = t.mu.(k) and r = t.mr.(k) in
+    (match t.prof with
+    | Some pc when r <> !run_rule ->
+        close_run pc !run_rule !run_len;
+        run_rule := r;
+        run_len := 0
+    | _ -> ());
     t.commit k u;
     t.moves_per_process.(u) <- t.moves_per_process.(u) + 1;
     t.rule_moves.(r) <- t.rule_moves.(r) + 1;
     unpend t u;
-    match t.prof with
-    | Some pc ->
-        lap pc pc.rule_timers.(r);
-        Metrics.incr pc.rule_counters.(r)
-    | None -> ()
+    incr run_len
   done;
   (match t.prof with
-  | Some pc -> Prof.record_span pc.phase.(ph_apply) (pc.mark - apply_start)
+  | Some pc ->
+      close_run pc !run_rule !run_len;
+      Prof.record_span pc.phase.(ph_apply) (pc.mark - apply_start)
   | None -> ());
   t.steps <- t.steps + 1;
   t.steps_in_round <- t.steps_in_round + 1;

@@ -87,7 +87,8 @@ val run : t -> hooks -> max_steps:int -> outcome
 (** Step until [stop] holds, no process is enabled, or [max_steps] steps
     have run; then close the profile ([gc.*] deltas, the [engine.wall_s]
     gauge).  With a profiler the phase laps tile the run; rule timers
-    chain over the commits.
+    chain over the commits, one lap per run of consecutive commits of one
+    rule (recorded as that many spans of the run's mean).
     @raise Invalid_argument on a non-positive heartbeat interval. *)
 
 (** {2 Results} *)

@@ -578,6 +578,227 @@ let memo_tests =
           (graph_zoo ()));
   ]
 
+(* -------------------------- generated evaluators ------------------------ *)
+
+module Flatgen = Ssreset_flatgen.Flatgen
+
+(* [spec] under another name: structurally distinct from every generated
+   spec, so it compiles to the closure compiler, the generated code's
+   oracle. *)
+let closure_twin (spec : Sym.spec) =
+  let ir = spec.Sym.sp_ir in
+  let ir_name = ir.Sym.ir_name ^ "/closures" in
+  { spec with Sym.sp_ir = { ir with Sym.ir_name } }
+
+(* Generated and closure evaluation of one instance's spec from the same
+   random configuration: same per-step movers, legitimate-node counts,
+   digest and final legitimacy. *)
+let generated_one ~label inst daemon_name seed =
+  let module I = (val inst : Sym.INSTANCE) in
+  let g = I.graph in
+  let seed_rng = rng (0x5EED + seed) in
+  let cfg0 =
+    Array.init (Graph.n g) (fun u ->
+        let d = I.domain u in
+        List.nth d (Random.State.int seed_rng (List.length d)))
+  in
+  let csr = Csr.of_graph g in
+  let go spec =
+    let p = Flat.compile ~csr ~params:I.param_values spec in
+    Array.iteri (fun u s -> Flat.load p u (I.encode s)) cfg0;
+    let moved = ref [] and legit = ref [] in
+    let r =
+      Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false
+        ~daemon:(Option.get (Daemon.by_name daemon_name))
+        ~on_step:(fun ~step:_ ~moved:m -> moved := m :: !moved)
+        ~heartbeat:(1, fun b -> legit := b.Flat.hb_legit :: !legit)
+        p
+    in
+    ( Flat.generated p,
+      List.rev !moved,
+      List.rev !legit,
+      Progs.digest p r,
+      r.Flat.legitimate )
+  in
+  let gen, m_gen, l_gen, d_gen, lg_gen = go I.spec
+  and clo, m_clo, l_clo, d_clo, lg_clo = go (closure_twin I.spec) in
+  check_bool (label ^ " runs generated code") true gen;
+  check_bool (label ^ " twin runs closures") false clo;
+  check_movers (label ^ " per-step movers") m_clo m_gen;
+  check (Alcotest.list Alcotest.int) (label ^ " legitimate nodes per step")
+    l_clo l_gen;
+  check Alcotest.string (label ^ " digest") d_clo d_gen;
+  check_bool (label ^ " legitimate") lg_clo lg_gen
+
+(* The clock increment and decrement of self, as the unison IRs write
+   them. *)
+let self_clock = Sym.Var (Sym.Self, "c")
+
+let incmod =
+  Sym.Ite
+    ( Sym.Eq (self_clock, Sym.Sub (Sym.Param "K", Sym.Num 1)),
+      Sym.Num 0,
+      Sym.Add (self_clock, Sym.Num 1) )
+
+let decmod =
+  Sym.Ite
+    ( Sym.Eq (self_clock, Sym.Num 0),
+      Sym.Sub (Sym.Param "K", Sym.Num 1),
+      Sym.Sub (self_clock, Sym.Num 1) )
+
+let unsupported_message spec =
+  match Flatgen.emit_module [ spec ] with
+  | _ -> Alcotest.fail "the generator emitted a spec it cannot emit"
+  | exception Flatgen.Unsupported msg -> msg
+
+(* A coloring star whose leaves are colored [colors] (leaf k gets the k-th
+   color); the uncolored center is the one enabled node, and its pick is
+   the mex of the leaf colors.  Returns the center's color after one step
+   and the run's digest, on the spec's evaluator. *)
+let star_pick spec colors =
+  let leaves = List.length colors in
+  let g = Gen.star (leaves + 1) in
+  let csr = Csr.of_graph g in
+  let p = Flat.compile ~csr ~params:[ ("MaxId", leaves) ] spec in
+  let center = if Graph.degree g 0 = leaves then 0 else leaves in
+  let leaf = ref 0 in
+  for u = 0 to leaves do
+    Flat.load p u [ ("id", Sym.VInt u) ];
+    if u = center then Flat.load p u [ ("col", Sym.VInt (-1)) ]
+    else begin
+      Flat.load p u [ ("col", Sym.VInt (List.nth colors !leaf)) ];
+      incr leaf
+    end
+  done;
+  let r =
+    Flat.run ~max_steps:1 ~stop_on_legitimate:false ~daemon:Flat.Synchronous p
+  in
+  let col =
+    match List.assoc "col" (Flat.read p center) with
+    | Sym.VInt c -> c
+    | _ -> Alcotest.fail "coloring state"
+  in
+  (col, Progs.digest p r)
+
+let generated_tests =
+  [
+    test "every flat spec resolves to its generated evaluator" (fun () ->
+        let csr = Csr.ring 5 in
+        List.iter
+          (fun name ->
+            let e = Option.get (Progs.find name) in
+            check_bool (name ^ " catalogue entry") true
+              (Flat.generated (Progs.build e csr)))
+          [ "unison-sdr"; "tail-unison"; "min-unison" ];
+        List.iter
+          (fun (iname, inst) ->
+            let module I = (val inst : Sym.INSTANCE) in
+            check_bool (iname ^ " is listed") true
+              (List.mem I.spec Registry.flat_specs);
+            check_bool (iname ^ " registry IR") true
+              (Flat.generated
+                 (Flat.compile ~csr:(Csr.of_graph I.graph)
+                    ~params:I.param_values I.spec));
+            check_bool (iname ^ " closure twin") false
+              (Flat.generated
+                 (Flat.compile ~csr:(Csr.of_graph I.graph)
+                    ~params:I.param_values (closure_twin I.spec))))
+          (sym_instances (Gen.ring 5));
+        check_int "one generated evaluator per listed spec"
+          (List.length Registry.flat_specs)
+          (List.length (sym_instances (Gen.ring 5)));
+        check_bool "a test-local IR runs on closures" false
+          (Flat.generated (Flat.compile ~csr ~params:[] probe_spec)));
+    test "generated = closures on the zoo, every daemon, 5 seeds" (fun () ->
+        List.iter
+          (fun (gname, g) ->
+            List.iter
+              (fun (iname, inst) ->
+                List.iter
+                  (fun dname ->
+                    for seed = 1 to 5 do
+                      generated_one
+                        ~label:(Fmt.str "%s/%s/%s/#%d" gname iname dname seed)
+                        inst dname seed
+                    done)
+                  Daemon.names)
+              (sym_instances g))
+          (graph_zoo ()));
+    test "generated = closures, partitioned" (fun () ->
+        let spec = Registry.unison_sdr_composed_spec in
+        let go spec =
+          let p =
+            Flat.compile ~csr:(Csr.ring 8192)
+              ~params:(Registry.unison_sdr_params_of_n 8192) spec
+          in
+          Progs.init_ground p;
+          Progs.perturb p ~rng:(rng 77) 40;
+          Progs.digest p (Flat.run_partitioned ~parts:2 p)
+        in
+        check Alcotest.string "digest" (go (closure_twin spec)) (go spec));
+    test "mex at and above the word size" (fun () ->
+        let spec =
+          List.find
+            (fun s -> s.Sym.sp_ir.Sym.ir_name = "coloring")
+            Registry.flat_specs
+        in
+        List.iter
+          (fun (what, colors, want) ->
+            let c_gen, d_gen = star_pick spec colors
+            and c_clo, d_clo = star_pick (closure_twin spec) colors in
+            check_int (what ^ " closures") want c_clo;
+            check_int (what ^ " generated") want c_gen;
+            check Alcotest.string (what ^ " digest") d_clo d_gen)
+          (let upto70 = List.init 70 Fun.id in
+           let without c = List.filter (( <> ) c) upto70 in
+           [
+             ("0..69", upto70, 70);
+             ("0..69 without 64", without 64, 64);
+             ("0..69 without 61", without 61, 61);
+             ("one 0", [ 0 ], 1);
+           ]));
+    test "a construct the generator cannot emit names spec and construct"
+      (fun () ->
+        let bad guard =
+          Sym.spec_of_ir
+            {
+              Sym.ir_name = "toy-unemittable";
+              fields = [ ("x", Sym.TInt) ];
+              params = [];
+              ranges = [];
+              rules = [ { Sym.rule = "r"; guard; assigns = [] } ];
+            }
+        in
+        List.iter
+          (fun (guard, construct) ->
+            let msg = unsupported_message (bad guard) in
+            List.iter
+              (fun part ->
+                check_true
+                  (Fmt.str "%S names %S" msg part)
+                  (Registry.contains ~needle:part msg))
+              [ "toy-unemittable"; construct ])
+          [
+            (Sym.Eq (Sym.Var (Sym.Nbr, "x"), Sym.Num 0), "Var (Nbr, x)");
+            (Sym.Eq (Sym.Var (Sym.Self, "y"), Sym.Num 0), "Var (Self, y)");
+            (Sym.Lt (Sym.Num 0, Sym.Param "K"), "Param K");
+          ]);
+    test "neighbor-invariant clock terms are hoisted out of loops" (fun () ->
+        List.iter
+          (fun (name, spec) ->
+            let hoisted = Flatgen.hoists spec in
+            List.iter
+              (fun (what, t) ->
+                check_true
+                  (Fmt.str "%s hoists %s" name what)
+                  (List.mem (Flatgen.Term t) hoisted))
+              [ ("incmod c", incmod); ("decmod c", decmod) ])
+          [
+            ("unison-sdr-composed", Registry.unison_sdr_composed_spec);
+            ("tail-unison", Registry.tail_unison_spec);
+          ]);
+  ]
+
 (* ----------------------- observability transparency --------------------- *)
 
 module Monitor = Ssreset_obs.Monitor
@@ -807,5 +1028,6 @@ let () =
       ("observability", observability_tests);
       ("composed-ir", composed_ir_tests);
       ("memo", memo_tests);
+      ("generated", generated_tests);
       ("scale", scale_tests);
     ]
